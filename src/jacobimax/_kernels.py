@@ -1,13 +1,12 @@
-"""Renormalized three-term recurrence kernels, vectorized over evaluation points.
+"""Renormalized three-term recurrence kernel, vectorized over evaluation points.
 
-The running pair is rescaled by an exact power of two whenever its magnitude
-leaves [1e-150, 1e150], so the significand sequence is identical to what
-unbounded-range arithmetic would produce while the power of two accumulates in
-a separate log offset.
+One numpy kernel evaluates every call.  The running pair is rescaled by an
+exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
+significand sequence is identical to what unbounded-range arithmetic would
+produce while the power of two accumulates in a separate log offset.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -23,14 +22,9 @@ _SLACK = 1e-3
 # fewest remaining steps for which the growth bounds are worth computing
 _BOUND_STEPS = 16
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and not os.environ.get("JACOBIMAX_NO_NUMBA")
+# there is no numba backend; the constant stays because benchmark results
+# record it in their environment stamp
+USING_NUMBA = False
 
 
 def _step_bounds(x, b, a, k):
@@ -103,40 +97,6 @@ def _recurrence_numpy(x, b, a, ln_start, k):
     return pc, off
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _recurrence_numba(x, b, a, ln_start, k):  # pragma: no cover - jitted
-        n = x.shape[0]
-        val = np.empty(n)
-        off = np.full(n, ln_start)
-        if k == 0:
-            for i in range(n):
-                val[i] = 1.0
-            return val, off
-        for i in range(n):
-            xi = x[i]
-            o = ln_start
-            pm = 1.0
-            pc = (xi - b[0]) / a[0]
-            for m in range(1, k):
-                t = ((xi - b[m]) * pc - a[m - 1] * pm) / a[m]
-                pm = pc
-                pc = t
-                apc = abs(pc)
-                apm = abs(pm)
-                mag = apc if apc > apm else apm
-                if mag > _HI or (mag > 0.0 and mag < _LO):
-                    e = int(math.floor(math.log2(mag)))
-                    sc = math.ldexp(1.0, -e)
-                    pc *= sc
-                    pm *= sc
-                    o += e * _LN2
-            val[i] = pc
-            off[i] = o
-        return val, off
-
-
 def recurrence(x, b, a, ln_start, k):
     """Evaluate the degree-k orthonormal polynomial at every x.
 
@@ -144,6 +104,4 @@ def recurrence(x, b, a, ln_start, k):
     diagonal/off-diagonal recurrence coefficient arrays and ln_start is the
     log of the degree-0 polynomial.
     """
-    if USING_NUMBA:
-        return _recurrence_numba(x, b, a, float(ln_start), k)
     return _recurrence_numpy(x, b, a, float(ln_start), k)

@@ -13,7 +13,7 @@ import sys
 
 from . import verify as _verify
 from ._version import __version__
-from .envelope import delta_squared, sonin_S
+from .envelope import delta_window, sonin_S
 from .extrema import GridTooCoarseError, global_max, scan_extrema
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_orthonormal, weighted_M
 
@@ -43,9 +43,7 @@ def _parse_window(text: str, p: Params) -> Window:
     if text == "full":
         return Window.full()
     if text == "delta":
-        if not (p.is_ultraspherical and p.alpha >= 0.5):
-            raise ValueError("delta window needs alpha = beta >= 1/2")
-        return Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
+        return delta_window(p)
     if text.startswith("custom:"):
         parts = text[len("custom:"):].split(",")
         if len(parts) != 2:

@@ -31,11 +31,12 @@ __all__ = [
     "IdentityCheck",
     "geometry",
     "delta_squared",
+    "delta_window",
+    "turning_point",
     "coeffs_full",
     "coeffs_window",
     "b_prime_full",
     "b_prime_window",
-    "window_b_numerator",
     "sonin_point",
     "sonin_S",
     "identity_checks",
@@ -94,6 +95,28 @@ def delta_squared(k: int, alpha: float) -> float:
     num = (2.0 * k + 1.0) * (2.0 * k + 4.0 * alpha + 1.0) - 3.0
     den = (2.0 * k + 2.0 * alpha - 1.0) * (2.0 * k + 2.0 * alpha + 3.0)
     return num / den
+
+
+def delta_window(p: Params) -> Window:
+    """The symmetric window (-delta, delta), defined for alpha = beta >= 1/2."""
+    if not (p.is_ultraspherical and p.alpha >= 0.5):
+        raise ValueError("delta window needs alpha = beta >= 1/2")
+    return Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
+
+
+def turning_point(p: Params) -> float:
+    """cos(max(tau - |omega|, 0)), the outer edge of the oscillation band.
+
+    sin(tau) and sin(omega) are clamped into the ranges of asin, so the
+    result is defined for every triple; with s = 2k + alpha + beta + 1 <= 0
+    there is no band and the whole interval, 1.0, is returned.
+    """
+    s = 2.0 * p.k + p.alpha + p.beta + 1.0
+    if s <= 0.0:
+        return 1.0
+    sin_tau = min(max((p.alpha + p.beta + 1.0) / s, 0.0), 1.0)
+    sin_om = min(max((p.alpha - p.beta) / s, -1.0), 1.0)
+    return math.cos(max(math.asin(sin_tau) - abs(math.asin(sin_om)), 0.0))
 
 
 def geometry(p: Params) -> Geometry:
@@ -233,20 +256,6 @@ def b_prime_window(k: int, alpha: float, d: float, x: float) -> float:
         4.0 * one_m * one_m * win**3
     )
     return part_a + part_b
-
-
-def window_b_numerator(k: int, alpha: float, d: float, x: float) -> float:
-    """Sextic numerator B1 with B = B1 / (4 (1-x^2)^2 (d^2-x^2)^2)."""
-    a2 = 4.0 * alpha * alpha
-    r2 = (2.0 * k + 2.0 * alpha + 1.0) ** 2
-    d2 = d * d
-    X = x * x
-    return (
-        -r2 * X**3
-        + ((1.0 + 2.0 * d2) * r2 + 4.0 * d2 - a2 - 3.0) * X * X
-        - ((d2 * d2 + 2.0 * d2) * r2 - d2 * d2 - 2.0 * a2 * d2 + 6.0 * d2 - 3.0) * X
-        + (d2 * r2 - a2 * d2 - d2 + 2.0) * d2
-    )
 
 
 def _ln_window_factor(p: Params, x: float, w: Window) -> float:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import Geometry, _dln_window_factor
+from .envelope import Geometry, _dln_window_factor, turning_point
 from .jacobi import Params, Window, eval_orthonormal_deriv_parts, eval_orthonormal_parts, weighted_M, weighted_ln_parts
 
 __all__ = [
@@ -59,13 +59,7 @@ class ExtremumRecord:
 def _band_halfwidth(p: Params) -> float:
     # oscillation band in x: all sign activity of y and f' lives well inside
     # 1.5 cos(tau - |omega|) + 2/(k+1); beyond it both are monotone
-    s = 2.0 * p.k + p.alpha + p.beta + 1.0
-    sin_tau = (p.alpha + p.beta + 1.0) / s
-    if not 0.0 <= sin_tau <= 1.0:
-        return 1.0
-    sin_om = max(-1.0, min(1.0, (p.alpha - p.beta) / s))
-    inner = max(math.asin(sin_tau) - abs(math.asin(sin_om)), 0.0)
-    return min(1.0, 1.5 * math.cos(inner) + 2.0 / (p.k + 1.0))
+    return min(1.0, 1.5 * turning_point(p) + 2.0 / (p.k + 1.0))
 
 
 def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:

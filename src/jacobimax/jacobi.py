@@ -73,18 +73,6 @@ class Params:
     def is_ultraspherical(self) -> bool:
         return self.alpha == self.beta
 
-    @property
-    def thm1_applicable(self) -> bool:
-        return self.k >= 6 and self.is_ultraspherical and self.alpha >= ALPHA_FLOOR
-
-    @property
-    def thm3_applicable(self) -> bool:
-        return self.k >= 6 and self.alpha >= self.beta >= ALPHA_FLOOR
-
-    @property
-    def thm4_applicable(self) -> bool:
-        return self.k >= 1 and self.is_ultraspherical and self.alpha >= 0.5
-
 
 @dataclass(frozen=True)
 class Window:

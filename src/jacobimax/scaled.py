@@ -12,13 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = [
-    "ScaledReal",
-    "scaled_add",
-    "scaled_mul",
-    "scaled_to_float",
-    "scaled_from_float",
-]
+__all__ = ["ScaledReal"]
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _CANCEL_RESIDUAL = 1e-15
@@ -121,19 +115,3 @@ class ScaledReal:
         if not isinstance(other, ScaledReal):
             other = ScaledReal.from_float(float(other))
         return self + (-other)
-
-
-def scaled_mul(a: ScaledReal, b: ScaledReal) -> ScaledReal:
-    return a * b
-
-
-def scaled_add(a: ScaledReal, b: ScaledReal) -> ScaledReal:
-    return a + b
-
-
-def scaled_to_float(a: ScaledReal) -> float:
-    return a.to_float()
-
-
-def scaled_from_float(v: float) -> ScaledReal:
-    return ScaledReal.from_float(v)

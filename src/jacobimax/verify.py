@@ -20,8 +20,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from ._version import __version__
-from .envelope import OutsideOscillationRegionError, delta_squared, geometry, identity_checks
-from .extrema import global_max, scan_extrema, structure_checks
+from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
+from .extrema import global_max, scan_extrema
 from .jacobi import ALPHA_FLOOR, Params, Window, ode_residual, value_at_zero_even, weighted_M
 from .jacobi import eval_orthonormal, eval_orthonormal_deriv
 
@@ -79,10 +79,6 @@ class Tolerances:
             raise ConfigError("tolerances must be positive")
 
 
-def _delta_window(p: Params) -> Window:
-    return Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
-
-
 def _hyp_bound(bid: _bounds.BoundId) -> Callable[[Params], Optional[str]]:
     return lambda p: _bounds._hypothesis_failure(bid, p)
 
@@ -91,9 +87,19 @@ def _hyp(cond: Callable[[Params], bool], reason: str) -> Callable[[Params], Opti
     return lambda p: None if cond(p) else reason
 
 
+_HYP_NONE = _hyp(lambda p: True, "")
+_HYP_ULTRA_ABOVE_HALF = _hyp(
+    lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"
+)
+_HYP_THM4_EVEN = _hyp(
+    lambda p: p.is_ultraspherical and p.alpha >= 0.5 and p.k >= 2 and p.k % 2 == 0,
+    "needs alpha = beta >= 1/2 and even k >= 2",
+)
+
+
 def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
     def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
-        w = Window.full() if window == "full" else _delta_window(p)
+        w = Window.full() if window == "full" else delta_window(p)
         gm = global_max(p, w, refine_tol=tol.extremum_abs)
         return gm.M, _bounds.rhs_bound(bid, p)
 
@@ -102,21 +108,21 @@ def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
 
 def _run_thm4_even_value(p: Params, tol: Tolerances) -> tuple[float, float]:
     # M(0) on the delta window via the closed form at the origin
-    d = math.sqrt(delta_squared(p.k, p.alpha))
+    d = delta_window(p).d_M
     y0 = value_at_zero_even(p.k, p.alpha)
     lhs = d * math.exp(2.0 * y0.ln_mag)
     return lhs, _bounds.rhs_bound(_bounds.BoundId.THM4, p)
 
 
 def _run_thm4_peak(p: Params, tol: Tolerances) -> tuple[float, float]:
-    gm = global_max(p, _delta_window(p), refine_tol=tol.extremum_abs)
+    gm = global_max(p, delta_window(p), refine_tol=tol.extremum_abs)
     return abs(gm.x), 1e-9
 
 
 def _run_thm4_containment(p: Params, tol: Tolerances) -> tuple[float, float]:
     recs = scan_extrema(p, Window.full(), refine_tol=tol.extremum_abs)
     hull = max(abs(r.x) for r in recs if r.kind == "max")
-    return hull, math.sqrt(delta_squared(p.k, p.alpha))
+    return hull, delta_window(p).d_M
 
 
 def _run_thm3_containment(p: Params, tol: Tolerances) -> tuple[float, float]:
@@ -143,7 +149,7 @@ def _run_thm5_unimodal(p: Params, tol: Tolerances) -> tuple[float, float]:
 
 
 def _run_lmonult(p: Params, tol: Tolerances) -> tuple[float, float]:
-    recs = scan_extrema(p, _delta_window(p), refine_tol=tol.extremum_abs)
+    recs = scan_extrema(p, delta_window(p), refine_tol=tol.extremum_abs)
     nonneg = [r for r in recs if r.kind == "max" and r.x > -1e-12]
     drops = [a.M - b.M for a, b in zip(nonneg, nonneg[1:])]
     return 0.0, min(drops) if drops else math.inf
@@ -173,10 +179,7 @@ def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
     # the oscillation band shrinks like 1/sqrt(alpha), so a fixed angular grid
     # eventually misses the central peak; band-scaled samples and x = 0 keep
     # the worst point visible at every parameter scale
-    s = 2.0 * p.k + p.alpha + p.beta + 1.0
-    sin_tau = min(max((p.alpha + p.beta + 1.0) / s, 0.0), 1.0)
-    sin_om = min(max((p.alpha - p.beta) / s, -1.0), 1.0)
-    x_t = math.cos(max(math.asin(sin_tau) - abs(math.asin(sin_om)), 0.0))
+    x_t = turning_point(p)
     xs.extend(x_t * math.cos(phi) for phi in np.linspace(0.0, math.pi, 33)[1:-1])
     xs.append(0.0)
     worst: Optional[tuple[float, float, float]] = None
@@ -210,9 +213,7 @@ def _run_ode_residual(p: Params, tol: Tolerances) -> tuple[float, float]:
 
 def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     s = 2.0 * p.k + p.alpha + p.beta + 1.0
-    sin_tau = min(max((p.alpha + p.beta + 1.0) / s, 0.0), 1.0)
-    sin_om = min(max((p.alpha - p.beta) / s, -1.0), 1.0)
-    band = 0.85 * math.cos(max(math.asin(sin_tau) - abs(math.asin(sin_om)), 0.0))
+    band = 0.85 * turning_point(p)
     # the local log-slope is bounded by the oscillation wavenumber s*x_t plus
     # the weight-envelope slope at the band edge; a five-point stencil with h
     # balancing its h^4 truncation against evaluation roundoff keeps the
@@ -247,10 +248,6 @@ class _CheckDef(NamedTuple):
     description: str
 
 
-def _is_ultra_min(p: Params, floor: float) -> bool:
-    return p.is_ultraspherical and p.alpha >= floor
-
-
 _REGISTRY: dict[str, _CheckDef] = {
     "chow_eq1": _CheckDef(
         _hyp_bound(_bounds.BoundId.CHOW_EQ1),
@@ -278,27 +275,30 @@ _REGISTRY: dict[str, _CheckDef] = {
         "full-window global max below the r tan(tau) cube-root bound",
     ),
     "thm1_ratio": _CheckDef(
-        _hyp(lambda p: _is_ultra_min(p, ALPHA_FLOOR) and p.k >= 1, "needs alpha = beta >= (1+sqrt(2))/4 and k >= 1"),
+        _hyp(
+            lambda p: p.is_ultraspherical and p.alpha >= ALPHA_FLOOR and p.k >= 1,
+            "needs alpha = beta >= (1+sqrt(2))/4 and k >= 1",
+        ),
         lambda p, tol: (_bounds.theorem1_ratio(p.k, p.alpha), _bounds.SHARP_RATIO * (1.0 + 1e-12)),
         "cube-root bound reduction ratio stays below its proven ceiling",
     ),
     "thm4_even_value": _CheckDef(
-        _hyp(lambda p: _is_ultra_min(p, 0.5) and p.k >= 2 and p.k % 2 == 0, "needs alpha = beta >= 1/2 and even k >= 2"),
+        _HYP_THM4_EVEN,
         _run_thm4_even_value,
         "closed-form M(0) on the delta window below the even-degree bound",
     ),
     "thm4_delta_peak_at_zero": _CheckDef(
-        _hyp(lambda p: _is_ultra_min(p, 0.5) and p.k >= 2 and p.k % 2 == 0, "needs alpha = beta >= 1/2 and even k >= 2"),
+        _HYP_THM4_EVEN,
         _run_thm4_peak,
         "delta-window global max located at the origin",
     ),
     "thm4_containment": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _run_thm4_containment,
         "all full-window maxima inside (-delta, delta)",
     ),
     "thm3_containment": _CheckDef(
-        _hyp(lambda p: p.thm3_applicable, "needs k >= 6 and alpha >= beta >= (1+sqrt(2))/4"),
+        _hyp_bound(_bounds.BoundId.KRASIKOV_EQ3),
         _run_thm3_containment,
         "all extrema inside the (eta_minus, eta_plus) band",
     ),
@@ -323,43 +323,43 @@ _REGISTRY: dict[str, _CheckDef] = {
         "odd-degree delta-window global max below 29/pi",
     ),
     "identity_B1_delta": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _identity_runner(("b1_at_delta",)),
         "exact sextic value at delta matches its closed form",
     ),
     "identity_B1_one": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _identity_runner(("b1_at_one",)),
         "exact sextic value at 1 matches its closed form",
     ),
     "identity_D_delta": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _identity_runner(("d_scaled_at_delta",)),
         "exact quartic value at delta matches its closed form",
     ),
     "identity_D_quadratic": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _identity_runner(("d_scaled_quadratic_at_zero", "d_scaled_quadratic_at_quarter_delta2")),
         "scaled quartic agrees with the displayed quadratic",
     ),
     "identity_A0_delta": _CheckDef(
-        _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"),
+        _HYP_ULTRA_ABOVE_HALF,
         _run_identity_a0,
         "delta lies beyond the maxima-hull radius (A0(delta) < 0)",
     ),
     "pointwise": _CheckDef(
-        _hyp(lambda p: p.alpha >= -0.5 and p.beta >= -0.5, "needs alpha >= -1/2 and beta >= -1/2"),
+        _hyp_bound(_bounds.BoundId.EMN_EQ2),
         _run_pointwise,
         "sampled M(x) below the pointwise bound where its denominator is positive"
         " (known to fail for alpha >> k; failures are reported, not masked)",
     ),
     "gamma_ratio": _CheckDef(
-        _hyp(lambda p: True, ""),
+        _HYP_NONE,
         _run_gamma_ratio,
         "smallest log-domain gamma-ratio gap over a fixed grid stays positive",
     ),
     "ode_residual": _CheckDef(
-        _hyp(lambda p: True, ""),
+        _HYP_NONE,
         _run_ode_residual,
         "defining differential equation satisfied on a 100-point grid",
     ),

@@ -66,6 +66,13 @@ def test_extrema_table_and_global_max(capsys):
     assert out.count("max") >= 5
 
 
+def test_extrema_without_oscillation_band_is_usage_error(capsys):
+    # 2k + alpha + beta + 1 = 0: M is constant, so the scan has no sign changes to trust
+    code, out, err = run(capsys, ["extrema", "--k", "0", "--alpha", "-0.5"])
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_extrema_csv_file(capsys, tmp_path):
     path = tmp_path / "ext.csv"
     code, out, err = run(capsys, ["extrema", "--k", "5", "--alpha", "1", "--csv", str(path)])

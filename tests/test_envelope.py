@@ -13,10 +13,12 @@ from jacobimax.envelope import (
     coeffs_full,
     coeffs_window,
     delta_squared,
+    delta_window,
     geometry,
     identity_checks,
     sonin_S,
     sonin_point,
+    turning_point,
 )
 from jacobimax.extrema import scan_extrema
 from jacobimax.jacobi import Params, Window, weighted_M
@@ -49,6 +51,26 @@ def test_delta_squared_values_and_guards():
     assert delta_squared(2, 0.5) == 1.0
     with pytest.raises(ValueError):
         delta_squared(2, 0.3)
+    assert delta_window(Params(2, 1.0, 1.0)) == Window.symmetric(math.sqrt(delta_squared(2, 1.0)))
+    for p in (Params(2, 1.0, 0.5), Params(2, 0.3, 0.3)):
+        with pytest.raises(ValueError, match="alpha = beta >= 1/2"):
+            delta_window(p)
+
+
+def test_turning_point_matches_geometry_and_clamps():
+    exponents = (-0.9, -0.5, 0.0, 0.3, 1.0, 5.0)
+    for k in range(9):
+        for a in exponents:
+            for b in exponents:
+                p = Params(k, a, b)
+                if 2 * k + a + b + 1.0 <= 0.0:
+                    assert turning_point(p) == 1.0
+                    continue
+                g = geometry(p)
+                if g.sin_tau < 0.0:
+                    assert turning_point(p) == 1.0
+                elif g.omega is not None:
+                    assert turning_point(p) == math.cos(max(g.tau - abs(g.omega), 0.0)), p
 
 
 def test_delta_squared_stable_for_huge_alpha():

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from jacobimax.scaled import ScaledReal, scaled_add, scaled_from_float, scaled_mul, scaled_to_float
+from jacobimax.scaled import ScaledReal
 
 
 def test_from_float_roundtrip():
@@ -103,11 +103,11 @@ def test_underflow_to_float_is_zero():
     assert not tiny.is_zero()
 
 
-def test_module_level_helpers_agree_with_methods():
-    a = scaled_from_float(7.0)
-    b = scaled_from_float(-2.0)
-    assert scaled_to_float(scaled_mul(a, b)) == pytest.approx(-14.0, rel=1e-14)
-    assert scaled_to_float(scaled_add(a, b)) == pytest.approx(5.0, rel=1e-14)
+def test_float_round_trip_through_mul_and_add():
+    a = ScaledReal.from_float(7.0)
+    b = ScaledReal.from_float(-2.0)
+    assert (a * b).to_float() == pytest.approx(-14.0, rel=1e-14)
+    assert (a + b).to_float() == pytest.approx(5.0, rel=1e-14)
 
 
 def test_ordering_of_ln_mag_reflects_magnitude():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import jacobimax.verify as verify
-from jacobimax.bounds import HypothesisError
-from jacobimax.jacobi import Params
+from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure
+from jacobimax.jacobi import ALPHA_FLOOR, Params
 from jacobimax.verify import (
     CHECKED,
     NUMERIC_FAILURE,
@@ -68,6 +68,22 @@ def test_run_check_skips_out_of_hypothesis():
     assert math.isnan(r.lhs) and math.isnan(r.rhs) and math.isnan(r.margin)
     r = run_check("odd_230", Params(6, 1.0, 1.0))
     assert r.status == SKIPPED
+
+
+def test_bound_gated_checks_share_the_bound_hypothesis():
+    gated = {
+        "chow_eq1": BoundId.CHOW_EQ1, "emn_eq2": BoundId.EMN_EQ2, "krasikov_eq3": BoundId.KRASIKOV_EQ3,
+        "thm1": BoundId.THM1, "lemma_glav": BoundId.LEMMA_GLAV, "odd_230": BoundId.ODD_230,
+        "odd_29": BoundId.ODD_29, "thm3_containment": BoundId.KRASIKOV_EQ3, "pointwise": BoundId.EMN_EQ2,
+    }
+    exponents = (-0.5, 0.0, 0.3, ALPHA_FLOOR, 0.5, 0.6, 1.0)
+    for cid, bid in gated.items():
+        hypothesis = verify._REGISTRY[cid].hypothesis
+        for k in range(9):
+            for a in exponents:
+                for b in exponents:
+                    p = Params(k, a, b)
+                    assert (hypothesis(p) is None) == (_hypothesis_failure(bid, p) is None), (cid, p)
 
 
 def test_run_check_unknown_id():
