@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .gammafn import log_beta, log_gamma
-from .scaled import ScaledReal
+from .scaled import ScaledReal, scaled_from_parts
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -37,8 +37,10 @@ __all__ = [
     "eval_orthonormal_deriv_parts",
     "value_at_zero_even",
     "weighted_M",
+    "weighted_M_interior",
     "weighted_ln_parts",
     "ode_residual",
+    "ode_residuals",
 ]
 
 _LN2 = math.log(2.0)
@@ -254,7 +256,15 @@ def weighted_M(p: Params, x: float, w: Window) -> WeightedValue:
             ln = 0.5 * math.log(w.d_M + 1.0) + p.alpha * _LN2 + 2.0 * y.ln_mag
             return WeightedValue(_exp_saturating(ln), ln)
         return WeightedValue(0.0, -math.inf)
-    y = eval_orthonormal(p, x)
+    return weighted_M_interior(p, x, w, eval_orthonormal(p, x))
+
+
+def weighted_M_interior(p: Params, x: float, w: Window, y: ScaledReal) -> WeightedValue:
+    """M at a point x strictly inside the window, from y = P_k(x) already evaluated.
+
+    Callers that sample many points evaluate P_k at all of them in one
+    recurrence call and form each M here, with the same bits as weighted_M.
+    """
     if y.is_zero():
         return WeightedValue(0.0, -math.inf)
     ln = (
@@ -287,24 +297,38 @@ def ode_residual(p: Params, x: float) -> float:
 
     The second derivative comes from chaining the first-derivative reduction
     twice, so this cross-checks the evaluation and derivative routes at once.
+    To check many points, pass them all to ode_residuals: it makes one
+    recurrence call per polynomial (y, y', y'') for the whole set.
     """
-    x = float(x)
-    if not -1.0 < x < 1.0:
+    return ode_residuals(p, [float(x)])[0]
+
+
+def ode_residuals(p: Params, x) -> list[float]:
+    """ode_residual at every point of x, with one recurrence call each for y, y' and y''.
+
+    Each point's residual has the same bits as a call of ode_residual at it
+    alone: the kernel computes every point independently of the others.
+    """
+    xs = np.ascontiguousarray(x, dtype=float).ravel()
+    if not np.all((xs > -1.0) & (xs < 1.0)):
         raise ValueError("residual is defined for -1 < x < 1")
     s = p.alpha + p.beta
-    y = eval_orthonormal(p, x)
-    yp = eval_orthonormal_deriv(p, x)
+    ys = scaled_from_parts(*eval_orthonormal_parts(p, xs))
+    yps = scaled_from_parts(*eval_orthonormal_deriv_parts(p, xs))
     if p.k >= 2:
         c1 = _deriv_ln_prefactor(p)
         c2 = _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
-        ypp = eval_orthonormal(Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0), x) * ScaledReal(1, c1 + c2)
+        chain = ScaledReal(1, c1 + c2)
+        inner2 = Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0)
+        ypps = [u * chain for u in scaled_from_parts(*eval_orthonormal_parts(inner2, xs))]
     else:
-        ypp = ScaledReal.zero()
-    t1 = ypp * (1.0 - x * x)
-    t2 = yp * (-((s + 2.0) * x + (p.alpha - p.beta)))
-    t3 = y * (p.k * (p.k + s + 1.0))
-    num = (t1 + t2) + t3
-    den = t3.abs() + yp.abs() + ScaledReal(1, 0.0)
-    if num.is_zero():
-        return 0.0
-    return _exp_saturating(num.ln_mag - den.ln_mag)
+        ypps = [ScaledReal.zero()] * xs.size
+    residuals = []
+    for xi, y, yp, ypp in zip(xs.tolist(), ys, yps, ypps):
+        t1 = ypp * (1.0 - xi * xi)
+        t2 = yp * (-((s + 2.0) * xi + (p.alpha - p.beta)))
+        t3 = y * (p.k * (p.k + s + 1.0))
+        num = (t1 + t2) + t3
+        den = t3.abs() + yp.abs() + ScaledReal(1, 0.0)
+        residuals.append(0.0 if num.is_zero() else _exp_saturating(num.ln_mag - den.ln_mag))
+    return residuals

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["ScaledReal"]
+__all__ = ["ScaledReal", "scaled_from_parts"]
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _CANCEL_RESIDUAL = 1e-15
@@ -115,3 +115,8 @@ class ScaledReal:
         if not isinstance(other, ScaledReal):
             other = ScaledReal.from_float(float(other))
         return self + (-other)
+
+
+def scaled_from_parts(val, off) -> list[ScaledReal]:
+    """One ScaledReal per element of a kernel's (significand, ln offset) arrays."""
+    return [ScaledReal.from_parts(v, o) for v, o in zip(val.tolist(), off.tolist())]

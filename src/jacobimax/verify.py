@@ -14,6 +14,8 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -22,8 +24,9 @@ from . import bounds as _bounds
 from ._version import __version__
 from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
 from .extrema import global_max, scan_extrema
-from .jacobi import ALPHA_FLOOR, Params, Window, ode_residual, value_at_zero_even, weighted_M
-from .jacobi import eval_orthonormal, eval_orthonormal_deriv
+from .jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, value_at_zero_even, weighted_M_interior
+from .jacobi import eval_orthonormal_deriv_parts, eval_orthonormal_parts
+from .scaled import scaled_from_parts
 
 __all__ = [
     "CHECKED",
@@ -155,9 +158,15 @@ def _run_lmonult(p: Params, tol: Tolerances) -> tuple[float, float]:
     return 0.0, min(drops) if drops else math.inf
 
 
+@lru_cache(maxsize=1024)
+def _identity_rows(k: int, alpha: float, rel: float) -> MappingProxyType:
+    # the five identity checks of a triple read their rows from one exact table
+    return MappingProxyType({r.name: r for r in identity_checks(k, alpha, rel)})
+
+
 def _identity_runner(row_names: tuple[str, ...]):
     def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
-        rows = {r.name: r for r in identity_checks(p.k, p.alpha, tol.identity_rel)}
+        rows = _identity_rows(p.k, p.alpha, tol.identity_rel)
         worst = max(rows[name].rel_err for name in row_names)
         return worst, tol.identity_rel
 
@@ -167,14 +176,17 @@ def _identity_runner(row_names: tuple[str, ...]):
 def _run_identity_a0(p: Params, tol: Tolerances) -> tuple[float, float]:
     # the quadratic A0 has its positive zero at the maxima-hull radius; delta
     # beyond the hull means A0(delta) < 0 (the containment direction)
-    rows = {r.name: r for r in identity_checks(p.k, p.alpha, tol.identity_rel)}
+    rows = _identity_rows(p.k, p.alpha, tol.identity_rel)
     if not rows["a0_at_delta_scaled"].ok:
         raise ValueError("scaled A0 closed form failed")
     return rows["a0_at_delta_negative"].computed, 0.0
 
 
-def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
-    w = Window.full()
+def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
+    """(x, M(x), bound) at each sample point where the bound is not vacuous.
+
+    P_k is evaluated at all of these points in one recurrence call.
+    """
     xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 66)[1:-1]]
     # the oscillation band shrinks like 1/sqrt(alpha), so a fixed angular grid
     # eventually misses the central peak; band-scaled samples and x = 0 keep
@@ -182,36 +194,53 @@ def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
     x_t = turning_point(p)
     xs.extend(x_t * math.cos(phi) for phi in np.linspace(0.0, math.pi, 33)[1:-1])
     xs.append(0.0)
-    worst: Optional[tuple[float, float, float]] = None
+    kept = []
     for x in xs:
         try:
-            rhs = _bounds.pointwise_bound(p, x)
+            kept.append((x, _bounds.pointwise_bound(p, x)))
         except _bounds.HypothesisError:
             continue
-        lhs = weighted_M(p, x, w).value
-        if worst is None or rhs - lhs < worst[0]:
-            worst = (rhs - lhs, lhs, rhs)
-    if worst is None:
-        raise ValueError("pointwise bound vacuous at every sampled point")
-    return worst[1], worst[2]
+    if not kept:
+        raise _bounds.HypothesisError("pointwise bound vacuous at every sampled point")
+    w = Window.full()
+    ys = scaled_from_parts(*eval_orthonormal_parts(p, [x for x, _ in kept]))
+    return [(x, weighted_M_interior(p, x, w, y).value, rhs) for (x, rhs), y in zip(kept, ys)]
+
+
+def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
+    """Smallest margin of the pointwise bound over the samples; the first of equal margins wins.
+
+    One recurrence call evaluates P_k at all ~95 sample points.
+    """
+    _, lhs, rhs = min(_pointwise_samples(p), key=lambda sample: sample[2] - sample[1])
+    return lhs, rhs
+
+
+@lru_cache(maxsize=1)
+def _gamma_ratio_smallest_gap() -> float:
+    return min(_bounds.gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)])
 
 
 def _run_gamma_ratio(p: Params, tol: Tolerances) -> tuple[float, float]:
     # the gap ln rhs - ln lhs shrinks like 1/(16 x^2) while both logs grow
     # like x ln 2, so the row carries (0, smallest gap) rather than the two
-    # logs themselves, whose difference would round away entirely
-    worst = min(_bounds.gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)])
-    return 0.0, worst
+    # logs themselves, whose difference would round away entirely; the grid
+    # does not depend on p, so the gap is computed once per process
+    return 0.0, _gamma_ratio_smallest_gap()
 
 
 def _run_ode_residual(p: Params, tol: Tolerances) -> tuple[float, float]:
-    worst = 0.0
-    for theta in np.linspace(0.0, math.pi, 102)[1:-1]:
-        worst = max(worst, ode_residual(p, math.cos(theta)))
-    return worst, 1e-8
+    """Largest ODE residual over 100 points, with one recurrence call each for y, y' and y''."""
+    xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 102)[1:-1]]
+    return max([0.0, *ode_residuals(p, xs)]), 1e-8
 
 
 def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
+    """Largest gap between P_k' and a five-point difference quotient at 50 centres.
+
+    One recurrence call evaluates P_k at the centres and their 200 stencil
+    points, and one evaluates P_k' at the centres.
+    """
     s = 2.0 * p.k + p.alpha + p.beta + 1.0
     band = 0.85 * turning_point(p)
     # the local log-slope is bounded by the oscillation wavenumber s*x_t plus
@@ -227,16 +256,15 @@ def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     noise = 1.5 * (32.0 + p.k + 0.5 * max(p.alpha + p.beta + 1.0, 0.0) * band * band) * 2.2e-16
     h = min(1e-3, max((30.0 * noise / omega**5) ** 0.2, 1e-8))
     rng = np.random.default_rng(72026)
+    u = rng.uniform(-band, band, size=50)
+    stencil = np.concatenate([u, u - 2.0 * h, u - h, u + h, u + 2.0 * h])
+    vals = scaled_from_parts(*eval_orthonormal_parts(p, stencil))
+    ders = scaled_from_parts(*eval_orthonormal_deriv_parts(p, u))
+    n = u.size
     worst = 0.0
-    for u in rng.uniform(-band, band, size=50):
-        x = float(u)
-        an = eval_orthonormal_deriv(p, x)
-        y = eval_orthonormal(p, x)
-        fm2 = eval_orthonormal(p, x - 2.0 * h).to_float()
-        fm1 = eval_orthonormal(p, x - h).to_float()
-        fp1 = eval_orthonormal(p, x + h).to_float()
-        fp2 = eval_orthonormal(p, x + 2.0 * h).to_float()
-        fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    for i, an in enumerate(ders):
+        y, fm2, fm1, fp1, fp2 = (vals[i + j * n] for j in range(5))
+        fd = (fm2.to_float() - 8.0 * fm1.to_float() + 8.0 * fp1.to_float() - fp2.to_float()) / (12.0 * h)
         scale = max(abs(an.to_float()), abs(y.to_float()))
         worst = max(worst, abs(fd - an.to_float()) / scale)
     return worst, 1e-6

@@ -14,9 +14,11 @@ from jacobimax.jacobi import (
     _recurrence_coeffs,
     eval_orthonormal,
     eval_orthonormal_deriv,
+    eval_orthonormal_deriv_parts,
     eval_orthonormal_parts,
     log_norm,
     ode_residual,
+    ode_residuals,
     value_at_zero_even,
     weighted_M,
     weighted_ln_parts,
@@ -267,3 +269,41 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
         v_np, o_np = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
         assert v_np.tobytes() == v_ref.tobytes(), (k, alpha, beta)
         assert o_np.tobytes() == o_ref.tobytes(), (k, alpha, beta)
+
+
+def _batch_invariance_cases():
+    rng = np.random.default_rng(61)
+    cases = [(500, 1e5, 1e5), (500, 1e7, 1e7), (400, 0.0, 0.0), (300, 1e7, -0.9), (120, 3.0, 1e6), (2, -0.5, -0.5)]
+    for _ in range(4):
+        alpha, beta = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), 2)) - 0.5
+        cases.append((int(rng.integers(1, 500)), float(alpha), float(beta)))
+    return cases
+
+
+def test_kernel_batch_invariance_bitwise():
+    # a point's value must not depend on the batch it is evaluated in, for
+    # the batched check rows to keep the bits of one call per point
+    rng = np.random.default_rng(62)
+    edge = np.array([-1.0, 1.0, 0.0, 1e-17, -1e-17])
+    x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 20), 1.0 - np.geomspace(1e-16, 0.1, 5), rng.uniform(-0.01, 0.01, 5)])
+    for k, alpha, beta in _batch_invariance_cases():
+        p = Params(k, alpha, beta)
+        for parts in (eval_orthonormal_parts, eval_orthonormal_deriv_parts):
+            val, off = parts(p, x)
+            for i, xi in enumerate(x):
+                v1, o1 = parts(p, x[i : i + 1])
+                assert v1.tobytes() == val[i : i + 1].tobytes(), (parts.__name__, p, xi)
+                assert o1.tobytes() == off[i : i + 1].tobytes(), (parts.__name__, p, xi)
+
+
+def test_ode_residuals_match_one_point_calls_bitwise():
+    rng = np.random.default_rng(63)
+    x = np.concatenate([[0.0, 1e-17, -1e-17, 1.0 - 1e-12], rng.uniform(-1.0, 1.0, 12)])
+    for k, alpha, beta in _batch_invariance_cases() + [(0, 0.5, 0.5), (1, 2.0, 0.3)]:
+        p = Params(k, alpha, beta)
+        batched = ode_residuals(p, x)
+        assert len(batched) == x.size
+        for xi, r in zip(x.tolist(), batched):
+            assert r.hex() == ode_residual(p, xi).hex(), (p, xi)
+    with pytest.raises(ValueError):
+        ode_residuals(Params(3, 1.0, 1.0), [0.0, 1.0])

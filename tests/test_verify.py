@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import jacobimax._kernels as _kernels
 import jacobimax.verify as verify
-from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure
-from jacobimax.jacobi import ALPHA_FLOOR, Params
+from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
+from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, weighted_M
 from jacobimax.verify import (
     CHECKED,
     NUMERIC_FAILURE,
@@ -109,6 +110,72 @@ def test_runner_numeric_error_becomes_numeric_failure(monkeypatch):
     assert r.status == NUMERIC_FAILURE and not r.passed
     rep = Report(rows=(r,), config_echo={}, counts={})
     assert rep.exit_code() == 3
+
+
+def test_pointwise_vacuous_bound_is_a_skip():
+    # the bound's denominator is <= 0 at every sample point of these triples
+    for p in (Params(0, -0.3, -0.5), Params(0, -0.5, -0.5)):
+        assert verify._REGISTRY["pointwise"].hypothesis(p) is None
+        r = run_check("pointwise", p)
+        assert r.status == SKIPPED and not r.passed, p
+
+
+def test_pointwise_samples_match_weighted_M_bitwise():
+    w = Window.full()
+    for p in (Params(2, 1.0, 1.0), Params(40, 300.0, 300.0), Params(500, 1e5, 1e5), Params(17, 2.5, 0.3)):
+        samples = verify._pointwise_samples(p)
+        assert len(samples) > 60
+        for x, lhs, rhs in samples:
+            assert lhs.hex() == weighted_M(p, x, w).value.hex(), (p, x)
+            assert rhs.hex() == pointwise_bound(p, x).hex(), (p, x)
+        worst = min(samples, key=lambda t: t[2] - t[1])
+        r = run_check("pointwise", p)
+        assert (r.lhs, r.rhs) == (worst[1], worst[2])
+
+
+def test_gamma_ratio_row_is_the_smallest_gap_on_its_grid():
+    r = run_check("gamma_ratio", Params(3, 1.0, 1.0))
+    assert r.rhs == min(gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)])
+    assert r.status == CHECKED and r.passed and r.lhs == 0.0
+
+
+def test_sampling_rows_make_one_kernel_call_per_polynomial(monkeypatch):
+    # budget per row: y, y' and y'' for ode_residual; values and derivatives
+    # for deriv_fd; values for pointwise
+    calls = []
+    recurrence = _kernels.recurrence
+
+    def counting(x, b, a, ln_start, k):
+        calls.append(len(x))
+        return recurrence(x, b, a, ln_start, k)
+
+    monkeypatch.setattr(_kernels, "recurrence", counting)
+    budget = {"ode_residual": 3, "deriv_fd": 2, "pointwise": 1}
+    for p in (Params(1, 0.7, 0.7), Params(2, 1.0, 1.0), Params(60, 40.0, 40.0), Params(300, 1e5, 1e5)):
+        for cid, most in budget.items():
+            calls.clear()
+            r = run_check(cid, p)
+            assert r.status == CHECKED, (cid, p)
+            assert 1 <= len(calls) <= most, (cid, p, calls)
+
+
+def test_identity_rows_of_a_triple_share_one_exact_table(monkeypatch):
+    calls = []
+    identity_checks = verify.identity_checks
+
+    def counting(k, alpha, tol=1e-9):
+        calls.append((k, alpha))
+        return identity_checks(k, alpha, tol)
+
+    monkeypatch.setattr(verify, "identity_checks", counting)
+    verify._identity_rows.cache_clear()
+    ids = [cid for cid in check_ids() if cid.startswith("identity_")]
+    assert len(ids) == 5
+    for p in (Params(7, 2.5, 2.5), Params(30, 1e3, 1e3)):
+        for cid in ids:
+            assert run_check(cid, p).status == CHECKED, (cid, p)
+    assert calls == [(7, 2.5), (30, 1e3)]
+    verify._identity_rows.cache_clear()
 
 
 def test_tolerances_must_be_positive():
