@@ -18,6 +18,7 @@ __all__ = [
     "SHARP_RATIO",
     "rhs_bound",
     "pointwise_bound",
+    "pointwise_bound_parts",
     "gamma_ratio_check",
     "v_factors",
     "theorem1_ratio",
@@ -115,16 +116,26 @@ def rhs_bound(bid: "BoundId | str", p: Params) -> float:
     return 29.0 / math.pi
 
 
+def pointwise_bound_parts(p: Params, x):
+    """(numerator, denominator) of pointwise_bound; x may be a float or a numpy array.
+
+    The bound is numerator / denominator wherever the denominator is positive,
+    with the same bits as pointwise_bound at each point.
+    """
+    sigma = 2.0 * p.k + 2.0 * p.alpha + 2.0 * p.beta + 1.0
+    den = (sigma + 1.0) ** 2 - 2.0 * p.alpha**2 / (1.0 - x) - 2.0 * p.beta**2 / (1.0 + x)
+    return (2.0 * math.e / math.pi) * sigma * (sigma + 1.0), den
+
+
 def pointwise_bound(p: Params, x: float) -> float:
     """Pointwise ceiling on M(x) over the full window, where its denominator is positive."""
     x = float(x)
     if not -1.0 < x < 1.0:
         raise ValueError("pointwise bound needs -1 < x < 1")
-    sigma = 2.0 * p.k + 2.0 * p.alpha + 2.0 * p.beta + 1.0
-    den = (sigma + 1.0) ** 2 - 2.0 * p.alpha**2 / (1.0 - x) - 2.0 * p.beta**2 / (1.0 + x)
+    num, den = pointwise_bound_parts(p, x)
     if not den > 0.0:
         raise HypothesisError(f"pointwise bound denominator nonpositive at x={x}")
-    return (2.0 * math.e / math.pi) * sigma * (sigma + 1.0) / den
+    return num / den
 
 
 def gamma_ratio_log(x: float) -> tuple[float, float]:

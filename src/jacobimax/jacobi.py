@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .gammafn import log_beta, log_gamma
-from .scaled import ScaledReal, scaled_from_parts
+from .scaled import ScaledReal
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -37,7 +37,6 @@ __all__ = [
     "eval_orthonormal_deriv_parts",
     "value_at_zero_even",
     "weighted_M",
-    "weighted_M_interior",
     "weighted_ln_parts",
     "ode_residual",
     "ode_residuals",
@@ -230,6 +229,9 @@ def weighted_M(p: Params, x: float, w: Window) -> WeightedValue:
     Returns (value, ln_value); value saturates to inf/0.0 when exp would
     overflow/underflow while ln_value stays exact.  At a window endpoint the
     one-sided limit is returned; a divergent limit raises ValueError.
+    Inside the window ln_value comes from weighted_ln_parts, the one interior
+    ln M formula, and has the same bits as that function's value at x in any
+    batch of points.
     """
     x = float(x)
     if not (w.d_m <= x <= w.d_M):
@@ -256,23 +258,7 @@ def weighted_M(p: Params, x: float, w: Window) -> WeightedValue:
             ln = 0.5 * math.log(w.d_M + 1.0) + p.alpha * _LN2 + 2.0 * y.ln_mag
             return WeightedValue(_exp_saturating(ln), ln)
         return WeightedValue(0.0, -math.inf)
-    return weighted_M_interior(p, x, w, eval_orthonormal(p, x))
-
-
-def weighted_M_interior(p: Params, x: float, w: Window, y: ScaledReal) -> WeightedValue:
-    """M at a point x strictly inside the window, from y = P_k(x) already evaluated.
-
-    Callers that sample many points evaluate P_k at all of them in one
-    recurrence call and form each M here, with the same bits as weighted_M.
-    """
-    if y.is_zero():
-        return WeightedValue(0.0, -math.inf)
-    ln = (
-        0.5 * (math.log(x - w.d_m) + math.log(w.d_M - x))
-        + p.alpha * math.log1p(-x)
-        + p.beta * math.log1p(x)
-        + 2.0 * y.ln_mag
-    )
+    ln = float(weighted_ln_parts(p, [x], w)[0])
     return WeightedValue(_exp_saturating(ln), ln)
 
 
@@ -306,29 +292,33 @@ def ode_residual(p: Params, x: float) -> float:
 def ode_residuals(p: Params, x) -> list[float]:
     """ode_residual at every point of x, with one recurrence call each for y, y' and y''.
 
-    Each point's residual has the same bits as a call of ode_residual at it
-    alone: the kernel computes every point independently of the others.
+    The three terms t1 = (1-x^2) y'', t2 = -((a+b+2)x + a-b) y' and
+    t3 = k(k+a+b+1) y are formed as ln|t| arrays from the kernel's
+    (significand, ln offset) outputs, so no point overflows.  Each point's
+    terms are scaled by its largest one; the residual is |t1 + t2 + t3|
+    divided by |t3| + |y'| + 1 under the same scale.  Every operation is
+    elementwise, so a point's residual has the same bits as a call of
+    ode_residual at it alone.
     """
     xs = np.ascontiguousarray(x, dtype=float).ravel()
     if not np.all((xs > -1.0) & (xs < 1.0)):
         raise ValueError("residual is defined for -1 < x < 1")
     s = p.alpha + p.beta
-    ys = scaled_from_parts(*eval_orthonormal_parts(p, xs))
-    yps = scaled_from_parts(*eval_orthonormal_deriv_parts(p, xs))
+    y, y_off = eval_orthonormal_parts(p, xs)
+    yp, yp_off = eval_orthonormal_deriv_parts(p, xs)
     if p.k >= 2:
-        c1 = _deriv_ln_prefactor(p)
-        c2 = _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
-        chain = ScaledReal(1, c1 + c2)
-        inner2 = Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0)
-        ypps = [u * chain for u in scaled_from_parts(*eval_orthonormal_parts(inner2, xs))]
+        chain = _deriv_ln_prefactor(p) + _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
+        ypp, ypp_off = eval_orthonormal_parts(Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0), xs)
+        ypp_off = ypp_off + chain
     else:
-        ypps = [ScaledReal.zero()] * xs.size
-    residuals = []
-    for xi, y, yp, ypp in zip(xs.tolist(), ys, yps, ypps):
-        t1 = ypp * (1.0 - xi * xi)
-        t2 = yp * (-((s + 2.0) * xi + (p.alpha - p.beta)))
-        t3 = y * (p.k * (p.k + s + 1.0))
-        num = (t1 + t2) + t3
-        den = t3.abs() + yp.abs() + ScaledReal(1, 0.0)
-        residuals.append(0.0 if num.is_zero() else _exp_saturating(num.ln_mag - den.ln_mag))
-    return residuals
+        ypp, ypp_off = np.zeros(xs.size), np.zeros(xs.size)
+    sig = np.stack([ypp * (1.0 - xs * xs), yp * -((s + 2.0) * xs + (p.alpha - p.beta)), y * (p.k * (p.k + s + 1.0))])
+    with np.errstate(divide="ignore"):
+        ln_t = np.log(np.abs(sig)) + np.stack([ypp_off, yp_off, y_off])
+        ln_yp = np.log(np.abs(yp)) + yp_off
+    top = np.max(ln_t, axis=0)
+    top[top == -np.inf] = 0.0  # every term vanishes
+    t1, t2, t3 = np.sign(sig) * np.exp(ln_t - top)
+    with np.errstate(over="ignore"):
+        den = np.abs(t3) + np.exp(ln_yp - top) + np.exp(-top)
+    return (np.abs((t1 + t2) + t3) / den).tolist()

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["ScaledReal", "scaled_from_parts"]
+__all__ = ["ScaledReal"]
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 _CANCEL_RESIDUAL = 1e-15
@@ -116,7 +116,3 @@ class ScaledReal:
             other = ScaledReal.from_float(float(other))
         return self + (-other)
 
-
-def scaled_from_parts(val, off) -> list[ScaledReal]:
-    """One ScaledReal per element of a kernel's (significand, ln offset) arrays."""
-    return [ScaledReal.from_parts(v, o) for v, o in zip(val.tolist(), off.tolist())]

@@ -24,9 +24,8 @@ from . import bounds as _bounds
 from ._version import __version__
 from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
 from .extrema import global_max, scan_extrema
-from .jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, value_at_zero_even, weighted_M_interior
-from .jacobi import eval_orthonormal_deriv_parts, eval_orthonormal_parts
-from .scaled import scaled_from_parts
+from .jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, value_at_zero_even, weighted_ln_parts
+from .jacobi import _exp_saturating, eval_orthonormal_deriv_parts, eval_orthonormal_parts
 
 __all__ = [
     "CHECKED",
@@ -185,7 +184,9 @@ def _run_identity_a0(p: Params, tol: Tolerances) -> tuple[float, float]:
 def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     """(x, M(x), bound) at each sample point where the bound is not vacuous.
 
-    P_k is evaluated at all of these points in one recurrence call.
+    The bound's denominator is taken over all points at once, and ln M comes
+    from weighted_ln_parts, one recurrence call for the kept points; each M and
+    bound has the same bits as weighted_M and pointwise_bound at its point.
     """
     xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 66)[1:-1]]
     # the oscillation band shrinks like 1/sqrt(alpha), so a fixed angular grid
@@ -194,17 +195,14 @@ def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     x_t = turning_point(p)
     xs.extend(x_t * math.cos(phi) for phi in np.linspace(0.0, math.pi, 33)[1:-1])
     xs.append(0.0)
-    kept = []
-    for x in xs:
-        try:
-            kept.append((x, _bounds.pointwise_bound(p, x)))
-        except _bounds.HypothesisError:
-            continue
-    if not kept:
+    xs = np.array(xs)
+    num, den = _bounds.pointwise_bound_parts(p, xs)
+    kept = den > 0.0
+    if not kept.any():
         raise _bounds.HypothesisError("pointwise bound vacuous at every sampled point")
-    w = Window.full()
-    ys = scaled_from_parts(*eval_orthonormal_parts(p, [x for x, _ in kept]))
-    return [(x, weighted_M_interior(p, x, w, y).value, rhs) for (x, rhs), y in zip(kept, ys)]
+    xs = xs[kept]
+    ln_m = weighted_ln_parts(p, xs, Window.full())
+    return [(x, _exp_saturating(ln), num / d) for x, ln, d in zip(xs.tolist(), ln_m.tolist(), den[kept].tolist())]
 
 
 def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
@@ -239,7 +237,10 @@ def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     """Largest gap between P_k' and a five-point difference quotient at 50 centres.
 
     One recurrence call evaluates P_k at the centres and their 200 stencil
-    points, and one evaluates P_k' at the centres.
+    points, and one evaluates P_k' at the centres.  Each centre's stencil
+    values and derivative are scaled by exp(-max(ln|P_k(u)|, ln|P_k'(u)|)),
+    taken from the kernel's (significand, ln offset) outputs, so the row is
+    computed where |P_k| lies far outside double range as well.
     """
     s = 2.0 * p.k + p.alpha + p.beta + 1.0
     band = 0.85 * turning_point(p)
@@ -258,16 +259,15 @@ def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     rng = np.random.default_rng(72026)
     u = rng.uniform(-band, band, size=50)
     stencil = np.concatenate([u, u - 2.0 * h, u - h, u + h, u + 2.0 * h])
-    vals = scaled_from_parts(*eval_orthonormal_parts(p, stencil))
-    ders = scaled_from_parts(*eval_orthonormal_deriv_parts(p, u))
-    n = u.size
-    worst = 0.0
-    for i, an in enumerate(ders):
-        y, fm2, fm1, fp1, fp2 = (vals[i + j * n] for j in range(5))
-        fd = (fm2.to_float() - 8.0 * fm1.to_float() + 8.0 * fp1.to_float() - fp2.to_float()) / (12.0 * h)
-        scale = max(abs(an.to_float()), abs(y.to_float()))
-        worst = max(worst, abs(fd - an.to_float()) / scale)
-    return worst, 1e-6
+    val, off = (a.reshape(5, -1) for a in eval_orthonormal_parts(p, stencil))
+    dval, doff = eval_orthonormal_deriv_parts(p, u)
+    with np.errstate(divide="ignore"):
+        top = np.maximum(np.log(np.abs(val[0])) + off[0], np.log(np.abs(dval)) + doff)
+    y, fm2, fm1, fp1, fp2 = val * np.exp(off - top)
+    an = dval * np.exp(doff - top)
+    fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    scale = np.maximum(np.abs(an), np.abs(y))
+    return float(np.max(np.abs(fd - an) / scale)), 1e-6
 
 
 class _CheckDef(NamedTuple):

@@ -11,6 +11,7 @@ from jacobimax.jacobi import (
     ALPHA_FLOOR,
     Params,
     Window,
+    _deriv_ln_prefactor,
     _recurrence_coeffs,
     eval_orthonormal,
     eval_orthonormal_deriv,
@@ -23,6 +24,7 @@ from jacobimax.jacobi import (
     weighted_M,
     weighted_ln_parts,
 )
+from jacobimax.scaled import ScaledReal
 
 
 def test_alpha_floor_closed_form():
@@ -307,3 +309,31 @@ def test_ode_residuals_match_one_point_calls_bitwise():
             assert r.hex() == ode_residual(p, xi).hex(), (p, xi)
     with pytest.raises(ValueError):
         ode_residuals(Params(3, 1.0, 1.0), [0.0, 1.0])
+
+
+def _scaled_ode_residual(p, x):
+    # reference: the residual formed point by point in ScaledReal arithmetic
+    s = p.alpha + p.beta
+    y, yp = eval_orthonormal(p, x), eval_orthonormal_deriv(p, x)
+    ypp = ScaledReal.zero()
+    if p.k >= 2:
+        chain = _deriv_ln_prefactor(p) + _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
+        ypp = eval_orthonormal(Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0), x) * ScaledReal(1, chain)
+    t3 = y * (p.k * (p.k + s + 1.0))
+    num = (ypp * (1.0 - x * x) + yp * (-((s + 2.0) * x + (p.alpha - p.beta)))) + t3
+    den = t3.abs() + yp.abs() + ScaledReal(1, 0.0)
+    return 0.0 if num.is_zero() else math.exp(num.ln_mag - den.ln_mag)
+
+
+def test_ode_residuals_match_scaled_real_reference():
+    # the array form scales each point by its largest term instead of adding
+    # in log space, so the two differ only at rounding level; the residuals
+    # themselves reach 1e-10 at k = 500, alpha = 1e5
+    rng = np.random.default_rng(64)
+    x = np.concatenate([[0.0, 1e-17], rng.uniform(-1.0, 1.0, 12), 1.0 - np.geomspace(1e-15, 1e-2, 4)])
+    cases = [(0, 0.5, 0.5), (1, 2.0, 0.3), (2, 1.0, 1.0), (30, -0.5, 0.7), (40, -0.9, -0.9), (100, 1e3, 2.0)]
+    cases += [(500, 1e5, 1e5), (77, 15184.16, 2.156), (300, 1e7, 1e7)]
+    for k, alpha, beta in cases:
+        p = Params(k, alpha, beta)
+        for xi, r in zip(x.tolist(), ode_residuals(p, x)):
+            assert abs(r - _scaled_ode_residual(p, xi)) <= 1e-12, (p, xi)

@@ -10,6 +10,7 @@ import jacobimax._kernels as _kernels
 import jacobimax.verify as verify
 from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
 from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, weighted_M
+from jacobimax.scaled import ScaledReal
 from jacobimax.verify import (
     CHECKED,
     NUMERIC_FAILURE,
@@ -157,6 +158,61 @@ def test_sampling_rows_make_one_kernel_call_per_polynomial(monkeypatch):
             r = run_check(cid, p)
             assert r.status == CHECKED, (cid, p)
             assert 1 <= len(calls) <= most, (cid, p, calls)
+
+
+def test_sampling_rows_construct_no_scaled_real(monkeypatch):
+    # the sampling rows compute on the kernel's (significand, ln offset)
+    # arrays, never on per-point ScaledReal objects
+    made = []
+    post_init = ScaledReal.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScaledReal, "__post_init__", counting)
+    ScaledReal(1, 0.0)
+    assert len(made) == 1  # the counter sees every construction
+    cases = (Params(1, 0.7, 0.7), Params(2, 1.0, 1.0), Params(60, 40.0, 40.0), Params(300, 1e5, 1e5), Params(17, 2.5, 0.3))
+    for p in cases:
+        for cid in ("ode_residual", "deriv_fd", "pointwise"):
+            made.clear()
+            r = run_check(cid, p)
+            assert r.status == CHECKED, (cid, p)
+            assert not made, (cid, p, len(made))
+
+
+def test_deriv_fd_far_outside_double_range():
+    # with very unequal exponents the stencil band lies where |P_k| is about
+    # e^-4800, far below the smallest double; the row compares log-scaled values
+    for p in (Params(77, 15184.16, 2.156), Params(34, 362415.0, 3.434)):
+        r = run_check("deriv_fd", p)
+        assert r.status == CHECKED and r.passed, r
+        assert r.lhs < 1e-6, r
+
+
+def test_pointwise_ln_M_matches_mpmath():
+    # ln M at pointwise sample points against the classical polynomial at 50
+    # digits, divided by the explicit norm h_k
+    mpmath = pytest.importorskip("mpmath")
+    w = Window.full()
+    with mpmath.workdps(50):
+        for k in (50, 200, 500):
+            for alpha in (1.0, 1e3, 1e5):
+                p = Params(k, alpha, alpha)
+                a = mpmath.mpf(alpha)
+                ln_h = (
+                    (2 * a + 1) * mpmath.log(2)
+                    - mpmath.log(2 * k + 2 * a + 1)
+                    + 2 * mpmath.loggamma(k + a + 1)
+                    - mpmath.loggamma(k + 2 * a + 1)
+                    - mpmath.loggamma(k + 1)
+                )
+                for x, _, _ in verify._pointwise_samples(p)[::12]:
+                    u = mpmath.mpf(x)
+                    y = mpmath.jacobi(k, a, a, u)
+                    ln_ref = (a + 0.5) * mpmath.log((1 - u) * (1 + u)) + 2 * mpmath.log(abs(y)) - ln_h
+                    assert abs(weighted_M(p, x, w).ln_value - float(ln_ref)) <= 1e-8, (p, x)
 
 
 def test_identity_rows_of_a_triple_share_one_exact_table(monkeypatch):
