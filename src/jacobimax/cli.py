@@ -213,10 +213,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, not on every main() call: rebuilding it was a
+# sizeable share of a short command
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -18,7 +18,6 @@ consecutive maxima of M directly.
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 from .jacobi import Params, Window, eval_orthonormal, eval_orthonormal_deriv
@@ -333,26 +332,97 @@ class IdentityCheck:
     ok: bool
 
 
+class _Exact:
+    """The exact rational n / (2^p G^q H^s) for two fixed positive ints G, H.
+
+    e = (p, q, s) holds nonnegative exponents.  A sum lifts both numerators
+    to the larger of each exponent and a product adds the exponents, so no
+    gcd is ever taken.  The denominator is positive, so the sign of the value
+    is the sign of n.
+    """
+
+    __slots__ = ("n", "e", "gh")
+
+    def __init__(self, n: int, e: tuple[int, int, int], gh: tuple[int, int]) -> None:
+        self.n, self.e, self.gh = n, e, gh
+
+    def _lift(self, n: int, e: tuple[int, int, int], to: tuple[int, int, int]) -> int:
+        # n over 2^p G^q H^s with exponents e, rewritten over exponents to >= e
+        (p, q, s), (tp, tq, ts), (g, h) = e, to, self.gh
+        return (n << (tp - p)) * g ** (tq - q) * h ** (ts - s)
+
+    def common(self, other) -> tuple[int, int, tuple[int, int, int]]:
+        """Both numerators over one denominator, and its exponents."""
+        if type(other) is int:
+            return self.n, self._lift(other, (0, 0, 0), self.e), self.e
+        if self.e == other.e:
+            return self.n, other.n, self.e
+        e = tuple(map(max, self.e, other.e))
+        return self._lift(self.n, self.e, e), self._lift(other.n, other.e, e), e
+
+    def __add__(self, other) -> "_Exact":
+        nx, ny, e = self.common(other)
+        return _Exact(nx + ny, e, self.gh)
+
+    def __sub__(self, other) -> "_Exact":
+        nx, ny, e = self.common(other)
+        return _Exact(nx - ny, e, self.gh)
+
+    def __rsub__(self, other) -> "_Exact":
+        nx, ny, e = self.common(other)
+        return _Exact(ny - nx, e, self.gh)
+
+    def __neg__(self) -> "_Exact":
+        return _Exact(-self.n, self.e, self.gh)
+
+    def __mul__(self, other) -> "_Exact":
+        if type(other) is int:
+            return _Exact(self.n * other, self.e, self.gh)
+        (p, q, s), (op, oq, os) = self.e, other.e
+        return _Exact(self.n * other.n, (p + op, q + oq, s + os), self.gh)
+
+    def __pow__(self, m: int) -> "_Exact":
+        p, q, s = self.e
+        return _Exact(self.n**m, (p * m, q * m, s * m), self.gh)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __float__(self) -> float:
+        # int true division rounds correctly, as Fraction.__float__ does
+        return self.n / self._lift(1, (0, 0, 0), self.e)
+
+
 def identity_checks(k: int, alpha: float, tol: float = 1e-9) -> list[IdentityCheck]:
-    """Exact-fraction verification of the windowed-envelope polynomial algebra.
+    """Exact verification of the windowed-envelope polynomial algebra.
 
     Every polynomial below is even in x, so evaluations happen at rational
-    values of x^2 and the arithmetic is exact: a reported rel_err of 0.0
-    means the identity holds to the last bit of the inputs.  Float evaluation
-    of the same expressions loses all significance for k >> alpha, which is
-    why this route exists.
+    values of x^2.  With alpha = num / 2^m, they are exact rationals over
+    2^p G^q H^s, where G = 2^(2m) (r^2 - 4) and H = 3 * 2^(2m) (4 alpha^2 - 1)
+    are ints.  The arithmetic runs on Python ints with no gcd taken, and each
+    float it reports (values and rel_err) is the correctly rounded value of
+    the exact rational, to the bit the same as with reduced fractions.  A
+    reported rel_err of 0.0 means the identity holds to the last bit of the
+    inputs.  Float evaluation of the same expressions loses all significance
+    for k >> alpha, which is why this route exists.
     """
     if k < 1:
         raise ValueError("identity checks need k >= 1")
-    a = Fraction(alpha)
-    if not a > Fraction(1, 2):
+    num, den = float(alpha).as_integer_ratio()
+    if not 2 * num > den:
         raise ValueError("identity checks need alpha > 1/2")
-    r2 = (2 * k + 2 * a + 1) ** 2
-    a2 = 4 * a * a
-    d2 = (r2 - a2 - 3) / (r2 - 4)
-    scale = (r2 - 4) ** 3 / (3 * (a2 - 1))
+    m = den.bit_length() - 1
+    R = (2 * k * den + 2 * num + den) ** 2
+    A = 4 * num * num
+    G = R - 4 * den * den
+    gh = (G, 3 * (A - den * den))
+    a = _Exact(num, (m, 0, 0), gh)
+    r2 = _Exact(R, (2 * m, 0, 0), gh)
+    a2 = _Exact(A, (2 * m, 0, 0), gh)
+    # d2 = (r2 - a2 - 3) / (r2 - 4) and scale = (r2 - 4)^3 / (3 (a2 - 1))
+    d2 = _Exact(R - A - 3 * den * den, (0, 1, 0), gh)
+    scale = _Exact(G**3, (4 * m, 0, 1), gh)
 
-    def b1(X: Fraction) -> Fraction:
+    def b1(X: "_Exact | int") -> _Exact:
         return (
             -r2 * X**3
             + ((1 + 2 * d2) * r2 + 4 * d2 - a2 - 3) * X * X
@@ -360,7 +430,7 @@ def identity_checks(k: int, alpha: float, tol: float = 1e-9) -> list[IdentityChe
             + (d2 * r2 - a2 * d2 - d2 + 2) * d2
         )
 
-    def d_quartic(X: Fraction) -> Fraction:
+    def d_quartic(X: "_Exact | int") -> _Exact:
         return (
             (a2 - (1 - d2) * r2) * (d2 - X) ** 2
             + (3 - 4 * d2) * X * X
@@ -370,43 +440,44 @@ def identity_checks(k: int, alpha: float, tol: float = 1e-9) -> list[IdentityChe
             - 9 * d2
         )
 
-    def scaled_quadratic(X: Fraction) -> Fraction:
+    def scaled_quadratic(X: "_Exact | int") -> _Exact:
         return 2 * (r2 - 4) * (2 * r2 - 3 * a2 - 5) * X - (r2 - a2 - 3) * (4 * r2 - a2 - 15)
 
     rows: list[IdentityCheck] = []
 
-    def against(name: str, computed: Fraction, closed: Fraction, expect_match: bool = True) -> None:
-        if computed == closed:
-            rel = 0.0
-        else:
-            rel = float(abs(computed - closed) / max(abs(computed), abs(closed)))
+    def against(name: str, computed: _Exact, closed: _Exact, expect_match: bool = True) -> None:
+        nc, nf, _ = computed.common(closed)
+        rel = 0.0 if nc == nf else abs(nc - nf) / max(abs(nc), abs(nf))
         ok = rel <= tol if expect_match else rel > tol
         rows.append(IdentityCheck(name, float(computed), float(closed), rel, ok))
 
-    def sign_row(name: str, value: Fraction, want_positive: bool) -> None:
-        ok = value > 0 if want_positive else value < 0
-        rows.append(IdentityCheck(name, float(value), None, None, bool(ok)))
+    def sign_row(name: str, value: _Exact, want_positive: bool) -> None:
+        ok = value.n > 0 if want_positive else value.n < 0
+        rows.append(IdentityCheck(name, float(value), None, None, ok))
 
-    against("b1_at_delta", b1(d2), 5 * (1 - d2) ** 2 * d2)
-    against("b1_at_one", b1(Fraction(1)), -a2 * (1 - d2) ** 2)
-    against("d_scaled_at_delta", d_quartic(d2) * scale, -5 * (a2 - 1) * (r2 - a2 - 3))
-    against("d_scaled_quadratic_at_zero", d_quartic(Fraction(0)) * scale, scaled_quadratic(Fraction(0)))
+    b1_delta, b1_one = b1(d2), b1(1)
+    d_delta, d_zero_scaled = d_quartic(d2), d_quartic(0) * scale
+    against("b1_at_delta", b1_delta, 5 * (1 - d2) ** 2 * d2)
+    against("b1_at_one", b1_one, -a2 * (1 - d2) ** 2)
+    against("d_scaled_at_delta", d_delta * scale, -5 * (a2 - 1) * (r2 - a2 - 3))
+    against("d_scaled_quadratic_at_zero", d_zero_scaled, scaled_quadratic(0))
+    quarter = _Exact(d2.n, (2, 1, 0), gh)  # d2 / 4
     against(
         "d_scaled_quadratic_at_quarter_delta2",
-        d_quartic(d2 / 4) * scale,
-        scaled_quadratic(d2 / 4),
+        d_quartic(quarter) * scale,
+        scaled_quadratic(quarter),
     )
     # rejected reading of the constant term (r^4 in place of r^2); kept as a
     # record that the two readings genuinely differ
     against(
         "d_scaled_quadratic_at_zero_r4_variant_disagrees",
-        d_quartic(Fraction(0)) * scale,
+        d_zero_scaled,
         -(r2 - a2 - 3) * (4 * r2 * r2 - a2 - 15),
         expect_match=False,
     )
-    sign_row("b1_at_delta_positive", b1(d2), True)
-    sign_row("b1_at_one_negative", b1(Fraction(1)), False)
-    sign_row("d_quartic_at_delta_negative", d_quartic(d2), False)
+    sign_row("b1_at_delta_positive", b1_delta, True)
+    sign_row("b1_at_one_negative", b1_one, False)
+    sign_row("d_quartic_at_delta_negative", d_delta, False)
     # the maxima-hull quadratic A0(x) = 4k(k+2a+1) - (r^2+4a+2)x^2 has its
     # positive zero at the hull radius; delta lies beyond the hull, so
     # A0(delta) < 0, with the exact scaled value proving the sign for all

@@ -3,6 +3,7 @@
 import json
 import re
 
+from jacobimax import cli
 from jacobimax.cli import main
 
 ANSI = re.compile(r"\x1b\[[0-9;]*m")
@@ -191,6 +192,19 @@ def test_version_flag(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     assert code == 2
+
+
+def test_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    builds = []
+    real_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real_build())
+    argv = ["eval", "--k", "6", "--alpha", "1", "--x", "0.2"]
+    first = run(capsys, argv)
+    code, out, err = run(capsys, ["eval", "--k", "six", "--alpha", "1", "--x", "0.2"])
+    assert code == 2 and "invalid int value" in err and not out
+    again = run(capsys, argv)
+    assert first[0] == 0 and again == first
+    assert builds == []
 
 
 def test_no_ansi_escapes_when_not_a_tty(capsys, tmp_path):

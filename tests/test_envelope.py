@@ -1,12 +1,16 @@
 """Envelope coefficients, containment geometry, and exact identity rows."""
 
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jacobimax.envelope import (
+    IdentityCheck,
     OutsideOscillationRegionError,
     b_prime_full,
     b_prime_window,
@@ -163,6 +167,110 @@ def test_identity_checks_domain_guards():
         identity_checks(0, 1.0)
     with pytest.raises(ValueError):
         identity_checks(2, 0.5)
+
+
+def _fraction_identity_checks(k, alpha, tol=1e-9):
+    # reference: the same table in reduced Fraction arithmetic
+    if k < 1:
+        raise ValueError("identity checks need k >= 1")
+    a = Fraction(alpha)
+    if not a > Fraction(1, 2):
+        raise ValueError("identity checks need alpha > 1/2")
+    r2 = (2 * k + 2 * a + 1) ** 2
+    a2 = 4 * a * a
+    d2 = (r2 - a2 - 3) / (r2 - 4)
+    scale = (r2 - 4) ** 3 / (3 * (a2 - 1))
+
+    def b1(X):
+        return (
+            -r2 * X**3
+            + ((1 + 2 * d2) * r2 + 4 * d2 - a2 - 3) * X * X
+            - ((d2 * d2 + 2 * d2) * r2 - d2 * d2 - 2 * a2 * d2 + 6 * d2 - 3) * X
+            + (d2 * r2 - a2 * d2 - d2 + 2) * d2
+        )
+
+    def d_quartic(X):
+        return (
+            (a2 - (1 - d2) * r2) * (d2 - X) ** 2
+            + (3 - 4 * d2) * X * X
+            - 2 * (5 * d2 * d2 - 9 * d2 + 3) * X
+            - d2**3
+            + 9 * d2 * d2
+            - 9 * d2
+        )
+
+    def scaled_quadratic(X):
+        return 2 * (r2 - 4) * (2 * r2 - 3 * a2 - 5) * X - (r2 - a2 - 3) * (4 * r2 - a2 - 15)
+
+    rows = []
+
+    def against(name, computed, closed, expect_match=True):
+        if computed == closed:
+            rel = 0.0
+        else:
+            rel = float(abs(computed - closed) / max(abs(computed), abs(closed)))
+        ok = rel <= tol if expect_match else rel > tol
+        rows.append(IdentityCheck(name, float(computed), float(closed), rel, ok))
+
+    def sign_row(name, value, want_positive):
+        ok = value > 0 if want_positive else value < 0
+        rows.append(IdentityCheck(name, float(value), None, None, bool(ok)))
+
+    against("b1_at_delta", b1(d2), 5 * (1 - d2) ** 2 * d2)
+    against("b1_at_one", b1(Fraction(1)), -a2 * (1 - d2) ** 2)
+    against("d_scaled_at_delta", d_quartic(d2) * scale, -5 * (a2 - 1) * (r2 - a2 - 3))
+    against("d_scaled_quadratic_at_zero", d_quartic(Fraction(0)) * scale, scaled_quadratic(Fraction(0)))
+    against("d_scaled_quadratic_at_quarter_delta2", d_quartic(d2 / 4) * scale, scaled_quadratic(d2 / 4))
+    against(
+        "d_scaled_quadratic_at_zero_r4_variant_disagrees",
+        d_quartic(Fraction(0)) * scale,
+        -(r2 - a2 - 3) * (4 * r2 * r2 - a2 - 15),
+        expect_match=False,
+    )
+    sign_row("b1_at_delta_positive", b1(d2), True)
+    sign_row("b1_at_one_negative", b1(Fraction(1)), False)
+    sign_row("d_quartic_at_delta_negative", d_quartic(d2), False)
+    a0_delta = 4 * k * (k + 2 * a + 1) - (r2 + 4 * a + 2) * d2
+    against("a0_at_delta_scaled", a0_delta * (r2 - 4), 2 * (2 * a + 1) * (a2 + 4 * a + 5 - 2 * r2))
+    sign_row("a0_at_delta_negative", a0_delta, False)
+    return rows
+
+
+def test_identity_checks_match_fraction_reference_bitwise():
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference" / "scalar-checks.json").read_text())
+    cases = [(item["k"], item["alpha"]) for stratum in ref["pool"] for item in stratum]
+    assert len(cases) == 320
+    rng = random.Random(20240611)
+    for _ in range(300):
+        cases.append((rng.randint(1, 500), max(10.0 ** rng.uniform(-0.3, 7.0), 0.500001)))
+    edge_alphas = [0.5 + 1e-10, 1.0, 2.0, 7.0, 1e6, 3, np.float64(0.75), np.float64(1234.5678), np.float64(1e7)]
+    cases += [(k, a) for k in (1, 2, 9, 500) for a in edge_alphas]
+    for k, alpha in cases:
+        assert repr(identity_checks(k, alpha)) == repr(_fraction_identity_checks(k, alpha)), (k, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e300, math.inf, math.nan])
+def test_identity_checks_raise_like_fraction_reference(alpha):
+    # the same exception class keeps these rows numeric_failure in verify
+    with pytest.raises(Exception) as want:
+        _fraction_identity_checks(3, alpha)
+    with pytest.raises(want.type):
+        identity_checks(3, alpha)
+
+
+def test_identity_checks_construct_no_fraction(monkeypatch):
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    rows = identity_checks(17, 3.25)
+    monkeypatch.undo()
+    assert built == []
+    assert len(rows) == 11 and all(r.ok for r in rows)
 
 
 def test_envelope_dominates_weighted_square():
