@@ -1,0 +1,90 @@
+"""SHA-256 digests of jacobimax's outputs, for showing that a change keeps them.
+
+    python3 scripts/output_digest.py [--dump DIR]
+
+Prints three lines, each a digest and what it covers:
+
+- extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
+  every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
+  (read only for its inputs), in pool order, with every cache of the package
+  cleared before each item as in a fresh process;
+- sweep-beta-grid and sweep-equal-alpha: render_csv(sweep(cfg),
+  timestamp="T") for checks "all", k 0-13 and alpha in {-0.5, -0.3, 0, 0.3,
+  ALPHA_FLOOR, 0.5, 0.6, 1, 2.5, 30}, once with beta grid {-0.5, 0.3, 0.5,
+  0.6, 1, 2.5} (19,320 rows) and once with beta = alpha (3,220 rows).
+
+Run it from a checkout; the package is imported from its src/ directory.
+With --dump DIR the raw outputs are also written to DIR/<name>.txt, so two
+checkouts' outputs can be compared with diff.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import jacobimax  # noqa: E402
+from jacobimax import cli, verify  # noqa: E402
+
+POOL = ROOT / "perfbench" / "reference" / "extrema-cli.json"
+ALPHAS = [-0.5, -0.3, 0.0, 0.3, jacobimax.ALPHA_FLOOR, 0.5, 0.6, 1.0, 2.5, 30.0]
+BETAS = [-0.5, 0.3, 0.5, 0.6, 1.0, 2.5]
+
+
+def _clear_caches():
+    for name, mod in list(sys.modules.items()):
+        if name == "jacobimax" or name.startswith("jacobimax."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)) and callable(getattr(obj, "cache_info", None)):
+                    obj.cache_clear()
+
+
+def extrema_outputs() -> str:
+    rounds = json.loads(POOL.read_text(encoding="utf-8"))["pool"]
+    chunks = []
+    for item in (item for stratum in rounds for item in stratum):
+        argv = ["extrema", "--k", str(item["k"]), "--alpha", repr(item["alpha"]), "--beta", repr(item["beta"])]
+        argv += ["--window", item["window"]]
+        _clear_caches()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        chunks.append(f"$ {' '.join(argv)}\nrc {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(chunks)
+
+
+def sweep_csv(beta_mode) -> str:
+    cfg = verify.SweepConfig.from_dict(
+        {"checks": ["all"], "k_spec": {"min": 0, "max": 13}, "alpha_spec": ALPHAS, "beta_mode": beta_mode}
+    )
+    _clear_caches()
+    return verify.render_csv(verify.sweep(cfg), timestamp="T")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--dump", type=Path, help="also write each raw output to DIR/<name>.txt")
+    args = ap.parse_args(argv)
+    outputs = {
+        "extrema": extrema_outputs,
+        "sweep-beta-grid": lambda: sweep_csv({"grid": BETAS}),
+        "sweep-equal-alpha": lambda: sweep_csv("equal_alpha"),
+    }
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for name, make in outputs.items():
+        text = make()
+        if args.dump:
+            (args.dump / f"{name}.txt").write_text(text, encoding="utf-8")
+        print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,11 @@
 """Renormalized three-term recurrence kernel, vectorized over evaluation points.
 
-One numpy kernel evaluates every call.  The running pair is rescaled by an
-exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
-significand sequence is identical to what unbounded-range arithmetic would
-produce while the power of two accumulates in a separate log offset.
+One numpy kernel evaluates every call and returns the last pair of the
+recurrence, P_k and P_{k-1}, which share one log offset.  The running pair
+is rescaled by an exact power of two whenever its magnitude leaves
+[1e-150, 1e150], so the significand sequence is identical to what
+unbounded-range arithmetic would produce while the power of two accumulates
+in a separate log offset.
 """
 
 import math
@@ -54,11 +56,11 @@ def _recurrence_numpy(x, b, a, ln_start, k):
     n = x.shape[0]
     off = np.full(n, ln_start)
     if k == 0:
-        return np.ones(n), off
+        return np.ones(n), np.zeros(n), off
     pm = np.ones(n)
     pc = (x - b[0]) / a[0]
     if n == 0 or k == 1:
-        return pc, off
+        return pc, pm, off
     t = np.empty(n)
     bounds = None
     check = 1
@@ -94,14 +96,15 @@ def _recurrence_numpy(x, b, a, ln_start, k):
             pm[bad] *= sc
             off[bad] += e * _LN2
         check = m + 1
-    return pc, off
+    return pc, pm, off
 
 
 def recurrence(x, b, a, ln_start, k):
-    """Evaluate the degree-k orthonormal polynomial at every x.
+    """Evaluate the orthonormal polynomials of degrees k and k - 1 at every x.
 
-    Returns (val, off) with value = val * exp(off); b and a are the
-    diagonal/off-diagonal recurrence coefficient arrays and ln_start is the
-    log of the degree-0 polynomial.
+    Returns (val, prev, off) with P_k = val * exp(off) and P_{k-1} =
+    prev * exp(off): the last pair of the recurrence shares one offset, and
+    prev is 0 at k = 0.  b and a are the diagonal/off-diagonal recurrence
+    coefficient arrays and ln_start is the log of the degree-0 polynomial.
     """
     return _recurrence_numpy(x, b, a, float(ln_start), k)

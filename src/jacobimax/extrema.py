@@ -9,6 +9,15 @@ evaluated function.  The roots reported are those that bisecting the computed
 sign functions would give, to the last bit: the bisection's midpoint sequence
 is replayed against the located root, and signs are evaluated, in one batch,
 only at the midpoints too close to that root to decide.
+
+The sign of y is that of the recurrence value.  The sign of q, whose zeros
+are those of f', is defined by the shifted-family route: y' is
+Q_{k-1}^{(alpha+1, beta+1)} times a constant (eval_orthonormal_deriv_parts).
+The Newton steps and the bisection midpoints use that route.  The grid takes
+y' from the recurrence's last pair instead, which saves a second recurrence
+per node, and re-evaluates by the shifted family every node whose q is too
+close to 0 for the two routes to be sure to agree (_grid_signs).  So every
+sign, bracket, root and kind is that of the shifted-family route.
 """
 
 import math
@@ -19,7 +28,15 @@ from typing import Optional
 import numpy as np
 
 from .envelope import Geometry, _dln_window_factor, turning_point
-from .jacobi import Params, Window, eval_orthonormal_deriv_parts, eval_orthonormal_parts, weighted_M, weighted_ln_parts
+from .jacobi import (
+    Params,
+    Window,
+    eval_orthonormal_deriv_parts,
+    eval_orthonormal_parts,
+    eval_value_and_deriv_parts,
+    weighted_M,
+    weighted_ln_parts,
+)
 
 __all__ = [
     "ExtremumRecord",
@@ -39,6 +56,10 @@ _TRUST_FLOOR = 1e-12
 _CHUNK = 8192
 # most Newton steps taken from the Hermite guess of a root
 _NEWTON_STEPS = 3
+# relative distance of q from 0, per unit of the pair's cancellation factor,
+# within which a grid node's q sign is taken from the shifted family; the two
+# routes' y' differ by at most a few 1e-12 per unit in the tests
+_PAIR_GUARD = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
@@ -83,21 +104,36 @@ def _eval_parts(p: Params, xs: np.ndarray):
 
 
 def _grid_signs(p: Params, w: Window, xs: np.ndarray):
-    """Signs of y and q at xs, plus the parts, evaluated _CHUNK points at a time.
+    """Signs of y and q at xs, plus the parts, with one recurrence call per _CHUNK points.
 
-    Chunking bounds the working set of the recurrence on large grids; every
-    value is computed point by point, so the bits do not depend on it.
+    y and y' come from the recurrence's last pair (eval_value_and_deriv_parts).
+    q's sign is defined by the shifted-family route (_q_signs on _eval_parts),
+    which the refinement also uses.  The two routes' y' agree to a few
+    1e-12 * cond relative, cond being the pair's cancellation factor, so a
+    node where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|) takes y' and
+    q's sign from the shifted family instead, in one more recurrence call for
+    all such nodes; elsewhere the two routes give the same sign.  Chunking
+    bounds the working set of the recurrence on large grids; every value is
+    computed point by point, so the bits do not depend on it.
     """
-    sy, sq = np.empty(xs.size), np.empty(xs.size)
-    parts = tuple(np.empty(xs.size) for _ in range(4))
+    sq = np.empty(xs.size)
+    near = np.empty(xs.size, dtype=bool)
+    yv, yo, dv, do = parts = tuple(np.empty(xs.size) for _ in range(4))
     for i in range(0, xs.size, _CHUNK):
         c = slice(i, i + _CHUNK)
-        got = _eval_parts(p, xs[c])
-        for dst, part in zip(parts, got):
-            dst[c] = part
-        sy[c] = np.sign(got[0])
-        sq[c] = _q_signs(p, w, xs[c], *got)
-    return sy, sq, parts
+        yv[c], dv[c], yo[c], cond = eval_value_and_deriv_parts(p, xs[c])
+        yg = yv[c] * _dln_window_factor(p, xs[c], w)
+        q = dv[c] + yg
+        sq[c] = np.sign(q)
+        bound = _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv[c]) + np.abs(yg))
+        # not |q| > bound, so that a nan q or bound is re-evaluated too
+        near[c] = ~(np.abs(q) > bound)
+    do[:] = yo
+    near = np.flatnonzero(near)
+    if near.size:
+        dv[near], do[near] = eval_orthonormal_deriv_parts(p, xs[near])
+        sq[near] = _q_signs(p, w, xs[near], yv[near], yo[near], dv[near], do[near])
+    return np.sign(yv), sq, parts
 
 
 def _q_signs(p: Params, w: Window, xs: np.ndarray, yv, yo, dv, do) -> np.ndarray:
@@ -322,17 +358,21 @@ def _cached_scan(
 ) -> tuple[ExtremumRecord, ...]:
     p = Params(k, alpha, beta)
     w = Window(d_m, d_M)
+    if k == 0 and w.is_full and alpha == beta == -0.5:
+        # M = P_0^2 = 1/pi is constant: q vanishes identically, and its
+        # computed signs are rounding noise
+        return ()
     n = max(64, nodes_per_degree * (p.k + 2))
     xs = _scan_points(p, w, n)
     xs4 = _scan_points(p, w, 4 * n)
-    # both grids together, one evaluation of y and one of y' per _CHUNK points
+    # both grids together, one recurrence call per _CHUNK points
     sy, sq, parts = _grid_signs(p, w, np.concatenate([xs, xs4]))
     m = xs.size
     sy4, sq4 = sy[m:], sq[m:]
     if _count_roots(xs, sy[:m]) != _count_roots(xs4, sy4) or _count_roots(xs, sq[:m]) != _count_roots(xs4, sq4):
         raise GridTooCoarseError(
             f"sign-change count changed under 4x refinement for k={p.k}, "
-            f"alpha={p.alpha}, beta={p.beta}; increase nodes_per_degree"
+            f"alpha={p.alpha}, beta={p.beta}"
         )
     ye, yl = _root_structure(xs4, sy4)
     qe, ql = _root_structure(xs4, sq4)
@@ -393,9 +433,13 @@ def scan_extrema(
     functions from the 4x-grid brackets gives: each root is first located by
     a Hermite fit to the grid values and a Newton step, and the bisection's
     midpoint sequence is then replayed against it, evaluating signs only at
-    midpoints too close to the located root to decide.  Results are memoized
-    per (k, alpha, beta, window, nodes_per_degree, refine_tol); each call
-    returns a fresh list.
+    midpoints too close to the located root to decide.  q's sign function is
+    the shifted-family route's everywhere: the grid computes y' from the
+    recurrence's last pair and re-evaluates by the shifted family each node
+    whose q lies within the pair's cancellation bound of 0.  With k = 0 and
+    alpha = beta = -1/2 on the full window M is the constant 1/pi, and the
+    list is empty.  Results are memoized per (k, alpha, beta, window,
+    nodes_per_degree, refine_tol); each call returns a fresh list.
     """
     if nodes_per_degree < 4:
         raise ValueError("nodes_per_degree must be at least 4")
@@ -421,8 +465,12 @@ def global_max(
 ) -> ExtremumRecord:
     """The record with the largest M among interior maxima and endpoint limits.
 
-    Ties break toward smaller |x|.  Endpoint candidates carry index -1 and
-    their one-sided limit value (0, finite, or inf per the weight exponents).
+    An exact tie in ln M goes to the smaller |x|, then to the larger x.
+    Computed ties are almost never exact: when alpha = beta on a symmetric
+    window, the two mirror-image maxima agree only up to rounding, and the
+    rounding decides which of them is returned.  Endpoint candidates carry
+    index -1 and their one-sided limit value (0, finite, or inf per the
+    weight exponents).
     """
     records = scan_extrema(p, w, nodes_per_degree, refine_tol)
     cands = [r for r in records if r.kind == "max"]

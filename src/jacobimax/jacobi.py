@@ -35,6 +35,7 @@ __all__ = [
     "eval_orthonormal_parts",
     "eval_orthonormal_deriv",
     "eval_orthonormal_deriv_parts",
+    "eval_value_and_deriv_parts",
     "value_at_zero_even",
     "weighted_M",
     "weighted_ln_parts",
@@ -168,7 +169,8 @@ def eval_orthonormal_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
     if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0 or not np.all(np.isfinite(xs))):
         raise ValueError("evaluation points must lie in [-1, 1]")
     b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
-    return _kernels.recurrence(xs, b, a, ln_p0, p.k)
+    val, _, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
+    return val, off
 
 
 def eval_orthonormal(p: Params, x: float) -> ScaledReal:
@@ -191,6 +193,40 @@ def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
     val, off = eval_orthonormal_parts(inner, xs)
     off = off + _deriv_ln_prefactor(p)
     return val, off
+
+
+def eval_value_and_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P_k and P_k' at points strictly inside (-1, 1), from one recurrence call.
+
+    Returns (yv, dv, off, cond) with P_k = yv * exp(off) and P_k' =
+    dv * exp(off); yv and off have the bits of eval_orthonormal_parts.  P_k'
+    comes from the recurrence's last pair by Szego, Orthogonal Polynomials,
+    (4.5.7) in orthonormal form, with s = alpha + beta and a_k = a[k-1]:
+
+        (1 - x^2) P_k' = t1 + t2,
+        t1 = k ((alpha - beta) / (2k + s) - x) P_k,
+        t2 = (2k + s + 1) a_k P_{k-1}.
+
+    cond = (|t1| + |t2|) / |t1 + t2| >= 1 (inf where the sum vanishes) is the
+    cancellation factor of that sum: dv's relative error is about cond times
+    that of the recurrence values it combines (eps and up), and cond grows
+    like 1 / (1 - x^2) toward +-1.  eval_orthonormal_deriv_parts, the
+    shifted-family route, costs a second recurrence but has no such loss.
+    """
+    xs = np.ascontiguousarray(x, dtype=float).ravel()
+    if xs.size and not (np.min(xs) > -1.0 and np.max(xs) < 1.0):
+        raise ValueError("the value and derivative pair needs points strictly inside (-1, 1)")
+    b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
+    yv, prev, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
+    if p.k == 0:
+        return yv, np.zeros(xs.size), off, np.ones(xs.size)
+    s = p.alpha + p.beta
+    t1 = (p.k * ((p.alpha - p.beta) / (2.0 * p.k + s) - xs)) * yv
+    t2 = ((2.0 * p.k + s + 1.0) * a[p.k - 1]) * prev
+    t = t1 + t2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = (np.abs(t1) + np.abs(t2)) / np.abs(t)
+    return yv, t / ((1.0 - xs) * (1.0 + xs)), off, cond
 
 
 def eval_orthonormal_deriv(p: Params, x: float) -> ScaledReal:

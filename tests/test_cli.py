@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shape, file side effects."""
 
 import json
+import math
 import re
 
 from jacobimax import cli
@@ -67,11 +68,17 @@ def test_extrema_table_and_global_max(capsys):
     assert out.count("max") >= 5
 
 
-def test_extrema_without_oscillation_band_is_usage_error(capsys):
-    # 2k + alpha + beta + 1 = 0: M is constant, so the scan has no sign changes to trust
+def test_extrema_constant_M_reports_endpoint_maximum(capsys):
+    # k = 0, alpha = beta = -1/2 on the full window: M = 1/pi everywhere, so
+    # there is no interior extremum and the global max is an endpoint
     code, out, err = run(capsys, ["extrema", "--k", "0", "--alpha", "-0.5"])
-    assert code == 2
-    assert err.startswith("error:")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].split()[0] == "index"
+    m = re.fullmatch(r"global max: M = (\S+) at x = (\S+) \(endpoint\)", lines[1])
+    assert m, lines[1]
+    assert abs(float(m.group(1)) - 1.0 / math.pi) <= 1e-14
+    assert abs(float(m.group(2))) == 1.0
 
 
 def test_extrema_csv_file(capsys, tmp_path):

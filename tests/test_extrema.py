@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 import scipy.special
 
-from jacobimax.envelope import Geometry, delta_squared, geometry, sonin_S
+from jacobimax import _kernels, extrema
+from jacobimax.envelope import Geometry, delta_squared, delta_window, geometry, sonin_S
 from jacobimax.extrema import (
+    _CHUNK,
     ExtremumRecord,
     GridTooCoarseError,
     _endpoint_record,
     _eval_parts,
+    _grid_signs,
     _q_signs,
     _root_structure,
     _scan_points,
@@ -265,3 +268,97 @@ def test_scan_returns_fresh_list():
     first = scan_extrema(p, Window.full())
     first.clear()
     assert len(scan_extrema(p, Window.full())) == 2 * 9 + 1
+
+
+def _scan_grid(p, w):
+    # both grids of a scan, as _cached_scan passes them to _grid_signs
+    n = max(64, 12 * (p.k + 2))
+    return np.concatenate([_scan_points(p, w, n), _scan_points(p, w, 4 * n)])
+
+
+_GRID_CASES = [
+    (Params(0, 1.0, 1.0), "full"), (Params(1, 0.7, 0.7), "full"), (Params(1, 0.3, 2.0), "full"),
+    (Params(2, -0.499, -0.499), "full"), (Params(3, -0.4999, -0.4999), "full"), (Params(10, -0.49, -0.49), "full"),
+    (Params(49, -0.496407, -0.496407), "full"), (Params(64, -0.5, -0.5), "full"), (Params(13, 0.0, 0.0), "full"),
+    (Params(100, 1.0, 1.0), "full"), (Params(250, 2.5, 2.5), "full"), (Params(400, 0.0, 0.0), "full"),
+    (Params(200, 1e5, 1e5), "full"), (Params(400, 1e5, 1e5), "full"), (Params(50, -0.499, 3.0), "full"),
+    (Params(50, 1e5, -0.499), "full"), (Params(30, -0.499, 1e5), "full"), (Params(7, 0.3, 5000.0), "full"),
+    (Params(120, 3.0, 1e6), "full"), (Params(77, 15184.16, 2.156), "full"), (Params(18, -0.486201, 793.954), "full"),
+    (Params(4, 2.08874, 10306.6), "full"),
+    (Params(12, 0.6, 0.6), "delta"), (Params(40, 3.0, 3.0), "delta"), (Params(25, 7.5, 7.5), "delta"),
+    (Params(100, 1e3, 1e3), "delta"), (Params(300, 1e5, 1e5), "delta"),
+    (Params(30, 0.0, 0.0), Window(-0.3, 0.9)), (Params(20, 5.0, 1.0), Window(-0.99, 0.2)),
+    (Params(150, 1e3, 10.0), Window(0.001, 0.99)), (Params(60, -0.49, -0.3), Window(-0.999999, 0.5)),
+    (Params(9, 2.0, 2.0), Window(-0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("p, window", _GRID_CASES)
+def test_grid_signs_match_shifted_family(p, window):
+    # the grid takes y' from the recurrence's last pair; every y and q sign
+    # must still be the shifted-family route's, node for node
+    w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
+    xs = _scan_grid(p, w)
+    sy, sq, (yv, yo, _, _) = _grid_signs(p, w, xs)
+    ref = _eval_parts(p, xs)
+    assert sy.tobytes() == np.sign(ref[0]).tobytes()
+    assert yv.tobytes() == ref[0].tobytes() and yo.tobytes() == ref[1].tobytes()
+    assert np.array_equal(sq, _q_signs(p, w, xs, *ref))
+
+
+@pytest.mark.parametrize(
+    "p, w",
+    [(Params(300, 1e5, 1e5), Window.full()), (Params(40, 3.0, 3.0), Window.full()), (Params(60, 2.0, 2.0), Window(-0.3, 0.9))],
+)
+def test_grid_guard_takes_sign_at_refined_roots_from_shifted_family(p, w, monkeypatch):
+    # at a refined maximum and its neighbouring floats q is rounding-level,
+    # where the pair's and the shifted family's signs can differ; the guard
+    # must hand every such node to the shifted family
+    xm = np.array([r.x for r in scan_extrema(p, w) if r.kind == "max"])
+    xs = np.unique(np.concatenate([np.nextafter(xm, -2.0), xm, np.nextafter(xm, 2.0)]))
+    ref = _q_signs(p, w, xs, *_eval_parts(p, xs))
+    assert np.array_equal(_grid_signs(p, w, xs)[1], ref)
+    if p.alpha == 1e5:
+        # without the guard the pair's own signs differ at many of them
+        monkeypatch.setattr(extrema, "_PAIR_GUARD", 0.0)
+        assert np.count_nonzero(_grid_signs(p, w, xs)[1] != ref) > 10
+
+
+def test_grid_makes_one_kernel_call_per_chunk(monkeypatch):
+    calls = []
+    recurrence = _kernels.recurrence
+
+    def counting(x, b, a, ln_start, k):
+        calls.append(len(x))
+        return recurrence(x, b, a, ln_start, k)
+
+    monkeypatch.setattr(_kernels, "recurrence", counting)
+    for p in (Params(400, 0.0, 0.0), Params(400, 1e5, 1e5), Params(300, 1e7, -0.9)):
+        w = Window.full()
+        xs = _scan_grid(p, w)
+        chunks = [min(_CHUNK, xs.size - i) for i in range(0, xs.size, _CHUNK)]
+        assert len(chunks) >= 3
+        calls.clear()
+        _grid_signs(p, w, xs)
+        # one call per chunk, then at most one for the guarded nodes
+        assert calls[: len(chunks)] == chunks, (p, calls)
+        assert len(calls) <= len(chunks) + 1 and sum(calls[len(chunks) :]) <= xs.size // 100, (p, calls)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="edge maximum beyond the outermost grid node is lost")
+@pytest.mark.parametrize("p", [Params(18, -0.486201, 793.954), Params(49, -0.496407, -0.496407)])
+def test_edge_maximum_is_found(p):
+    # both exponents exceed -1/2, so there are 2k + 1 critical points; the
+    # scan returns 36 and 97 (ROADMAP item 1)
+    assert len(scan_extrema(p, Window.full())) == 2 * p.k + 1
+
+
+def test_constant_M_has_no_interior_extrema():
+    # k = 0, alpha = beta = -1/2: M = 1/pi on the full window, q = 0 exactly
+    p = Params(0, -0.5, -0.5)
+    assert scan_extrema(p, Window.full()) == []
+    gm = global_max(p, Window.full())
+    assert gm.index == -1 and abs(gm.x) == 1.0
+    np.testing.assert_allclose(gm.M, 1.0 / math.pi, rtol=1e-14)
+    # on a sub-window M is not constant and has its one interior maximum
+    assert [r.kind for r in scan_extrema(p, Window(-0.5, 0.9))] == ["max"]

@@ -17,6 +17,7 @@ from jacobimax.jacobi import (
     eval_orthonormal_deriv,
     eval_orthonormal_deriv_parts,
     eval_orthonormal_parts,
+    eval_value_and_deriv_parts,
     log_norm,
     ode_residual,
     ode_residuals,
@@ -231,7 +232,7 @@ def _plain_recurrence(x, b, a, ln_start, k):
     # array per step and the full rescaling mask after every step
     off = np.full(x.shape[0], ln_start)
     if k == 0:
-        return np.ones(x.shape[0]), off
+        return np.ones(x.shape[0]), np.zeros(x.shape[0]), off
     pm = np.ones(x.shape[0])
     pc = (x - b[0]) / a[0]
     for m in range(1, k):
@@ -244,7 +245,7 @@ def _plain_recurrence(x, b, a, ln_start, k):
             pc[bad] *= sc
             pm[bad] *= sc
             off[bad] += e * math.log(2.0)
-    return pc, off
+    return pc, pm, off
 
 
 def test_numpy_kernel_matches_plain_loop_bitwise():
@@ -257,20 +258,18 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
     for k, alpha, beta in cases:
         b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
         for x in (edge, rng.uniform(-1.0, 1.0, size=300), np.cos(np.linspace(0.0, math.pi, 257)), edge[:1]):
-            v_ref, o_ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
-            v_np, o_np = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
-            assert v_np.tobytes() == v_ref.tobytes(), (k, alpha, beta)
-            assert o_np.tobytes() == o_ref.tobytes(), (k, alpha, beta)
+            ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
+            got = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
     # random degrees and exponents up to 1e7, with points crowding both ends
     x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 40), 1.0 - np.geomspace(1e-16, 0.1, 12), np.geomspace(1e-16, 0.1, 12) - 1.0])
     for _ in range(40):
         k = int(rng.integers(1, 500))
         alpha, beta = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), 2)) - 0.5
         b_arr, a_arr, ln_start = _recurrence_coeffs(k, float(alpha), float(beta))
-        v_ref, o_ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
-        v_np, o_np = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
-        assert v_np.tobytes() == v_ref.tobytes(), (k, alpha, beta)
-        assert o_np.tobytes() == o_ref.tobytes(), (k, alpha, beta)
+        ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
+        got = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
 
 
 def _batch_invariance_cases():
@@ -296,6 +295,85 @@ def test_kernel_batch_invariance_bitwise():
                 v1, o1 = parts(p, x[i : i + 1])
                 assert v1.tobytes() == val[i : i + 1].tobytes(), (parts.__name__, p, xi)
                 assert o1.tobytes() == off[i : i + 1].tobytes(), (parts.__name__, p, xi)
+
+
+_PAIR_DEGREES = [1, 2, 50, 400]
+_PAIR_EXPONENTS = [
+    (-0.499, -0.499), (0.0, 0.0), (3.0, 3.0), (1e3, 1e3), (1e5, 1e5),
+    (0.7, -0.3), (2.0, 700.0), (-0.499, 1e5), (1e5, -0.499),
+]
+
+
+def _pair_tolerance(p, cond, per_cond):
+    # rounding in the pair and in the recurrence values it combines, both
+    # amplified by cond; plus the ln-gamma normalizations, of size n ln n,
+    # whose rounding differs between families and from mpmath
+    n = p.k + abs(p.alpha) + abs(p.beta) + 2.0
+    return per_cond * cond + 1e-15 * n * math.log(n)
+
+
+@pytest.mark.parametrize("k", _PAIR_DEGREES)
+def test_value_and_deriv_pair_matches_shifted_family(k):
+    # |x| <= 0.99875; nearer to +-1 see the mpmath test below
+    x = np.cos(np.linspace(0.05, math.pi - 0.05, 801))
+    for alpha, beta in _PAIR_EXPONENTS:
+        p = Params(k, alpha, beta)
+        yv, dv, off, cond = eval_value_and_deriv_parts(p, x)
+        val, voff = eval_orthonormal_parts(p, x)
+        assert yv.tobytes() == val.tobytes() and off.tobytes() == voff.tobytes(), p
+        assert np.all(cond >= 1.0), p
+        sv, so = eval_orthonormal_deriv_parts(p, x)
+        assert np.array_equal(np.sign(dv), np.sign(sv)), p
+        ok = sv != 0.0
+        err = np.abs(np.log(np.abs(dv[ok])) + off[ok] - np.log(np.abs(sv[ok])) - so[ok])
+        assert np.all(err <= _pair_tolerance(p, cond[ok], 1e-12)), p
+
+
+def test_value_and_deriv_pair_matches_mpmath_near_endpoints():
+    # near +-1 the recurrence values themselves can carry relative errors of
+    # a few 1e-12 (at k = 1, beta = 1e5, P_1 is near its zero b[0] there),
+    # and the pair amplifies them by cond
+    mpmath = pytest.importorskip("mpmath")
+    u = 1.0 - 10.0 ** -np.arange(2.0, 13.0, 2.0)
+    x = np.concatenate([-u, u])
+    with mpmath.workdps(50):
+
+        def ref(k, a, b, xi):
+            # sign and ln| | of the orthonormal P_k', from the classical
+            # derivative (k+a+b+1)/2 P_{k-1}^(a+1,b+1); the series runs at
+            # +x, by the reflection P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x), so
+            # its terms do not cancel
+            a, b, t = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(xi)
+            flip = t < 0
+            if flip:
+                a, b, t = b, a, -t
+            s = a + b
+            ln_h = (
+                (s + 1) * mpmath.log(2) - mpmath.log(2 * k + s + 1) + mpmath.loggamma(k + a + 1)
+                + mpmath.loggamma(k + b + 1) - mpmath.loggamma(k + s + 1) - mpmath.loggamma(k + 1)
+            )
+            d = (k + s + 1) / 2 * mpmath.jacobi(k - 1, a + 1, b + 1, t)
+            if flip and k % 2 == 0:
+                d = -d
+            return float(mpmath.sign(d)), float(mpmath.log(abs(d)) - ln_h / 2)
+
+        for k in _PAIR_DEGREES:
+            for alpha, beta in _PAIR_EXPONENTS:
+                p = Params(k, alpha, beta)
+                _, dv, off, cond = eval_value_and_deriv_parts(p, x)
+                for i, xi in enumerate(x.tolist()):
+                    sign, ln = ref(k, alpha, beta, xi)
+                    assert np.sign(dv[i]) == sign, (p, xi)
+                    err = abs(math.log(abs(dv[i])) + off[i] - ln)
+                    assert err <= _pair_tolerance(p, cond[i], 1e-11), (p, xi, err, cond[i])
+
+
+def test_value_and_deriv_pair_needs_interior_points():
+    for x in ([1.0], [-1.0], [0.0, math.nan]):
+        with pytest.raises(ValueError):
+            eval_value_and_deriv_parts(Params(3, 1.0, 1.0), x)
+    yv, dv, off, cond = eval_value_and_deriv_parts(Params(0, 2.0, 0.5), [0.3, -0.9])
+    assert np.all(dv == 0.0) and np.all(cond == 1.0)
 
 
 def test_ode_residuals_match_one_point_calls_bitwise():
