@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py [--dump DIR]
 
-Prints three lines, each a digest and what it covers:
+Prints four lines, each a digest and what it covers:
 
 - extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
   every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
@@ -11,7 +11,12 @@ Prints three lines, each a digest and what it covers:
 - sweep-beta-grid and sweep-equal-alpha: render_csv(sweep(cfg),
   timestamp="T") for checks "all", k 0-13 and alpha in {-0.5, -0.3, 0, 0.3,
   ALPHA_FLOOR, 0.5, 0.6, 1, 2.5, 30}, once with beta grid {-0.5, 0.3, 0.5,
-  0.6, 1, 2.5} (19,320 rows) and once with beta = alpha (3,220 rows).
+  0.6, 1, 2.5} (19,320 rows) and once with beta = alpha (3,220 rows);
+- scalar-rows: repr(run_check(cid, Params(k, alpha, alpha))) for every check
+  id on every triple of the scalar-checks pool in
+  perfbench/reference/scalar-checks.json (read only for its inputs), in pool
+  order with the check ids in registry order, every cache cleared before each
+  triple.  The pool reaches k = 100 and alpha = 1e4, beyond the sweeps' k 13.
 
 Run it from a checkout; the package is imported from its src/ directory.
 With --dump DIR the raw outputs are also written to DIR/<name>.txt, so two
@@ -33,6 +38,7 @@ import jacobimax  # noqa: E402
 from jacobimax import cli, verify  # noqa: E402
 
 POOL = ROOT / "perfbench" / "reference" / "extrema-cli.json"
+SCALAR_POOL = ROOT / "perfbench" / "reference" / "scalar-checks.json"
 ALPHAS = [-0.5, -0.3, 0.0, 0.3, jacobimax.ALPHA_FLOOR, 0.5, 0.6, 1.0, 2.5, 30.0]
 BETAS = [-0.5, 0.3, 0.5, 0.6, 1.0, 2.5]
 
@@ -67,6 +73,16 @@ def sweep_csv(beta_mode) -> str:
     return verify.render_csv(verify.sweep(cfg), timestamp="T")
 
 
+def scalar_rows() -> str:
+    rounds = json.loads(SCALAR_POOL.read_text(encoding="utf-8"))["pool"]
+    lines = []
+    for item in (item for stratum in rounds for item in stratum):
+        p = jacobimax.Params(item["k"], item["alpha"], item["alpha"])
+        _clear_caches()
+        lines.extend(repr(verify.run_check(cid, p)) + "\n" for cid in verify.check_ids())
+    return "".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dump", type=Path, help="also write each raw output to DIR/<name>.txt")
@@ -75,6 +91,7 @@ def main(argv=None) -> int:
         "extrema": extrema_outputs,
         "sweep-beta-grid": lambda: sweep_csv({"grid": BETAS}),
         "sweep-equal-alpha": lambda: sweep_csv("equal_alpha"),
+        "scalar-rows": scalar_rows,
     }
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)

@@ -1,18 +1,19 @@
 """Renormalized three-term recurrence kernel, vectorized over evaluation points.
 
-One numpy kernel evaluates every call and returns the last pair of the
-recurrence, P_k and P_{k-1}, which share one log offset.  The running pair
-is rescaled by an exact power of two whenever its magnitude leaves
-[1e-150, 1e150], so the significand sequence is identical to what
-unbounded-range arithmetic would produce while the power of two accumulates
-in a separate log offset.
+One numpy loop evaluates every call and returns the last pair of the
+recurrence, P_k and P_{k-1}, which share one log offset.  recurrence_rows
+steps several rows, each with its own points, coefficients and degree, in
+that loop; recurrence is its one-row case.  The running pair is rescaled by
+an exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
+significand sequence is identical to what unbounded-range arithmetic would
+produce while the power of two accumulates in a separate log offset.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["recurrence", "USING_NUMBA"]
+__all__ = ["recurrence", "recurrence_rows", "USING_NUMBA"]
 
 _LN2 = math.log(2.0)
 _HI = 1e150
@@ -23,6 +24,10 @@ _max = np.maximum.reduce
 _SLACK = 1e-3
 # fewest remaining steps for which the growth bounds are worth computing
 _BOUND_STEPS = 16
+# most points of a row that is stacked with others: numpy applies a row's
+# (r, 1) coefficient column at about half its speed for a scalar, which on
+# longer rows costs more than the per-step call overhead stacking saves
+_STACK_POINTS = 512
 
 # there is no numba backend; the constant stays because benchmark results
 # record it in their environment stamp
@@ -52,51 +57,114 @@ def _next_check(bounds, m, top, low):
     return int(min(j_hi, j_lo))
 
 
-def _recurrence_numpy(x, b, a, ln_start, k):
-    n = x.shape[0]
-    off = np.full(n, ln_start)
-    if k == 0:
-        return np.ones(n), np.zeros(n), off
-    pm = np.ones(n)
-    pc = (x - b[0]) / a[0]
-    if n == 0 or k == 1:
-        return pc, pm, off
-    t = np.empty(n)
-    bounds = None
+def _recurrence_rows(rows):
+    """(val, prev, off) of every row (x, b, a, ln_start, k), stacked in one loop.
+
+    The live rows, those with k >= 2 and 1 to _STACK_POINTS points (a longer
+    one runs alone), are sorted by degree, largest first, and stacked into
+    (rows, points) arrays; a shorter row is padded with copies of its last
+    point, so the padding repeats the values of a real point and leaves every
+    row's extremes as they are.  Each step updates the leading rows whose
+    degree is not yet reached, with each row's coefficients broadcast along
+    it, and a row's pair is taken right after its own last step.  Every
+    operation is elementwise, and a point is rescaled exactly when its pair
+    leaves [_LO, _HI], so each row has the bits of a call on that row alone.
+    One live row keeps 1-D arrays and scalar coefficients, numpy's fastest
+    path.
+    """
+    out = [None] * len(rows)
+    live = []
+    for i, (x, b, a, ln_start, k) in enumerate(rows):
+        n = x.shape[0]
+        if k == 0:
+            out[i] = (np.ones(n), np.zeros(n), np.full(n, ln_start))
+        elif n == 0 or k == 1:
+            out[i] = ((x - b[0]) / a[0], np.ones(n), np.full(n, ln_start))
+        elif n > _STACK_POINTS and len(rows) > 1:
+            out[i] = _recurrence_rows([rows[i]])[0]
+        else:
+            live.append(i)
+    if not live:
+        return out
+    live.sort(key=lambda i: -rows[i][4])
+    ks = [rows[i][4] for i in live]
+    sizes = [rows[i][0].shape[0] for i in live]
+    r, n, k = len(live), max(sizes), ks[0]
+    if r == 1:
+        xs, bt, at, ln_start, _ = rows[live[0]]
+        off = np.full(n, ln_start)
+    else:
+        xs = np.empty((r, n))
+        off = np.empty((r, n))
+        # coefficient m of every row as an (r, 1) column; rows end before padding
+        bt = np.zeros((k, r, 1))
+        at = np.ones((k, r, 1))
+        for j, i in enumerate(live):
+            x, b, a, ln_start, kj = rows[i]
+            xs[j, : sizes[j]] = x
+            xs[j, sizes[j] :] = x[-1]
+            off[j] = ln_start
+            bt[:kj, j, 0] = b[:kj]
+            at[:kj, j, 0] = a[:kj]
+    pm = np.ones(xs.shape)
+    pc = (xs - bt[0]) / at[0]
+    t = np.empty(xs.shape)
+    bounds = [None] * r
     check = 1
-    for m in range(1, k):
-        # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
-        # needed afterwards and becomes the spare buffer
-        np.subtract(x, b[m], out=t)
-        t *= pc
-        pm *= a[m - 1]
-        t -= pm
-        t /= a[m]
-        pm, pc, t = pc, t, pm
-        if m < check:
-            continue
-        # |pm| <= _HI holds from the previous step, so |pc| inside [_LO, _HI]
-        # everywhere means no element needs rescaling
-        np.abs(pc, out=t)
-        low, top = _min(t), _max(t)
-        if low >= _LO and top <= _HI:
+    na = r  # rows still stepping: the first na
+    start = 1
+    while True:
+        # steps start .. end - 1 run on all na rows; the last of them ends at end
+        end = ks[na - 1]
+        for m in range(start, end):
+            # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
+            # needed afterwards and becomes the spare buffer
+            np.subtract(xs, bt[m], out=t)
+            t *= pc
+            pm *= at[m - 1]
+            t -= pm
+            t /= at[m]
+            pm, pc, t = pc, t, pm
+            if m < check:
+                continue
+            # |pm| <= _HI holds from the previous step, so |pc| inside
+            # [_LO, _HI] everywhere means no element needs rescaling
+            np.abs(pc, out=t)
+            low, top = _min(t, None), _max(t, None)
+            if low >= _LO and top <= _HI:
+                check = m + 1
+                if end - m > _BOUND_STEPS:
+                    # skip the test for as long as the growth bounds of every
+                    # row allow, each started from the extremes over all rows
+                    top = max(top, _max(np.abs(pm), None))
+                    for j in range(na):
+                        if bounds[j] is None:
+                            x, b, a, _, kj = rows[live[j]]
+                            bounds[j] = _step_bounds(x, b, a, kj)
+                    check = min(_next_check(bounds[j], m, top, low) for j in range(na))
+                continue
+            mag = np.maximum(t, np.abs(pm))
+            bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
+            if bad.any():
+                e = np.floor(np.log2(mag[bad])).astype(np.int64)
+                sc = np.ldexp(1.0, -e)
+                pc[bad] *= sc
+                pm[bad] *= sc
+                off[bad] += e * _LN2
             check = m + 1
-            if k - m > _BOUND_STEPS:
-                # skip the test for as long as the growth bounds allow
-                if bounds is None:
-                    bounds = _step_bounds(x, b, a, k)
-                check = _next_check(bounds, m, max(top, _max(np.abs(pm))), low)
-            continue
-        mag = np.maximum(t, np.abs(pm))
-        bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
-        if bad.any():
-            e = np.floor(np.log2(mag[bad])).astype(np.int64)
-            sc = np.ldexp(1.0, -e)
-            pc[bad] *= sc
-            pm[bad] *= sc
-            off[bad] += e * _LN2
-        check = m + 1
-    return pc, pm, off
+        if end == k:
+            break
+        # later steps touch only the rows kept, so the ended rows' views stay put
+        while ks[na - 1] == end:
+            na -= 1
+            out[live[na]] = (pc[na, : sizes[na]], pm[na, : sizes[na]], off[na, : sizes[na]])
+        xs, pc, pm, t, off, bt, at = xs[:na], pc[:na], pm[:na], t[:na], off[:na], bt[:, :na], at[:, :na]
+        start = end
+    # the rows left all end on the last step
+    pc, pm, off = (v.reshape(na, -1) for v in (pc, pm, off))
+    for j in range(na):
+        out[live[j]] = (pc[j, : sizes[j]], pm[j, : sizes[j]], off[j, : sizes[j]])
+    return out
 
 
 def recurrence(x, b, a, ln_start, k):
@@ -106,5 +174,18 @@ def recurrence(x, b, a, ln_start, k):
     prev * exp(off): the last pair of the recurrence shares one offset, and
     prev is 0 at k = 0.  b and a are the diagonal/off-diagonal recurrence
     coefficient arrays and ln_start is the log of the degree-0 polynomial.
+    This is recurrence_rows with one row.
     """
-    return _recurrence_numpy(x, b, a, float(ln_start), k)
+    return _recurrence_rows([(x, b, a, float(ln_start), k)])[0]
+
+
+def recurrence_rows(rows):
+    """recurrence on several rows (x, b, a, ln_start, k) in one loop.
+
+    Each row has its own points, coefficients, ln start and degree; rows may
+    differ in length.  Returns one (val, prev, off) per row, in order, each
+    with the bits of recurrence called on that row alone.  The loop's fixed
+    cost per step is paid once for all rows, which is what makes it cheaper
+    than one call per row when rows are short.
+    """
+    return _recurrence_rows([(x, b, a, float(ln_start), k) for x, b, a, ln_start, k in rows])

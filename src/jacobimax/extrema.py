@@ -13,11 +13,13 @@ only at the midpoints too close to that root to decide.
 The sign of y is that of the recurrence value.  The sign of q, whose zeros
 are those of f', is defined by the shifted-family route: y' is
 Q_{k-1}^{(alpha+1, beta+1)} times a constant (eval_orthonormal_deriv_parts).
-The Newton steps and the bisection midpoints use that route.  The grid takes
-y' from the recurrence's last pair instead, which saves a second recurrence
-per node, and re-evaluates by the shifted family every node whose q is too
-close to 0 for the two routes to be sure to agree (_grid_signs).  So every
-sign, bracket, root and kind is that of the shifted-family route.
+The Newton steps and the bisection midpoints use that route, with one stacked
+kernel call (y and the shifted family together) per Newton step and per
+refinement round.  The grid takes y' from the recurrence's last pair instead,
+which saves a second recurrence per node, and re-evaluates by the shifted
+family every node whose q is too close to 0 for the two routes to be sure to
+agree (_grid_signs).  So every sign, bracket, root and kind is that of the
+shifted-family route.
 """
 
 import math
@@ -31,8 +33,8 @@ from .envelope import Geometry, _dln_window_factor, turning_point
 from .jacobi import (
     Params,
     Window,
+    eval_derivatives_parts,
     eval_orthonormal_deriv_parts,
-    eval_orthonormal_parts,
     eval_value_and_deriv_parts,
     weighted_M,
     weighted_ln_parts,
@@ -97,9 +99,8 @@ def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
 
 
 def _eval_parts(p: Params, xs: np.ndarray):
-    """(yv, yo, dv, do): y = P_k and y' at xs as significand / ln offset pairs."""
-    yv, yo = eval_orthonormal_parts(p, xs)
-    dv, do = eval_orthonormal_deriv_parts(p, xs)
+    """(yv, yo, dv, do): y = P_k and y' at xs as significand / ln offset pairs, from one kernel call."""
+    (yv, yo), (dv, do) = eval_derivatives_parts(p, [xs, xs])
     return yv, yo, dv, do
 
 
@@ -211,29 +212,30 @@ def _hermite_root(x0, x1, f0, d0, f1, d1):
 def _locate(p: Params, w: Window, xs, parts, y_left, q_left):
     """Model roots of y and q, one per bracket, with their trust radii.
 
-    A cubic Hermite fit to the 4x-grid values of each bracket gives a first
-    guess; a Newton step on y or F, evaluated afresh, then lands it within a
-    few ulps of the computed sign change.  The radius grows with the square
-    of the last step, the size of the error Newton leaves; brackets whose
-    radius is still above twice its floor take another step, up to
+    A cubic Hermite fit to the 4x-grid values of each bracket, one pass for
+    the y and q brackets together, gives a first guess; a Newton step on y or
+    F, evaluated afresh in one kernel call for both families, then lands it
+    within a few ulps of the computed sign change.  The radius grows with the
+    square of the last step, the size of the error Newton leaves; brackets
+    whose radius is still above twice its floor take another step, up to
     _NEWTON_STEPS.  A bracket without a usable step gets an infinite radius:
     its model is trusted nowhere.
     """
-    guesses = []
-    for left, is_y in ((y_left, True), (q_left, False)):
-        ends = np.concatenate([left, left + 1])
-        om, y, d, f, df = _slopes(p, w, xs[ends], *(a[ends] for a in parts))
-        v, dv = (y, d) if is_y else (f, df)
-        # one scale per bracket: rescale the right node to the left node's
-        n = left.size
-        rs = np.exp(om[n:] - om[:n])
-        guesses.append(_hermite_root(xs[left], xs[left + 1], v[:n], dv[:n], v[n:] * rs, dv[n:] * rs))
-    x = np.concatenate(guesses)
     left = np.concatenate([y_left, q_left])
     lo = xs[left]
     hi = xs[left + 1]
+    is_y = np.arange(left.size) < y_left.size
+    # both families' brackets in one pass: y is fitted with y', q with F and F'
+    ends = np.concatenate([left, left + 1])
+    om, y, d, f, df = _slopes(p, w, xs[ends], *(a[ends] for a in parts))
+    both = np.concatenate([is_y, is_y])
+    v = np.where(both, y, f)
+    dv = np.where(both, d, df)
+    # one scale per bracket: rescale the right node to the left node's
+    n = left.size
+    rs = np.exp(om[n:] - om[:n])
+    x = _hermite_root(lo, hi, v[:n], dv[:n], v[n:] * rs, dv[n:] * rs)
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-    is_y = np.arange(x.size) < y_left.size
     eps = np.full(x.size, math.inf)
     todo = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
@@ -297,10 +299,11 @@ def _refine(p: Params, w: Window, brackets, tol: float):
 
     `brackets` holds one (lo, hi, s_lo, root, eps) tuple of arrays for y and
     one for q.  Each round replays both bisections against the model roots
-    and evaluates, in one batch, every sign the replay took from the model
-    within eps of a root.  The first round also evaluates root -/+ eps; where
-    either is not on its model side, the bracket's model is trusted nowhere
-    and all its midpoints are evaluated.  Rounds repeat until every evaluated
+    and evaluates, in one stacked kernel call, every sign the replay took from
+    the model within eps of a root: y at both families' points and the
+    shifted family at q's only.  The first round also evaluates root -/+ eps;
+    where either is not on its model side, the bracket's model is trusted
+    nowhere and all its midpoints are evaluated.  Rounds repeat until every evaluated
     sign agrees with the sign the replay used.  Outside eps the model is
     trusted: the computed sign functions change sign once per bracket.
     """
@@ -322,10 +325,9 @@ def _refine(p: Params, w: Window, brackets, tol: float):
         if not (evals[0].size or evals[1].size):
             return results
         ny = evals[0].size
-        yv, yo = eval_orthonormal_parts(p, np.concatenate(evals))
-        sq = np.empty(0)
-        if evals[1].size:
-            sq = _q_signs(p, w, evals[1], yv[ny:], yo[ny:], *eval_orthonormal_deriv_parts(p, evals[1]))
+        # y at both families' points and y' at q's, in one kernel call
+        (yv, yo), (dv, do) = eval_derivatives_parts(p, [np.concatenate(evals), evals[1]])
+        sq = _q_signs(p, w, evals[1], yv[ny:], yo[ny:], dv, do)
         agree = True
         for i, signs in enumerate((np.sign(yv[:ny]), sq)):
             known[i] = _merge(known[i], evals[i], signs)

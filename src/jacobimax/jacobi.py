@@ -36,6 +36,7 @@ __all__ = [
     "eval_orthonormal_deriv",
     "eval_orthonormal_deriv_parts",
     "eval_value_and_deriv_parts",
+    "eval_derivatives_parts",
     "value_at_zero_even",
     "weighted_M",
     "weighted_ln_parts",
@@ -159,15 +160,20 @@ def log_norm(p: Params) -> float:
     )
 
 
+def _points(x) -> np.ndarray:
+    xs = np.ascontiguousarray(x, dtype=float).ravel()
+    if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0 or not np.all(np.isfinite(xs))):
+        raise ValueError("evaluation points must lie in [-1, 1]")
+    return xs
+
+
 def eval_orthonormal_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation as (significand, ln offset) arrays.
 
     P_k(x[i]) = val[i] * exp(off[i]); significands never overflow because the
     recurrence renormalizes by exact powers of two.
     """
-    xs = np.ascontiguousarray(x, dtype=float).ravel()
-    if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0 or not np.all(np.isfinite(xs))):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    xs = _points(x)
     b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
     val, _, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
     return val, off
@@ -193,6 +199,31 @@ def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
     val, off = eval_orthonormal_parts(inner, xs)
     off = off + _deriv_ln_prefactor(p)
     return val, off
+
+
+def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """P_k^(j) at the points points[j], j = 0, 1, ..., from one stacked kernel call.
+
+    The j-th derivative is c_j Q_{k-j}, with Q orthonormal for (alpha + j,
+    beta + j) and ln c_j the sum of _deriv_ln_prefactor down the chain p,
+    (k-1, alpha+1, beta+1), ...  Returns one (significand, ln offset) pair
+    per order; orders above k are (0, 0).  Order 0 has the bits of
+    eval_orthonormal_parts and order 1 those of eval_orthonormal_deriv_parts
+    at every point.
+    """
+    pts = [_points(x) for x in points]
+    fams = [p] + [Params(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]
+    rows = [(xs, *_recurrence_coeffs(q.k, q.alpha, q.beta), q.k) for xs, q in zip(pts, fams)]
+    out = []
+    ln_c = 0.0
+    for j, (val, _, off) in enumerate(_kernels.recurrence_rows(rows)):
+        if j:
+            step = _deriv_ln_prefactor(fams[j - 1])
+            ln_c = step if j == 1 else ln_c + step
+            off = off + ln_c
+        out.append((val, off))
+    out += [(np.zeros(xs.size), np.zeros(xs.size)) for xs in pts[len(fams) :]]
+    return out
 
 
 def eval_value_and_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -303,7 +334,11 @@ def weighted_ln_parts(p: Params, x, w: Window) -> np.ndarray:
     xs = np.ascontiguousarray(x, dtype=float).ravel()
     if xs.size and (np.min(xs) <= w.d_m or np.max(xs) >= w.d_M):
         raise ValueError("points must lie strictly inside the window")
-    val, off = eval_orthonormal_parts(p, xs)
+    return _weighted_ln(p, xs, w, *eval_orthonormal_parts(p, xs))
+
+
+def _weighted_ln(p: Params, xs: np.ndarray, w: Window, val: np.ndarray, off: np.ndarray) -> np.ndarray:
+    # ln M at xs from P_k = val * exp(off) there
     with np.errstate(divide="ignore"):
         ln_p = np.log(np.abs(val)) + off
     return (
@@ -320,13 +355,13 @@ def ode_residual(p: Params, x: float) -> float:
     The second derivative comes from chaining the first-derivative reduction
     twice, so this cross-checks the evaluation and derivative routes at once.
     To check many points, pass them all to ode_residuals: it makes one
-    recurrence call per polynomial (y, y', y'') for the whole set.
+    kernel call for the whole set.
     """
     return ode_residuals(p, [float(x)])[0]
 
 
 def ode_residuals(p: Params, x) -> list[float]:
-    """ode_residual at every point of x, with one recurrence call each for y, y' and y''.
+    """ode_residual at every point of x, with y, y' and y'' from one stacked kernel call.
 
     The three terms t1 = (1-x^2) y'', t2 = -((a+b+2)x + a-b) y' and
     t3 = k(k+a+b+1) y are formed as ln|t| arrays from the kernel's
@@ -339,15 +374,13 @@ def ode_residuals(p: Params, x) -> list[float]:
     xs = np.ascontiguousarray(x, dtype=float).ravel()
     if not np.all((xs > -1.0) & (xs < 1.0)):
         raise ValueError("residual is defined for -1 < x < 1")
+    return _ode_residuals(p, xs, *eval_derivatives_parts(p, [xs, xs, xs]))
+
+
+def _ode_residuals(p: Params, xs: np.ndarray, y_parts, yp_parts, ypp_parts) -> list[float]:
+    # the residuals at xs from the (significand, ln offset) pairs of y, y', y''
+    (y, y_off), (yp, yp_off), (ypp, ypp_off) = y_parts, yp_parts, ypp_parts
     s = p.alpha + p.beta
-    y, y_off = eval_orthonormal_parts(p, xs)
-    yp, yp_off = eval_orthonormal_deriv_parts(p, xs)
-    if p.k >= 2:
-        chain = _deriv_ln_prefactor(p) + _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
-        ypp, ypp_off = eval_orthonormal_parts(Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0), xs)
-        ypp_off = ypp_off + chain
-    else:
-        ypp, ypp_off = np.zeros(xs.size), np.zeros(xs.size)
     sig = np.stack([ypp * (1.0 - xs * xs), yp * -((s + 2.0) * xs + (p.alpha - p.beta)), y * (p.k * (p.k + s + 1.0))])
     with np.errstate(divide="ignore"):
         ln_t = np.log(np.abs(sig)) + np.stack([ypp_off, yp_off, y_off])

@@ -24,8 +24,8 @@ from . import bounds as _bounds
 from ._version import __version__
 from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
 from .extrema import global_max, scan_extrema
-from .jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, value_at_zero_even, weighted_ln_parts
-from .jacobi import _exp_saturating, eval_orthonormal_deriv_parts, eval_orthonormal_parts
+from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
+from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
 
 __all__ = [
     "CHECKED",
@@ -52,6 +52,8 @@ SKIPPED = "skipped_hypothesis"
 NUMERIC_FAILURE = "numeric_failure"
 
 _NAN = float("nan")
+# ode_residual's sample points
+_ODE_POINTS = np.array([math.cos(theta) for theta in np.linspace(0.0, math.pi, 102)[1:-1]])
 
 
 class ConfigError(ValueError):
@@ -181,12 +183,11 @@ def _run_identity_a0(p: Params, tol: Tolerances) -> tuple[float, float]:
     return rows["a0_at_delta_negative"].computed, 0.0
 
 
-def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
-    """(x, M(x), bound) at each sample point where the bound is not vacuous.
+def _pointwise_points(p: Params) -> tuple[np.ndarray, float, np.ndarray]:
+    """(x, numerator, denominator) of the pointwise bound at the samples where it is not vacuous.
 
-    The bound's denominator is taken over all points at once, and ln M comes
-    from weighted_ln_parts, one recurrence call for the kept points; each M and
-    bound has the same bits as weighted_M and pointwise_bound at its point.
+    The bound's denominator is taken over all points at once; each has the
+    bits of pointwise_bound's at its point.
     """
     xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 66)[1:-1]]
     # the oscillation band shrinks like 1/sqrt(alpha), so a fixed angular grid
@@ -198,17 +199,26 @@ def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     xs = np.array(xs)
     num, den = _bounds.pointwise_bound_parts(p, xs)
     kept = den > 0.0
-    if not kept.any():
+    return xs[kept], num, den[kept]
+
+
+def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
+    """(x, M(x), bound) at each sample point where the bound is not vacuous.
+
+    ln M comes from the triple's stacked kernel call (_sampling_parts); each M
+    and bound has the same bits as weighted_M and pointwise_bound at its point.
+    """
+    xs, num, den, val, off = _sampling_parts(p.k, p.alpha, p.beta)["pointwise"]
+    if not xs.size:
         raise _bounds.HypothesisError("pointwise bound vacuous at every sampled point")
-    xs = xs[kept]
-    ln_m = weighted_ln_parts(p, xs, Window.full())
-    return [(x, _exp_saturating(ln), num / d) for x, ln, d in zip(xs.tolist(), ln_m.tolist(), den[kept].tolist())]
+    ln_m = _weighted_ln(p, xs, Window.full(), val, off)
+    return [(x, _exp_saturating(ln), num / d) for x, ln, d in zip(xs.tolist(), ln_m.tolist(), den.tolist())]
 
 
 def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
     """Smallest margin of the pointwise bound over the samples; the first of equal margins wins.
 
-    One recurrence call evaluates P_k at all ~95 sample points.
+    P_k at the ~95 sample points comes from the triple's one stacked kernel call.
     """
     _, lhs, rhs = min(_pointwise_samples(p), key=lambda sample: sample[2] - sample[1])
     return lhs, rhs
@@ -228,20 +238,13 @@ def _run_gamma_ratio(p: Params, tol: Tolerances) -> tuple[float, float]:
 
 
 def _run_ode_residual(p: Params, tol: Tolerances) -> tuple[float, float]:
-    """Largest ODE residual over 100 points, with one recurrence call each for y, y' and y''."""
-    xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 102)[1:-1]]
-    return max([0.0, *ode_residuals(p, xs)]), 1e-8
+    """Largest ODE residual over 100 points, with y, y' and y'' from the triple's stacked kernel call."""
+    parts = _sampling_parts(p.k, p.alpha, p.beta)["ode_residual"]
+    return max([0.0, *_ode_residuals(p, _ODE_POINTS, *parts)]), 1e-8
 
 
-def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
-    """Largest gap between P_k' and a five-point difference quotient at 50 centres.
-
-    One recurrence call evaluates P_k at the centres and their 200 stencil
-    points, and one evaluates P_k' at the centres.  Each centre's stencil
-    values and derivative are scaled by exp(-max(ln|P_k(u)|, ln|P_k'(u)|)),
-    taken from the kernel's (significand, ln offset) outputs, so the row is
-    computed where |P_k| lies far outside double range as well.
-    """
+def _deriv_fd_points(p: Params) -> tuple[float, np.ndarray]:
+    """(h, u): the step and the 50 centres of deriv_fd's five-point stencils."""
     s = 2.0 * p.k + p.alpha + p.beta + 1.0
     band = 0.85 * turning_point(p)
     # the local log-slope is bounded by the oscillation wavenumber s*x_t plus
@@ -257,10 +260,19 @@ def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     noise = 1.5 * (32.0 + p.k + 0.5 * max(p.alpha + p.beta + 1.0, 0.0) * band * band) * 2.2e-16
     h = min(1e-3, max((30.0 * noise / omega**5) ** 0.2, 1e-8))
     rng = np.random.default_rng(72026)
-    u = rng.uniform(-band, band, size=50)
-    stencil = np.concatenate([u, u - 2.0 * h, u - h, u + h, u + 2.0 * h])
-    val, off = (a.reshape(5, -1) for a in eval_orthonormal_parts(p, stencil))
-    dval, doff = eval_orthonormal_deriv_parts(p, u)
+    return h, rng.uniform(-band, band, size=50)
+
+
+def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
+    """Largest gap between P_k' and a five-point difference quotient at 50 centres.
+
+    P_k at the centres and their 200 stencil points, and P_k' at the centres,
+    come from the triple's stacked kernel call.  Each centre's stencil values
+    and derivative are scaled by exp(-max(ln|P_k(u)|, ln|P_k'(u)|)), taken
+    from the kernel's (significand, ln offset) outputs, so the row is computed
+    where |P_k| lies far outside double range as well.
+    """
+    h, val, off, dval, doff = _sampling_parts(p.k, p.alpha, p.beta)["deriv_fd"]
     with np.errstate(divide="ignore"):
         top = np.maximum(np.log(np.abs(val[0])) + off[0], np.log(np.abs(dval)) + doff)
     y, fm2, fm1, fp1, fp2 = val * np.exp(off - top)
@@ -268,6 +280,39 @@ def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
     fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     scale = np.maximum(np.abs(an), np.abs(y))
     return float(np.max(np.abs(fd - an) / scale)), 1e-6
+
+
+@lru_cache(maxsize=64)
+def _sampling_parts(k: int, alpha: float, beta: float) -> MappingProxyType:
+    """Kernel outputs for a triple's three sampling rows, from one stacked call.
+
+    Row 0 evaluates P_k at ode_residual's points, deriv_fd's stencils and
+    pointwise's kept samples; row 1 evaluates P_k' at the ode points and the
+    deriv_fd centres; row 2 evaluates P_k'' at the ode points.  A check whose
+    hypothesis fails adds no points.  Maps each check id to its read-only
+    slices; sweeps run triple by triple, so a small memo serves them.
+    """
+    p = Params(k, alpha, beta)
+    h, u = _deriv_fd_points(p) if _REGISTRY["deriv_fd"].hypothesis(p) is None else (0.0, np.empty(0))
+    if _REGISTRY["pointwise"].hypothesis(p) is None:
+        pw_x, num, den = _pointwise_points(p)
+    else:
+        pw_x, num, den = np.empty(0), 0.0, np.empty(0)
+    ode = _ODE_POINTS
+    stencil = np.concatenate([u, u - 2.0 * h, u - h, u + h, u + 2.0 * h])
+    (y, yo), (d, do), ypp = eval_derivatives_parts(
+        p, [np.concatenate([ode, stencil, pw_x]), np.concatenate([ode, u]), ode]
+    )
+    for a in (y, yo, d, do, *ypp):
+        a.setflags(write=False)
+    n, m = ode.size, ode.size + stencil.size
+    return MappingProxyType(
+        {
+            "ode_residual": ((y[:n], yo[:n]), (d[:n], do[:n]), ypp),
+            "deriv_fd": (h, y[n:m].reshape(5, -1), yo[n:m].reshape(5, -1), d[n:], do[n:]),
+            "pointwise": (pw_x, num, den, y[m:], yo[m:]),
+        }
+    )
 
 
 class _CheckDef(NamedTuple):
@@ -580,7 +625,8 @@ def _count_rows(rows) -> dict:
 def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     """Run every configured check over the whole grid; rows come back sorted."""
     grid = config.parameter_grid()
-    work = [(cid, p) for cid in config.checks for p in grid]
+    # triple by triple, so that the checks of a triple meet its memos while they are fresh
+    work = [(cid, p) for p in grid for cid in config.checks]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda t: run_check(t[0], t[1], config.tolerances), work))

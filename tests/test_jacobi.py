@@ -227,9 +227,10 @@ def test_recurrence_coefficients_cached_and_write_protected():
             arr[0] = 0.0
 
 
-def _plain_recurrence(x, b, a, ln_start, k):
+def _plain_recurrence(x, b, a, ln_start, k, rescaled=None):
     # the per-step loop the numpy kernel must reproduce bit for bit: one fresh
-    # array per step and the full rescaling mask after every step
+    # array per step and the full rescaling mask after every step; the steps
+    # that rescale some point are appended to `rescaled` when it is given
     off = np.full(x.shape[0], ln_start)
     if k == 0:
         return np.ones(x.shape[0]), np.zeros(x.shape[0]), off
@@ -240,6 +241,8 @@ def _plain_recurrence(x, b, a, ln_start, k):
         mag = np.maximum(np.abs(pc), np.abs(pm))
         bad = (mag > _kernels._HI) | ((mag > 0.0) & (mag < _kernels._LO))
         if bad.any():
+            if rescaled is not None:
+                rescaled.append(m)
             e = np.floor(np.log2(mag[bad])).astype(np.int64)
             sc = np.ldexp(1.0, -e)
             pc[bad] *= sc
@@ -259,7 +262,7 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
         b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
         for x in (edge, rng.uniform(-1.0, 1.0, size=300), np.cos(np.linspace(0.0, math.pi, 257)), edge[:1]):
             ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
-            got = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
+            got = _kernels.recurrence(x, b_arr, a_arr, ln_start, k)
             assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
     # random degrees and exponents up to 1e7, with points crowding both ends
     x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 40), 1.0 - np.geomspace(1e-16, 0.1, 12), np.geomspace(1e-16, 0.1, 12) - 1.0])
@@ -268,8 +271,60 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
         alpha, beta = np.exp(rng.uniform(math.log(1e-3), math.log(1e7), 2)) - 0.5
         b_arr, a_arr, ln_start = _recurrence_coeffs(k, float(alpha), float(beta))
         ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
-        got = _kernels._recurrence_numpy(x, b_arr, a_arr, ln_start, k)
+        got = _kernels.recurrence(x, b_arr, a_arr, ln_start, k)
         assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
+
+
+def test_stacked_kernel_rows_match_one_row_calls_bitwise():
+    # recurrence_rows stacks rows of any degree, length and family into one
+    # loop; every row must keep the bits of recurrence called on it alone
+    rng = np.random.default_rng(63)
+    edge = np.array([-1.0, 1.0, 0.0, 1e-17, -1e-17])
+
+    def exponent():
+        # -0.499 to 1e7, log-uniform in the distance from -1/2
+        return float(np.exp(rng.uniform(math.log(1e-3), math.log(1e7 + 0.5))) - 0.5)
+
+    def row(k, alpha, beta, x):
+        return (x, *_recurrence_coeffs(k, alpha, beta), k)
+
+    def points(n):
+        x = np.concatenate([edge[: int(rng.integers(0, 6))], rng.uniform(-1.0, 1.0, n)])
+        rng.shuffle(x)
+        return x
+
+    def check(rows):
+        got = _kernels.recurrence_rows(rows)
+        assert len(got) == len(rows)
+        for i, (r, parts) in enumerate(zip(rows, got)):
+            ref = _kernels.recurrence(*r)
+            assert [g.tobytes() for g in parts] == [f.tobytes() for f in ref], (i, r[4])
+
+    for _ in range(40):
+        rows = []
+        for _ in range(int(rng.integers(1, 6))):
+            k = int(rng.choice([0, 1, 2, int(rng.integers(3, 501))]))
+            alpha = exponent()
+            beta = alpha if rng.random() < 0.4 else exponent()
+            rows.append(row(k, alpha, beta, points(int(rng.integers(0, 80)))))
+        check(rows)
+    # a family whose last step rescales some point: the degree below it must
+    # come from its own run, not from the prev of the longer one
+    x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 30)])
+    for k, alpha, beta in ((500, 1e7, 1e7), (400, 2.5, 1e6), (300, 1e5, -0.499)):
+        b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
+        steps = []
+        _plain_recurrence(x, b_arr, a_arr, ln_start, k, steps)
+        assert steps, (k, alpha, beta)
+        m = steps[len(steps) // 2]
+        family = [row(m + 1, alpha, beta, x), row(m, alpha, beta, x), row(m - 1, alpha, beta, x[:7])]
+        # a row longer than _kernels._STACK_POINTS runs alone
+        long = np.concatenate([x] * 20)
+        assert long.size > _kernels._STACK_POINTS
+        others = [row(k, alpha, beta, x[::2]), row(1, alpha, beta, x[:3]), row(0, alpha, beta, x), row(k, alpha, beta, long)]
+        check(family + others)
+        ref = _plain_recurrence(x, b_arr, a_arr, ln_start, m + 1)
+        assert [g.tobytes() for g in _kernels.recurrence_rows(family)[0]] == [f.tobytes() for f in ref]
 
 
 def _batch_invariance_cases():

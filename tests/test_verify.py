@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import jacobimax._kernels as _kernels
+import jacobimax.extrema as extrema
 import jacobimax.verify as verify
 from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
-from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, weighted_M
+from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, weighted_M
 from jacobimax.scaled import ScaledReal
 from jacobimax.verify import (
     CHECKED,
@@ -141,23 +142,44 @@ def test_gamma_ratio_row_is_the_smallest_gap_on_its_grid():
 
 
 def test_sampling_rows_make_one_kernel_call_per_polynomial(monkeypatch):
-    # budget per row: y, y' and y'' for ode_residual; values and derivatives
-    # for deriv_fd; values for pointwise
+    # every polynomial a triple's three sampling rows need (y, y' and y'') is
+    # a row of one stacked kernel call, shared through the per-triple memo;
+    # ode_residuals and one Newton step of the extrema scan make one call too
     calls = []
-    recurrence = _kernels.recurrence
+    for name in ("recurrence", "recurrence_rows"):
+        def counting(*args, _real=getattr(_kernels, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
 
-    def counting(x, b, a, ln_start, k):
-        calls.append(len(x))
-        return recurrence(x, b, a, ln_start, k)
-
-    monkeypatch.setattr(_kernels, "recurrence", counting)
-    budget = {"ode_residual": 3, "deriv_fd": 2, "pointwise": 1}
+        monkeypatch.setattr(_kernels, name, counting)
     for p in (Params(1, 0.7, 0.7), Params(2, 1.0, 1.0), Params(60, 40.0, 40.0), Params(300, 1e5, 1e5)):
-        for cid, most in budget.items():
-            calls.clear()
+        verify._sampling_parts.cache_clear()
+        calls.clear()
+        for cid in ("ode_residual", "deriv_fd", "pointwise"):
             r = run_check(cid, p)
             assert r.status == CHECKED, (cid, p)
-            assert 1 <= len(calls) <= most, (cid, p, calls)
+        assert calls == ["recurrence_rows"], (p, calls)
+        calls.clear()
+        ode_residuals(p, np.linspace(-0.9, 0.9, 7))
+        assert len(calls) == 1, (p, calls)
+
+    located = []
+    locate = extrema._locate
+
+    def counting_locate(*args):
+        calls.clear()
+        out = locate(*args)
+        located.append(list(calls))
+        return out
+
+    monkeypatch.setattr(extrema, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(extrema, "_locate", counting_locate)
+    extrema._cached_scan.cache_clear()
+    try:
+        extrema.scan_extrema(Params(40, 3.0, 3.0), Window.full())
+    finally:
+        extrema._cached_scan.cache_clear()
+    assert located == [["recurrence_rows"]]
 
 
 def test_sampling_rows_construct_no_scaled_real(monkeypatch):
