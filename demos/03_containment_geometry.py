@@ -22,12 +22,12 @@ def main():
         rep = structure_checks(recs, g)
         print(f"\nk={k}, alpha={a}, beta={b}")
         if g.delta is not None:
-            print(f"  radius delta     = {g.delta:.12f}  maxima inside: {rep.delta_containment}"
-                  f"  (margin {rep.delta_margin:.3e})")
+            print(f"  radius delta     = {g.delta:.12f}  maxima inside: {rep.delta_containment.holds}"
+                  f"  (margin {rep.delta_containment.margin:.3e})")
         print(f"  band (eta-, eta+) = ({g.eta_minus:.12f}, {g.eta_plus:.12f})"
-              f"  extrema inside: {rep.eta_containment}  (margin {rep.eta_margin:.3e})")
+              f"  extrema inside: {rep.eta_containment.holds}  (margin {rep.eta_containment.margin:.3e})")
         if g.x0 is not None:
-            print(f"  center x0        = {g.x0:.12f}  heights fall then rise: {rep.unimodal_about_x0}"
+            print(f"  center x0        = {g.x0:.12f}  heights fall then rise: {rep.unimodal_about_x0.holds}"
                   f"  split {rep.x0_split}")
 
 

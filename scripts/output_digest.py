@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py [--dump DIR]
 
-Prints four lines, each a digest and what it covers:
+Prints five lines, each a digest and what it covers:
 
 - extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
   every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
@@ -16,7 +16,12 @@ Prints four lines, each a digest and what it covers:
   id on every triple of the scalar-checks pool in
   perfbench/reference/scalar-checks.json (read only for its inputs), in pool
   order with the check ids in registry order, every cache cleared before each
-  triple.  The pool reaches k = 100 and alpha = 1e4, beyond the sweeps' k 13.
+  triple.  The pool reaches k = 100 and alpha = 1e4, beyond the sweeps' k 13;
+- verify-pool: render_csv(sweep(cfg), timestamp="T") for checks "all" over
+  every block of the verify-sweep pool in perfbench/reference/verify-sweep.json
+  (read only for its inputs: one k, its alphas, and beta = alpha or a beta
+  grid), in pool order, every cache cleared before each block.  The blocks
+  reach k = 60 with exponents 0.05-1e3 and unequal pairs.
 
 Run it from a checkout; the package is imported from its src/ directory.
 With --dump DIR the raw outputs are also written to DIR/<name>.txt, so two
@@ -39,6 +44,8 @@ from jacobimax import cli, verify  # noqa: E402
 
 POOL = ROOT / "perfbench" / "reference" / "extrema-cli.json"
 SCALAR_POOL = ROOT / "perfbench" / "reference" / "scalar-checks.json"
+VERIFY_POOL = ROOT / "perfbench" / "reference" / "verify-sweep.json"
+K_SPEC = {"min": 0, "max": 13}
 ALPHAS = [-0.5, -0.3, 0.0, 0.3, jacobimax.ALPHA_FLOOR, 0.5, 0.6, 1.0, 2.5, 30.0]
 BETAS = [-0.5, 0.3, 0.5, 0.6, 1.0, 2.5]
 
@@ -65,12 +72,25 @@ def extrema_outputs() -> str:
     return "".join(chunks)
 
 
-def sweep_csv(beta_mode) -> str:
+def sweep_csv(k_spec, alphas, beta_mode) -> str:
     cfg = verify.SweepConfig.from_dict(
-        {"checks": ["all"], "k_spec": {"min": 0, "max": 13}, "alpha_spec": ALPHAS, "beta_mode": beta_mode}
+        {"checks": ["all"], "k_spec": k_spec, "alpha_spec": alphas, "beta_mode": beta_mode}
     )
     _clear_caches()
     return verify.render_csv(verify.sweep(cfg), timestamp="T")
+
+
+def verify_pool_csv() -> str:
+    rounds = json.loads(VERIFY_POOL.read_text(encoding="utf-8"))["pool"]
+    return "".join(
+        sweep_csv(
+            {"min": item["k"], "max": item["k"]},
+            item["alphas"],
+            "equal_alpha" if item["betas"] is None else {"grid": item["betas"]},
+        )
+        for stratum in rounds
+        for item in stratum
+    )
 
 
 def scalar_rows() -> str:
@@ -89,9 +109,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     outputs = {
         "extrema": extrema_outputs,
-        "sweep-beta-grid": lambda: sweep_csv({"grid": BETAS}),
-        "sweep-equal-alpha": lambda: sweep_csv("equal_alpha"),
+        "sweep-beta-grid": lambda: sweep_csv(K_SPEC, ALPHAS, {"grid": BETAS}),
+        "sweep-equal-alpha": lambda: sweep_csv(K_SPEC, ALPHAS, "equal_alpha"),
         "scalar-rows": scalar_rows,
+        "verify-pool": verify_pool_csv,
     }
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)

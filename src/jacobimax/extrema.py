@@ -25,7 +25,7 @@ shifted-family route.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .jacobi import (
 )
 
 __all__ = [
+    "Comparison",
     "ExtremumRecord",
     "GridTooCoarseError",
     "StructureReport",
@@ -54,6 +55,10 @@ _LN_FLOAT_MAX = math.log(np.finfo(float).max)
 # smallest trust radius about a located root; the computed sign functions
 # switch within a few ulps of it
 _TRUST_FLOOR = 1e-12
+# scan grid nodes per degree: max(64, _NODES_PER_DEGREE * (k + 2)) interior nodes
+_NODES_PER_DEGREE = 12
+# width within which the refinement's bisection stops
+_REFINE_TOL = 1e-13
 # grid points per recurrence call
 _CHUNK = 8192
 # most Newton steps taken from the Hermite guess of a root
@@ -355,16 +360,14 @@ def _merge(known, xs, signs):
 
 
 @lru_cache(maxsize=1024)
-def _cached_scan(
-    k: int, alpha: float, beta: float, d_m: float, d_M: float, nodes_per_degree: int, refine_tol: float
-) -> tuple[ExtremumRecord, ...]:
+def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> tuple[ExtremumRecord, ...]:
     p = Params(k, alpha, beta)
     w = Window(d_m, d_M)
     if k == 0 and w.is_full and alpha == beta == -0.5:
         # M = P_0^2 = 1/pi is constant: q vanishes identically, and its
         # computed signs are rounding noise
         return ()
-    n = max(64, nodes_per_degree * (p.k + 2))
+    n = max(64, _NODES_PER_DEGREE * (p.k + 2))
     xs = _scan_points(p, w, n)
     xs4 = _scan_points(p, w, 4 * n)
     # both grids together, one recurrence call per _CHUNK points
@@ -383,7 +386,7 @@ def _cached_scan(
         with np.errstate(all="ignore"):
             (yr, yeps), (qr, qeps) = _locate(p, w, xs4, tuple(a[m:] for a in parts), yl, ql)
         y_ref, q_ref = _refine(
-            p, w, [(xs4[yl], xs4[yl + 1], sy4[yl], yr, yeps), (xs4[ql], xs4[ql + 1], sq4[ql], qr, qeps)], refine_tol
+            p, w, [(xs4[yl], xs4[yl + 1], sy4[yl], yr, yeps), (xs4[ql], xs4[ql + 1], sq4[ql], qr, qeps)], _REFINE_TOL
         )
         y_roots = np.concatenate([ye, y_ref])
         q_roots = np.concatenate([qe, q_ref])
@@ -422,15 +425,14 @@ def _cached_scan(
     return tuple(records)
 
 
-def scan_extrema(
-    p: Params, w: Window, nodes_per_degree: int = 12, refine_tol: float = 1e-13
-) -> list[ExtremumRecord]:
+def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     """All interior critical points of M on the window, sorted by x.
 
-    Samples sign patterns on a theta-uniform grid of max(64, nodes_per_degree
-    * (k+2)) interior nodes (plus a denser pass over the oscillation band when
-    the weight pushes all activity toward the center), verifies the root count
-    against a 4x-density pass, and refines each 4x-grid bracket to refine_tol.
+    Samples sign patterns on a theta-uniform grid of max(64, 12 (k+2))
+    interior nodes (plus a denser pass over the oscillation band when the
+    weight pushes all activity toward the center), verifies the root count
+    against a 4x-density pass, and refines each 4x-grid bracket to a width of
+    1e-13.
     The refined roots are exactly those that bisecting the computed sign
     functions from the 4x-grid brackets gives: each root is first located by
     a Hermite fit to the grid values and a Newton step, and the bisection's
@@ -440,12 +442,10 @@ def scan_extrema(
     recurrence's last pair and re-evaluates by the shifted family each node
     whose q lies within the pair's cancellation bound of 0.  With k = 0 and
     alpha = beta = -1/2 on the full window M is the constant 1/pi, and the
-    list is empty.  Results are memoized per (k, alpha, beta, window,
-    nodes_per_degree, refine_tol); each call returns a fresh list.
+    list is empty.  Results are memoized per (k, alpha, beta, window); each
+    call returns a fresh list.
     """
-    if nodes_per_degree < 4:
-        raise ValueError("nodes_per_degree must be at least 4")
-    return list(_cached_scan(p.k, p.alpha, p.beta, w.d_m, w.d_M, nodes_per_degree, refine_tol))
+    return list(_cached_scan(p.k, p.alpha, p.beta, w.d_m, w.d_M))
 
 
 def _endpoint_record(p: Params, w: Window, side: str) -> ExtremumRecord:
@@ -462,10 +462,8 @@ def _endpoint_record(p: Params, w: Window, side: str) -> ExtremumRecord:
     return ExtremumRecord(index=-1, x=x, M=val.value, ln_M=val.ln_value, kind="max")
 
 
-def global_max(
-    p: Params, w: Window, nodes_per_degree: int = 12, refine_tol: float = 1e-13
-) -> ExtremumRecord:
-    """The record with the largest M among interior maxima and endpoint limits.
+def global_max(p: Params, w: Window) -> ExtremumRecord:
+    """The record with the largest M among scan_extrema's maxima and the endpoint limits.
 
     An exact tie in ln M goes to the smaller |x|, then to the larger x.
     Computed ties are almost never exact: when alpha = beta on a symmetric
@@ -474,77 +472,84 @@ def global_max(
     index -1 and their one-sided limit value (0, finite, or inf per the
     weight exponents).
     """
-    records = scan_extrema(p, w, nodes_per_degree, refine_tol)
+    records = scan_extrema(p, w)
     cands = [r for r in records if r.kind == "max"]
     cands.append(_endpoint_record(p, w, "left"))
     cands.append(_endpoint_record(p, w, "right"))
     return max(cands, key=lambda r: (r.ln_M, -abs(r.x), r.x))
 
 
+class Comparison(NamedTuple):
+    """The claim lhs < rhs; it holds when the margin rhs - lhs is positive."""
+
+    lhs: float
+    rhs: float
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def holds(self) -> bool:
+        return self.margin > 0.0
+
+
 @dataclass(frozen=True)
 class StructureReport:
-    """Raw structural verdicts; entries are None when geometry lacks the input.
+    """Structural verdicts, each a Comparison; None when its landmark or its records are absent.
 
     Verdicts are plain comparisons on the records given; deciding whether a
     claim's hypotheses hold for the parameters is the caller's job.
     """
 
-    unimodal_about_x0: Optional[bool]
     x0_split: Optional[tuple[int, int]]
-    eta_containment: Optional[bool]
-    eta_margin: Optional[float]
-    delta_containment: Optional[bool]
-    delta_margin: Optional[float]
-    nonneg_maxima_decreasing: bool
-    min_consecutive_drop: Optional[float]
+    # (0, smallest fall of the maxima heights before x0 or rise after it, in M)
+    unimodal_about_x0: Optional[Comparison]
+    # (|x|, |eta|) of the extremum nearer its edge of (eta_minus, eta_plus)
+    eta_containment: Optional[Comparison]
+    # (largest |x| of a maximum, delta)
+    delta_containment: Optional[Comparison]
+    # (0, smallest drop in M between consecutive maxima at x >= 0)
+    nonneg_maxima_decreasing: Comparison
 
 
 def structure_checks(records: list[ExtremumRecord], geom: Geometry) -> StructureReport:
     """Compare extremum records against the closed-form landmarks in geom.
 
-    Checks, each skipped (None) when its landmark is absent: maxima heights
-    fall strictly before x0 and rise strictly after it; all extrema lie in
-    (eta_minus, eta_plus); all maxima satisfy |x| < delta.  The decreasing
-    check on nonnegative-x maxima is always computed.
+    The one place the four structural claims are computed; verify's
+    structural rows report these (lhs, rhs) pairs as they are, so heights are
+    compared as M, not ln M.  A containment claim is None without its
+    landmark or its records, unimodality without x0; an ordering with
+    nothing to compare has rhs = inf.
     """
     maxima = [r for r in records if r.kind == "max"]
 
-    unimodal = None
-    split = None
-    if geom.x0 is not None and maxima:
+    unimodal = split = None
+    if geom.x0 is not None:
         left = [r for r in maxima if r.x < geom.x0]
         right = [r for r in maxima if r.x > geom.x0]
-        ok = all(a.ln_M > b.ln_M for a, b in zip(left, left[1:]))
-        ok = ok and all(a.ln_M < b.ln_M for a, b in zip(right, right[1:]))
-        unimodal = ok
+        slacks = [a.M - b.M for a, b in zip(left, left[1:])] + [b.M - a.M for a, b in zip(right, right[1:])]
+        unimodal = Comparison(0.0, min(slacks) if slacks else math.inf)
         split = (len(left), len(right))
 
-    eta_ok = None
-    eta_margin = None
+    eta = None
     if geom.eta_minus is not None and geom.eta_plus is not None and records:
         lo = min(r.x for r in records)
         hi = max(r.x for r in records)
-        eta_margin = min(geom.eta_plus - hi, lo - geom.eta_minus)
-        eta_ok = eta_margin > 0.0
+        near_plus = geom.eta_plus - hi <= lo - geom.eta_minus
+        eta = Comparison(hi, geom.eta_plus) if near_plus else Comparison(-lo, -geom.eta_minus)
 
-    delta_ok = None
-    delta_margin = None
+    delta = None
     if geom.delta is not None and maxima:
-        delta_margin = geom.delta - max(abs(r.x) for r in maxima)
-        delta_ok = delta_margin > 0.0
+        delta = Comparison(max(abs(r.x) for r in maxima), geom.delta)
 
     nonneg = [r for r in maxima if r.x > -1e-12]
-    drops = [a.ln_M - b.ln_M for a, b in zip(nonneg, nonneg[1:])]
-    decreasing = all(d > 0.0 for d in drops)
-    min_drop = min(drops) if drops else None
+    drops = [a.M - b.M for a, b in zip(nonneg, nonneg[1:])]
 
     return StructureReport(
-        unimodal_about_x0=unimodal,
         x0_split=split,
-        eta_containment=eta_ok,
-        eta_margin=eta_margin,
-        delta_containment=delta_ok,
-        delta_margin=delta_margin,
-        nonneg_maxima_decreasing=decreasing,
-        min_consecutive_drop=min_drop,
+        unimodal_about_x0=unimodal,
+        eta_containment=eta,
+        delta_containment=delta,
+        nonneg_maxima_decreasing=Comparison(0.0, min(drops) if drops else math.inf),
     )

@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds as _bounds
 from ._version import __version__
 from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
-from .extrema import global_max, scan_extrema
+from .extrema import global_max, scan_extrema, structure_checks
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
 from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
 
@@ -76,10 +76,9 @@ class VerificationResult:
 @dataclass(frozen=True)
 class Tolerances:
     identity_rel: float = 1e-9
-    extremum_abs: float = 1e-13
 
     def __post_init__(self) -> None:
-        if not (self.identity_rel > 0.0 and self.extremum_abs > 0.0):
+        if not self.identity_rel > 0.0:
             raise ConfigError("tolerances must be positive")
 
 
@@ -104,7 +103,7 @@ _HYP_THM4_EVEN = _hyp(
 def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
     def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
         w = Window.full() if window == "full" else delta_window(p)
-        gm = global_max(p, w, refine_tol=tol.extremum_abs)
+        gm = global_max(p, w)
         return gm.M, _bounds.rhs_bound(bid, p)
 
     return runner
@@ -119,44 +118,20 @@ def _run_thm4_even_value(p: Params, tol: Tolerances) -> tuple[float, float]:
 
 
 def _run_thm4_peak(p: Params, tol: Tolerances) -> tuple[float, float]:
-    gm = global_max(p, delta_window(p), refine_tol=tol.extremum_abs)
+    gm = global_max(p, delta_window(p))
     return abs(gm.x), 1e-9
 
 
-def _run_thm4_containment(p: Params, tol: Tolerances) -> tuple[float, float]:
-    recs = scan_extrema(p, Window.full(), refine_tol=tol.extremum_abs)
-    hull = max(abs(r.x) for r in recs if r.kind == "max")
-    return hull, delta_window(p).d_M
+def _structure_runner(window: str, claim: str):
+    # one scan, and the (lhs, rhs) pair structure_checks computes for the claim
+    def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
+        w = Window.full() if window == "full" else delta_window(p)
+        comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
+        if comparison is None:
+            raise ValueError(f"{claim} undefined: its landmark or its records are absent")
+        return comparison
 
-
-def _run_thm3_containment(p: Params, tol: Tolerances) -> tuple[float, float]:
-    recs = scan_extrema(p, Window.full(), refine_tol=tol.extremum_abs)
-    geom = geometry(p)
-    if geom.eta_minus is None or geom.eta_plus is None:
-        raise ValueError("containment band undefined for these parameters")
-    lo = min(r.x for r in recs)
-    hi = max(r.x for r in recs)
-    if geom.eta_plus - hi <= lo - geom.eta_minus:
-        return hi, geom.eta_plus
-    return -lo, -geom.eta_minus
-
-
-def _run_thm5_unimodal(p: Params, tol: Tolerances) -> tuple[float, float]:
-    recs = scan_extrema(p, Window.full(), refine_tol=tol.extremum_abs)
-    geom = geometry(p)
-    maxima = [r for r in recs if r.kind == "max"]
-    left = [r for r in maxima if r.x < geom.x0]
-    right = [r for r in maxima if r.x > geom.x0]
-    slacks = [a.M - b.M for a, b in zip(left, left[1:])]
-    slacks += [b.M - a.M for a, b in zip(right, right[1:])]
-    return 0.0, min(slacks) if slacks else math.inf
-
-
-def _run_lmonult(p: Params, tol: Tolerances) -> tuple[float, float]:
-    recs = scan_extrema(p, delta_window(p), refine_tol=tol.extremum_abs)
-    nonneg = [r for r in recs if r.kind == "max" and r.x > -1e-12]
-    drops = [a.M - b.M for a, b in zip(nonneg, nonneg[1:])]
-    return 0.0, min(drops) if drops else math.inf
+    return runner
 
 
 @lru_cache(maxsize=1024)
@@ -259,8 +234,19 @@ def _deriv_fd_points(p: Params) -> tuple[float, np.ndarray]:
     omega = s * x_t + env_slope + 4.0
     noise = 1.5 * (32.0 + p.k + 0.5 * max(p.alpha + p.beta + 1.0, 0.0) * band * band) * 2.2e-16
     h = min(1e-3, max((30.0 * noise / omega**5) ** 0.2, 1e-8))
-    rng = np.random.default_rng(72026)
-    return h, rng.uniform(-band, band, size=50)
+    return h, -band + 2.0 * band * _fd_uniforms()
+
+
+@lru_cache(maxsize=1)
+def _fd_uniforms() -> np.ndarray:
+    """deriv_fd's 50 uniforms: -band + 2 band u is default_rng(72026).uniform(-band, band, 50).
+
+    Drawn on first use, not at import: numpy.random adds about 6 MB of peak
+    RSS to a process that runs no deriv_fd row.
+    """
+    u = np.random.default_rng(72026).random(50)
+    u.setflags(write=False)
+    return u
 
 
 def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
@@ -367,22 +353,22 @@ _REGISTRY: dict[str, _CheckDef] = {
     ),
     "thm4_containment": _CheckDef(
         _HYP_ULTRA_ABOVE_HALF,
-        _run_thm4_containment,
+        _structure_runner("full", "delta_containment"),
         "all full-window maxima inside (-delta, delta)",
     ),
     "thm3_containment": _CheckDef(
         _hyp_bound(_bounds.BoundId.KRASIKOV_EQ3),
-        _run_thm3_containment,
+        _structure_runner("full", "eta_containment"),
         "all extrema inside the (eta_minus, eta_plus) band",
     ),
     "thm5_unimodal": _CheckDef(
         _hyp(lambda p: p.alpha >= p.beta > 0.5 and p.k >= 2, "needs alpha >= beta > 1/2 and k >= 2"),
-        _run_thm5_unimodal,
+        _structure_runner("full", "unimodal_about_x0"),
         "maxima heights fall before x0 and rise after it",
     ),
     "lmonult_decreasing": _CheckDef(
         _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 2, "needs alpha = beta > 1/2 and k >= 2"),
-        _run_lmonult,
+        _structure_runner("delta", "nonneg_maxima_decreasing"),
         "delta-window maxima decrease with |x|",
     ),
     "odd_230": _CheckDef(
@@ -584,7 +570,7 @@ class SweepConfig:
             "k_spec": dict(self.k_spec),
             "alpha_spec": self.alpha_spec if not isinstance(self.alpha_spec, list) else list(self.alpha_spec),
             "beta_mode": self.beta_mode if not isinstance(self.beta_mode, dict) else dict(self.beta_mode),
-            "tolerances": {"identity_rel": self.tolerances.identity_rel, "extremum_abs": self.tolerances.extremum_abs},
+            "tolerances": {"identity_rel": self.tolerances.identity_rel},
             "output": dict(self.output) if self.output else None,
         }
 

@@ -66,11 +66,25 @@ def test_kinds_alternate_starting_and_ending_with_max():
     assert [r.index for r in recs] == list(range(len(recs)))
 
 
-def test_refinement_grid_independence():
+@pytest.fixture
+def scan_density(monkeypatch):
+    """Sets the scan grid's nodes per degree, clearing the scan memo then and after the test."""
+
+    def set_density(nodes_per_degree):
+        monkeypatch.setattr(extrema, "_NODES_PER_DEGREE", nodes_per_degree)
+        extrema._cached_scan.cache_clear()
+
+    yield set_density
+    extrema._cached_scan.cache_clear()
+
+
+def test_refinement_grid_independence(scan_density):
     p = Params(21, 1.7, 0.9)
     w = Window.full()
-    coarse = scan_extrema(p, w, nodes_per_degree=12)
-    fine = scan_extrema(p, w, nodes_per_degree=24)
+    scan_density(12)
+    coarse = scan_extrema(p, w)
+    scan_density(24)
+    fine = scan_extrema(p, w)
     assert len(coarse) == len(fine)
     for a, b in zip(coarse, fine):
         assert abs(a.x - b.x) < 1e-10
@@ -93,20 +107,16 @@ def test_maxima_lie_on_envelope():
                 np.testing.assert_allclose(sonin_S(p, r.x, w), r.M, rtol=1e-8)
 
 
-def test_extreme_parameters_scan_cleanly():
-    recs = scan_extrema(Params(400, 1e6, 1e6), Window.full(), nodes_per_degree=4)
+def test_extreme_parameters_scan_cleanly(scan_density):
+    scan_density(4)
+    recs = scan_extrema(Params(400, 1e6, 1e6), Window.full())
     assert len(recs) == 2 * 400 + 1
     assert all(math.isfinite(r.ln_M) for r in recs if r.kind == "max")
 
 
 def test_unresolvable_grid_raises():
     with pytest.raises(GridTooCoarseError):
-        scan_extrema(Params(150, 3e4, 3e4), Window(0.001, 0.99), nodes_per_degree=4)
-
-
-def test_nodes_per_degree_floor():
-    with pytest.raises(ValueError):
-        scan_extrema(Params(5, 1.0, 1.0), Window.full(), nodes_per_degree=3)
+        scan_extrema(Params(4, 2.08874, 10306.6), Window.full())
 
 
 def test_endpoint_record_exponent_cases():
@@ -154,13 +164,18 @@ def test_structure_checks_valley_about_center():
         _rec(6, 0.8, 0.95, "max"),
     ]
     rep = structure_checks(recs, _geom(eta_minus=-0.85, eta_plus=0.9, delta=0.85, x0=0.0))
-    assert rep.unimodal_about_x0 is True
+    # heights fall by 0.9 - 0.7 before x0 and rise by 0.95 - 0.75 after it
+    assert rep.unimodal_about_x0 == (0.0, min(0.9 - 0.7, 0.95 - 0.75))
+    assert rep.unimodal_about_x0.holds is True
     assert rep.x0_split == (2, 2)
-    assert rep.eta_containment is True
-    np.testing.assert_allclose(rep.eta_margin, 0.05, rtol=1e-12)
-    assert rep.delta_containment is True
-    np.testing.assert_allclose(rep.delta_margin, 0.05, rtol=1e-12)
-    assert rep.nonneg_maxima_decreasing is False
+    # x = -0.8 is the nearer to its band edge, so |x| is compared with |eta_minus|
+    assert rep.eta_containment == (0.8, 0.85)
+    assert rep.eta_containment.holds is True
+    np.testing.assert_allclose(rep.eta_containment.margin, 0.05, rtol=1e-12)
+    assert rep.delta_containment == (0.8, 0.85)
+    assert rep.delta_containment.holds is True
+    assert rep.nonneg_maxima_decreasing == (0.0, 0.75 - 0.95)
+    assert rep.nonneg_maxima_decreasing.holds is False
 
 
 def test_structure_checks_detects_broken_ordering():
@@ -169,7 +184,8 @@ def test_structure_checks_detects_broken_ordering():
         _rec(2, 0.3, 0.7, "max"), _rec(3, 0.8, 0.9, "max"),
     ]
     rep = structure_checks(recs, _geom(x0=0.0))
-    assert rep.unimodal_about_x0 is False
+    assert rep.unimodal_about_x0 == (0.0, 0.5 - 0.9)
+    assert rep.unimodal_about_x0.holds is False
 
 
 def test_structure_checks_skips_missing_landmarks():
@@ -179,23 +195,29 @@ def test_structure_checks_skips_missing_landmarks():
     assert rep.x0_split is None
     assert rep.eta_containment is None
     assert rep.delta_containment is None
-    assert rep.nonneg_maxima_decreasing is True
-    np.testing.assert_allclose(rep.min_consecutive_drop, math.log(0.9) - math.log(0.8), rtol=1e-12)
+    assert rep.nonneg_maxima_decreasing == (0.0, 0.9 - 0.8)
+    assert rep.nonneg_maxima_decreasing.holds is True
+    # no records: the containment claims are skipped, the orderings have nothing to compare
+    rep = structure_checks([], _geom(eta_minus=-0.9, eta_plus=0.9, delta=0.9, x0=0.0))
+    assert rep.eta_containment is None and rep.delta_containment is None
+    assert rep.unimodal_about_x0 == (0.0, math.inf) and rep.x0_split == (0, 0)
+    assert rep.nonneg_maxima_decreasing == (0.0, math.inf)
 
 
 def test_structure_checks_flags_escaping_extremum():
     recs = [_rec(0, -0.95, 0.9, "max"), _rec(1, 0.5, 0.8, "max")]
     rep = structure_checks(recs, _geom(eta_minus=-0.9, eta_plus=0.99))
-    assert rep.eta_containment is False
-    assert rep.eta_margin < 0.0
+    assert rep.eta_containment == (0.95, 0.9)
+    assert rep.eta_containment.holds is False
+    assert rep.eta_containment.margin < 0.0
 
 
 def test_structure_checks_against_live_scan():
     p = Params(9, 1.2, 0.4)
     recs = scan_extrema(p, Window.full())
     rep = structure_checks(recs, geometry(p))
-    assert rep.eta_containment is True
-    assert rep.eta_margin > 0.0
+    assert rep.eta_containment.holds is True
+    assert rep.eta_containment.margin > 0.0
 
 
 def _bisect_reference(signfn, lo, hi, s_lo, tol):

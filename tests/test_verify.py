@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import jacobimax._kernels as _kernels
 import jacobimax.extrema as extrema
 import jacobimax.verify as verify
 from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
+from jacobimax.envelope import delta_window, geometry, turning_point
+from jacobimax.extrema import GridTooCoarseError, scan_extrema, structure_checks
 from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, weighted_M
 from jacobimax.scaled import ScaledReal
 from jacobimax.verify import (
@@ -204,6 +207,60 @@ def test_sampling_rows_construct_no_scaled_real(monkeypatch):
             assert not made, (cid, p, len(made))
 
 
+def test_deriv_fd_centres_match_generator_uniform_bitwise():
+    # the centres keep the bits of a fresh generator's draws for every band
+    for p in (Params(1, 0.7, 0.7), Params(9, -0.4, 3.0), Params(40, 30.0, 30.0), Params(300, 1e5, 1e5)):
+        band = 0.85 * turning_point(p)
+        expected = np.random.default_rng(72026).uniform(-band, band, 50)
+        assert verify._deriv_fd_points(p)[1].tobytes() == expected.tobytes(), p
+
+
+_STRUCTURAL_ROWS = {
+    "thm3_containment": ("full", "eta_containment"),
+    "thm4_containment": ("full", "delta_containment"),
+    "thm5_unimodal": ("full", "unimodal_about_x0"),
+    "lmonult_decreasing": ("delta", "nonneg_maxima_decreasing"),
+}
+
+
+def _structure_comparison(cid, p):
+    window, claim = _STRUCTURAL_ROWS[cid]
+    w = Window.full() if window == "full" else delta_window(p)
+    return getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
+
+
+def test_structural_rows_report_structure_checks_bitwise():
+    seen = Counter()
+    for k in (2, 6, 9, 14):
+        for alpha in (0.6, 2.5, 40.0, 700.0):
+            for beta in (0.55, 1.5, 30.0, alpha):
+                p = Params(k, alpha, beta)
+                for cid in _STRUCTURAL_ROWS:
+                    row = run_check(cid, p)
+                    seen[cid, row.status] += 1
+                    if row.status == SKIPPED:
+                        continue
+                    try:
+                        c = _structure_comparison(cid, p)
+                    except GridTooCoarseError:
+                        assert row.status == NUMERIC_FAILURE, (cid, p)
+                        continue
+                    assert row.status == CHECKED, (cid, p)
+                    assert (row.lhs, row.rhs, row.margin, row.passed) == (c.lhs, c.rhs, c.margin, c.holds), (cid, p)
+    for cid in _STRUCTURAL_ROWS:
+        assert seen[cid, CHECKED] >= 10, (cid, seen)
+
+
+def test_structural_rows_without_their_landmark_are_numeric_failures(monkeypatch):
+    # outside the hypotheses a landmark can be absent: beta < -1/2 leaves no
+    # eta band, and beta <= 1/2 no x0; the runner then raises ValueError
+    for cid, p in (("thm3_containment", Params(6, 1.0, -0.9)), ("thm5_unimodal", Params(6, 1.0, 0.3))):
+        assert _structure_comparison(cid, p) is None
+        defn = verify._REGISTRY[cid]
+        monkeypatch.setitem(verify._REGISTRY, cid, defn._replace(hypothesis=verify._HYP_NONE))
+        assert run_check(cid, p).status == NUMERIC_FAILURE
+
+
 def test_deriv_fd_far_outside_double_range():
     # with very unequal exponents the stencil band lies where |P_k| is about
     # e^-4800, far below the smallest double; the row compares log-scaled values
@@ -259,10 +316,7 @@ def test_identity_rows_of_a_triple_share_one_exact_table(monkeypatch):
 def test_tolerances_must_be_positive():
     with pytest.raises(ConfigError):
         Tolerances(identity_rel=0.0)
-    with pytest.raises(ConfigError):
-        Tolerances(extremum_abs=-1e-13)
-    t = Tolerances()
-    assert t.identity_rel == 1e-9 and t.extremum_abs == 1e-13
+    assert Tolerances().identity_rel == 1e-9
 
 
 def _base_config(**over):
@@ -310,6 +364,8 @@ def test_sweep_config_expansion_and_grid():
         {"output": {"format": "csv"}},
         {"output": {"path": "x.csv", "format": "yaml"}},
         {"bogus_field": 1},
+        # the scan's refinement width is a constant, not a tolerance
+        {"tolerances": {"extremum_abs": 1e-13}},
     ],
 )
 def test_sweep_config_rejects_bad_input(patch):
