@@ -7,7 +7,6 @@ errors.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -15,7 +14,7 @@ from . import verify as _verify
 from ._version import __version__
 from .envelope import delta_window, sonin_S
 from .extrema import GridTooCoarseError, global_max, scan_extrema
-from .jacobi import ALPHA_FLOOR, Params, Window, eval_orthonormal, weighted_M
+from .jacobi import ALPHA_FLOOR, Params, Window, _exp_saturating, eval_orthonormal, weighted_M
 
 __all__ = ["main", "entry"]
 
@@ -57,8 +56,7 @@ def _cmd_eval(args) -> int:
     w = _parse_window(args.window, p)
     val = eval_orthonormal(p, args.x)
     m = weighted_M(p, args.x, w)
-    print(f"P    = {val.to_float() if val.ln_mag < 700.0 else math.inf * val.sign:.17g}"
-          f"  (sign {val.sign:+d}, ln |P| = {val.ln_mag:.17g})")
+    print(f"P    = {val.sign * _exp_saturating(val.ln_mag):.17g}  (sign {val.sign:+d}, ln |P| = {val.ln_mag:.17g})")
     print(f"M    = {m.value:.17g}")
     print(f"ln M = {m.ln_value:.17g}")
     try:
@@ -122,33 +120,31 @@ def _load_config(path: str) -> dict:
         raise _verify.ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+def _run_sweep(cfg: _verify.SweepConfig, jobs: int, out, fmt: str) -> int:
+    report = _verify.sweep(cfg, jobs=jobs)
+    if out:
+        _verify.write_report(report, out, fmt)
+        print(f"wrote {len(report.rows)} rows to {out}")
+    _summarize(report, sys.stdout)
+    return report.exit_code()
+
+
 def _cmd_verify(args) -> int:
     if args.config:
         raw = _load_config(args.config)
     else:
         raw = dict(_DEFAULT_GRID)
     raw["checks"] = _verify.check_ids() if args.check == "all" else [args.check]
-    cfg = _verify.SweepConfig.from_dict(raw)
-    report = _verify.sweep(cfg, jobs=args.jobs)
-    if args.out:
-        _verify.write_report(report, args.out, args.format)
-        print(f"wrote {len(report.rows)} rows to {args.out}")
-    _summarize(report, sys.stdout)
-    return report.exit_code()
+    return _run_sweep(_verify.SweepConfig.from_dict(raw), args.jobs, args.out, args.format)
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    cfg = _verify.SweepConfig.from_dict(raw)
-    report = _verify.sweep(cfg, jobs=args.jobs)
-    out = args.out or (cfg.output or {}).get("path")
+    cfg = _verify.SweepConfig.from_dict(_load_config(args.config))
+    output = cfg.output or {}
+    out = args.out or output.get("path")
     if not out:
         raise _verify.ConfigError("sweep needs --out or an output path in the config")
-    fmt = args.format or (cfg.output or {}).get("format", "csv")
-    _verify.write_report(report, out, fmt)
-    print(f"wrote {len(report.rows)} rows to {out}")
-    _summarize(report, sys.stdout)
-    return report.exit_code()
+    return _run_sweep(cfg, args.jobs, out, args.format or output.get("format", "csv"))
 
 
 def _cmd_fit(args) -> int:

@@ -39,9 +39,13 @@ __all__ = [
     "sonin_point",
     "sonin_S",
     "identity_checks",
+    "IDENTITY_REL",
 ]
 
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+# relative error within which identity_checks counts a value as matching its closed form
+IDENTITY_REL = 1e-9
 
 
 class OutsideOscillationRegionError(ValueError):
@@ -392,7 +396,7 @@ class _Exact:
         return self.n / self._lift(1, (0, 0, 0), self.e)
 
 
-def identity_checks(k: int, alpha: float, tol: float = 1e-9) -> list[IdentityCheck]:
+def identity_checks(k: int, alpha: float) -> list[IdentityCheck]:
     """Exact verification of the windowed-envelope polynomial algebra.
 
     Every polynomial below is even in x, so evaluations happen at rational
@@ -448,7 +452,7 @@ def identity_checks(k: int, alpha: float, tol: float = 1e-9) -> list[IdentityChe
     def against(name: str, computed: _Exact, closed: _Exact, expect_match: bool = True) -> None:
         nc, nf, _ = computed.common(closed)
         rel = 0.0 if nc == nf else abs(nc - nf) / max(abs(nc), abs(nf))
-        ok = rel <= tol if expect_match else rel > tol
+        ok = rel <= IDENTITY_REL if expect_match else rel > IDENTITY_REL
         rows.append(IdentityCheck(name, float(computed), float(closed), rel, ok))
 
     def sign_row(name: str, value: _Exact, want_positive: bool) -> None:

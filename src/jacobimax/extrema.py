@@ -70,7 +70,11 @@ _PAIR_GUARD = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
-    """Raised when refining the scan grid changes the number of sign changes."""
+    """Raised when the scan cannot resolve the extrema.
+
+    Either refining the scan grid 4x changes the number of sign changes, or
+    two consecutive extrema found are of the same kind (not alternating).
+    """
 
 
 @dataclass(frozen=True)

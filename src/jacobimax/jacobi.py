@@ -192,13 +192,8 @@ def _deriv_ln_prefactor(p: Params) -> float:
 
 
 def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.ascontiguousarray(x, dtype=float).ravel()
-    if p.k == 0:
-        return np.zeros(xs.shape[0]), np.zeros(xs.shape[0])
-    inner = Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0)
-    val, off = eval_orthonormal_parts(inner, xs)
-    off = off + _deriv_ln_prefactor(p)
-    return val, off
+    """P_k' as (significand, ln offset) arrays: order 1 of eval_derivatives_parts."""
+    return eval_derivatives_parts(p, [np.empty(0), x])[1]
 
 
 def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -208,8 +203,7 @@ def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarr
     beta + j) and ln c_j the sum of _deriv_ln_prefactor down the chain p,
     (k-1, alpha+1, beta+1), ...  Returns one (significand, ln offset) pair
     per order; orders above k are (0, 0).  Order 0 has the bits of
-    eval_orthonormal_parts and order 1 those of eval_orthonormal_deriv_parts
-    at every point.
+    eval_orthonormal_parts at every point.
     """
     pts = [_points(x) for x in points]
     fams = [p] + [Params(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]

@@ -10,9 +10,10 @@ serial sweeps emit identical bytes.
 import csv
 import json
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from types import MappingProxyType
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from ._version import __version__
-from .envelope import OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
+from .envelope import IDENTITY_REL, OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
 from .extrema import global_max, scan_extrema, structure_checks
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
 from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
@@ -33,7 +34,6 @@ __all__ = [
     "NUMERIC_FAILURE",
     "ConfigError",
     "VerificationResult",
-    "Tolerances",
     "SweepConfig",
     "Report",
     "FitResult",
@@ -73,15 +73,6 @@ class VerificationResult:
     status: str
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    identity_rel: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not self.identity_rel > 0.0:
-            raise ConfigError("tolerances must be positive")
-
-
 def _hyp_bound(bid: _bounds.BoundId) -> Callable[[Params], Optional[str]]:
     return lambda p: _bounds._hypothesis_failure(bid, p)
 
@@ -101,7 +92,7 @@ _HYP_THM4_EVEN = _hyp(
 
 
 def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
-    def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
+    def runner(p: Params) -> tuple[float, float]:
         w = Window.full() if window == "full" else delta_window(p)
         gm = global_max(p, w)
         return gm.M, _bounds.rhs_bound(bid, p)
@@ -109,7 +100,7 @@ def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
     return runner
 
 
-def _run_thm4_even_value(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_thm4_even_value(p: Params) -> tuple[float, float]:
     # M(0) on the delta window via the closed form at the origin
     d = delta_window(p).d_M
     y0 = value_at_zero_even(p.k, p.alpha)
@@ -117,14 +108,14 @@ def _run_thm4_even_value(p: Params, tol: Tolerances) -> tuple[float, float]:
     return lhs, _bounds.rhs_bound(_bounds.BoundId.THM4, p)
 
 
-def _run_thm4_peak(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_thm4_peak(p: Params) -> tuple[float, float]:
     gm = global_max(p, delta_window(p))
     return abs(gm.x), 1e-9
 
 
 def _structure_runner(window: str, claim: str):
     # one scan, and the (lhs, rhs) pair structure_checks computes for the claim
-    def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
+    def runner(p: Params) -> tuple[float, float]:
         w = Window.full() if window == "full" else delta_window(p)
         comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
         if comparison is None:
@@ -135,24 +126,24 @@ def _structure_runner(window: str, claim: str):
 
 
 @lru_cache(maxsize=1024)
-def _identity_rows(k: int, alpha: float, rel: float) -> MappingProxyType:
+def _identity_rows(k: int, alpha: float) -> MappingProxyType:
     # the five identity checks of a triple read their rows from one exact table
-    return MappingProxyType({r.name: r for r in identity_checks(k, alpha, rel)})
+    return MappingProxyType({r.name: r for r in identity_checks(k, alpha)})
 
 
 def _identity_runner(row_names: tuple[str, ...]):
-    def runner(p: Params, tol: Tolerances) -> tuple[float, float]:
-        rows = _identity_rows(p.k, p.alpha, tol.identity_rel)
+    def runner(p: Params) -> tuple[float, float]:
+        rows = _identity_rows(p.k, p.alpha)
         worst = max(rows[name].rel_err for name in row_names)
-        return worst, tol.identity_rel
+        return worst, IDENTITY_REL
 
     return runner
 
 
-def _run_identity_a0(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_identity_a0(p: Params) -> tuple[float, float]:
     # the quadratic A0 has its positive zero at the maxima-hull radius; delta
     # beyond the hull means A0(delta) < 0 (the containment direction)
-    rows = _identity_rows(p.k, p.alpha, tol.identity_rel)
+    rows = _identity_rows(p.k, p.alpha)
     if not rows["a0_at_delta_scaled"].ok:
         raise ValueError("scaled A0 closed form failed")
     return rows["a0_at_delta_negative"].computed, 0.0
@@ -190,7 +181,7 @@ def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     return [(x, _exp_saturating(ln), num / d) for x, ln, d in zip(xs.tolist(), ln_m.tolist(), den.tolist())]
 
 
-def _run_pointwise(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_pointwise(p: Params) -> tuple[float, float]:
     """Smallest margin of the pointwise bound over the samples; the first of equal margins wins.
 
     P_k at the ~95 sample points comes from the triple's one stacked kernel call.
@@ -204,7 +195,7 @@ def _gamma_ratio_smallest_gap() -> float:
     return min(_bounds.gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)])
 
 
-def _run_gamma_ratio(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_gamma_ratio(p: Params) -> tuple[float, float]:
     # the gap ln rhs - ln lhs shrinks like 1/(16 x^2) while both logs grow
     # like x ln 2, so the row carries (0, smallest gap) rather than the two
     # logs themselves, whose difference would round away entirely; the grid
@@ -212,7 +203,7 @@ def _run_gamma_ratio(p: Params, tol: Tolerances) -> tuple[float, float]:
     return 0.0, _gamma_ratio_smallest_gap()
 
 
-def _run_ode_residual(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_ode_residual(p: Params) -> tuple[float, float]:
     """Largest ODE residual over 100 points, with y, y' and y'' from the triple's stacked kernel call."""
     parts = _sampling_parts(p.k, p.alpha, p.beta)["ode_residual"]
     return max([0.0, *_ode_residuals(p, _ODE_POINTS, *parts)]), 1e-8
@@ -249,7 +240,7 @@ def _fd_uniforms() -> np.ndarray:
     return u
 
 
-def _run_deriv_fd(p: Params, tol: Tolerances) -> tuple[float, float]:
+def _run_deriv_fd(p: Params) -> tuple[float, float]:
     """Largest gap between P_k' and a five-point difference quotient at 50 centres.
 
     P_k at the centres and their 200 stencil points, and P_k' at the centres,
@@ -303,7 +294,7 @@ def _sampling_parts(k: int, alpha: float, beta: float) -> MappingProxyType:
 
 class _CheckDef(NamedTuple):
     hypothesis: Callable[[Params], Optional[str]]
-    runner: Callable[[Params, Tolerances], tuple[float, float]]
+    runner: Callable[[Params], tuple[float, float]]
     description: str
 
 
@@ -338,7 +329,7 @@ _REGISTRY: dict[str, _CheckDef] = {
             lambda p: p.is_ultraspherical and p.alpha >= ALPHA_FLOOR and p.k >= 1,
             "needs alpha = beta >= (1+sqrt(2))/4 and k >= 1",
         ),
-        lambda p, tol: (_bounds.theorem1_ratio(p.k, p.alpha), _bounds.SHARP_RATIO * (1.0 + 1e-12)),
+        lambda p: (_bounds.theorem1_ratio(p.k, p.alpha), _bounds.SHARP_RATIO * (1.0 + 1e-12)),
         "cube-root bound reduction ratio stays below its proven ceiling",
     ),
     "thm4_even_value": _CheckDef(
@@ -435,23 +426,38 @@ def check_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_check(check_id: str, p: Params, tolerances: Optional[Tolerances] = None) -> VerificationResult:
+def run_check(check_id: str, p: Params) -> VerificationResult:
     """Evaluate one check at one parameter triple; never raises for valid inputs."""
     if check_id not in _REGISTRY:
         raise ConfigError(f"unknown check id: {check_id!r}")
     defn = _REGISTRY[check_id]
-    tol = tolerances or Tolerances()
     reason = defn.hypothesis(p)
     if reason is not None:
         return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, SKIPPED)
     try:
-        lhs, rhs = defn.runner(p, tol)
+        lhs, rhs = defn.runner(p)
     except _bounds.HypothesisError:
         return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, SKIPPED)
     except (ArithmeticError, ValueError, RuntimeError, OutsideOscillationRegionError):
         return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, NUMERIC_FAILURE)
     margin = rhs - lhs
     return VerificationResult(check_id, p.k, p.alpha, p.beta, float(lhs), float(rhs), float(margin), bool(margin > 0.0), CHECKED)
+
+
+def _is_int(v) -> bool:
+    # a JSON integer: bool is an int subclass, but true is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _exponents(name: str, values: list) -> list[float]:
+    """values as floats; each must be a JSON number (not a bool), finite and above -1."""
+    for v in values:
+        if not (_is_int(v) or isinstance(v, float)):
+            raise ConfigError(f"{name} values must be numbers, got {v!r}")
+        # compared before float(v), which raises OverflowError on a huge int
+        if not -1.0 < v <= sys.float_info.max:
+            raise ConfigError(f"{name} value {v} must be finite and > -1")
+    return [float(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -462,35 +468,27 @@ class SweepConfig:
     k_spec: dict
     alpha_spec: object
     beta_mode: object = "equal_alpha"
-    tolerances: Tolerances = field(default_factory=Tolerances)
     output: Optional[dict] = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(d) - {"checks", "k_spec", "alpha_spec", "beta_mode", "tolerances", "output"}
+        unknown = set(d) - {"checks", "k_spec", "alpha_spec", "beta_mode", "output"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         checks = d.get("checks", ["all"])
-        if not isinstance(checks, list) or not checks:
-            raise ConfigError("checks must be a nonempty list")
+        if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
+            raise ConfigError("checks must be a nonempty list of check ids")
         if "all" in checks:
             checks = check_ids()
         for cid in checks:
             if cid not in _REGISTRY:
                 raise ConfigError(f"unknown check id: {cid!r}")
-        tol_d = d.get("tolerances", {})
-        if not isinstance(tol_d, dict):
-            raise ConfigError("tolerances must be an object")
-        try:
-            tol = Tolerances(**tol_d)
-        except TypeError as exc:
-            raise ConfigError(f"bad tolerances: {exc}") from None
         output = d.get("output")
         if output is not None:
-            if not isinstance(output, dict) or "path" not in output:
-                raise ConfigError("output must be an object with a path")
+            if not isinstance(output, dict) or not isinstance(output.get("path"), str) or not output["path"]:
+                raise ConfigError("output must be an object with a nonempty path string")
             if output.get("format", "csv") not in ("csv", "json"):
                 raise ConfigError("output format must be csv or json")
         cfg = cls(
@@ -498,7 +496,6 @@ class SweepConfig:
             k_spec=d.get("k_spec", {}),
             alpha_spec=d.get("alpha_spec"),
             beta_mode=d.get("beta_mode", "equal_alpha"),
-            tolerances=tol,
             output=output,
         )
         cfg.parameter_grid()  # validate eagerly
@@ -511,7 +508,7 @@ class SweepConfig:
         lo, hi = spec["min"], spec["max"]
         step = spec.get("step", 1)
         parity = spec.get("parity", "any")
-        if not (isinstance(lo, int) and isinstance(hi, int) and isinstance(step, int)):
+        if not (_is_int(lo) and _is_int(hi) and _is_int(step)):
             raise ConfigError("k_spec fields must be integers")
         if lo < 0 or hi < lo or step < 1:
             raise ConfigError("k_spec needs 0 <= min <= max and step >= 1")
@@ -529,31 +526,23 @@ class SweepConfig:
     def _alpha_values(self) -> list[float]:
         spec = self.alpha_spec
         if isinstance(spec, list) and spec:
-            vals = [float(a) for a in spec]
-        elif isinstance(spec, dict) and {"lo", "hi", "count"} <= set(spec):
-            lo, hi, count = float(spec["lo"]), float(spec["hi"]), spec["count"]
-            if not (isinstance(count, int) and count >= 1):
+            return _exponents("alpha", spec)
+        if isinstance(spec, dict) and {"lo", "hi", "count"} <= set(spec):
+            lo, hi = _exponents("alpha", [spec["lo"], spec["hi"]])
+            count = spec["count"]
+            if not (_is_int(count) and count >= 1):
                 raise ConfigError("alpha_spec count must be a positive integer")
             if not 0.0 < lo <= hi:
                 raise ConfigError("alpha_spec log-range needs 0 < lo <= hi")
-            vals = [float(v) for v in np.geomspace(lo, hi, count)]
-        else:
-            raise ConfigError("alpha_spec must be a nonempty list or {lo, hi, count}")
-        for v in vals:
-            if not v > -1.0:
-                raise ConfigError(f"alpha value {v} must be > -1")
-        return vals
+            return [float(v) for v in np.geomspace(lo, hi, count)]
+        raise ConfigError("alpha_spec must be a nonempty list or {lo, hi, count}")
 
     def _beta_values(self, alpha: float) -> list[float]:
         mode = self.beta_mode
         if mode == "equal_alpha":
             return [alpha]
         if isinstance(mode, dict) and isinstance(mode.get("grid"), list) and mode["grid"]:
-            vals = [float(b) for b in mode["grid"]]
-            for v in vals:
-                if not v > -1.0:
-                    raise ConfigError(f"beta value {v} must be > -1")
-            return vals
+            return _exponents("beta", mode["grid"])
         raise ConfigError('beta_mode must be "equal_alpha" or {"grid": [...]}')
 
     def parameter_grid(self) -> list[Params]:
@@ -570,7 +559,6 @@ class SweepConfig:
             "k_spec": dict(self.k_spec),
             "alpha_spec": self.alpha_spec if not isinstance(self.alpha_spec, list) else list(self.alpha_spec),
             "beta_mode": self.beta_mode if not isinstance(self.beta_mode, dict) else dict(self.beta_mode),
-            "tolerances": {"identity_rel": self.tolerances.identity_rel},
             "output": dict(self.output) if self.output else None,
         }
 
@@ -615,9 +603,9 @@ def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     work = [(cid, p) for p in grid for cid in config.checks]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: run_check(t[0], t[1], config.tolerances), work))
+            results = list(pool.map(lambda t: run_check(*t), work))
     else:
-        results = [run_check(cid, p, config.tolerances) for cid, p in work]
+        results = [run_check(cid, p) for cid, p in work]
     rows = tuple(sorted(results, key=lambda r: (r.check_id, r.k, r.alpha, r.beta)))
     return Report(rows=rows, config_echo=config.to_dict(), counts=_count_rows(rows))
 

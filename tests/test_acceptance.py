@@ -169,7 +169,7 @@ def test_a07_exact_identities(record_criterion, warm):
     for _ in range(200):
         k = int(rng.integers(1, 101))
         alpha = float(rng.uniform(0.5 + 1e-9, 50.0))
-        rows = identity_checks(k, alpha, tol=1e-9)
+        rows = identity_checks(k, alpha)
         for r in rows:
             if not r.ok:
                 bad.append((k, alpha, r.name))

@@ -30,6 +30,17 @@ def test_eval_outside_oscillation_region_is_reported_not_fatal(capsys):
     assert re.search(r"^S\s+= n/a", out, re.M)
 
 
+def test_eval_prints_finite_P_up_to_the_float_limit(capsys):
+    # ln |P| = 701.4 lies below ln(float max) = 709.78, so P is finite
+    code, out, err = run(capsys, ["eval", "--k", "359", "--alpha", "3200", "--x", "1"])
+    assert code == 0
+    m = re.search(r"^P\s+= (\S+)\s+\(sign \+1, ln \|P\| = (\S+)\)", out, re.M)
+    assert m, out
+    p, ln_p = float(m.group(1)), float(m.group(2))
+    assert 700.0 < ln_p < 709.0
+    assert math.isfinite(p) and abs(p - math.exp(ln_p)) <= 1e-12 * math.exp(ln_p)
+
+
 def test_eval_extreme_parameters(capsys):
     code, out, err = run(capsys, ["eval", "--k", "50", "--alpha", "1e5", "--x", "0.001"])
     assert code == 0
@@ -141,16 +152,30 @@ def test_verify_malformed_config_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_sweep_requires_output_destination(capsys, tmp_path):
+def test_sweep_requires_output_destination(capsys, tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "checks": ["thm4_even_value"],
         "k_spec": {"min": 2, "max": 4, "step": 2},
         "alpha_spec": [1.0],
     }))
+    # the destination is checked before the grid runs
+    swept = []
+    monkeypatch.setattr(cli._verify, "sweep", lambda *a, **kw: swept.append(a))
     code, out, err = run(capsys, ["sweep", "--config", str(cfg_path)])
     assert code == 2
     assert err
+    assert swept == []
+
+
+def test_sweep_malformed_config_values_are_usage_errors(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cases = [{"alpha_spec": [None]}, {"checks": [["a"]], "alpha_spec": [1.0]}, {"alpha_spec": [1.0], "tolerances": {}}]
+    for bad in cases:
+        cfg_path.write_text(json.dumps({"k_spec": {"min": 2, "max": 2}, **bad}))
+        code, out, err = run(capsys, ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2, bad
+        assert err.startswith("error:") and "Traceback" not in err, bad
 
 
 def test_sweep_then_fit_pipeline(capsys, tmp_path):

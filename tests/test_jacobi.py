@@ -423,6 +423,14 @@ def test_value_and_deriv_pair_matches_mpmath_near_endpoints():
                     assert err <= _pair_tolerance(p, cond[i], 1e-11), (p, xi, err, cond[i])
 
 
+def test_derivative_parts_range_check_points_at_every_degree():
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            eval_orthonormal_deriv_parts(Params(k, 1.0, 1.0), [0.5, 2.0])
+    val, off = eval_orthonormal_deriv_parts(Params(0, 1.0, 1.0), [-1.0, 0.5, 1.0])
+    assert np.all(val == 0.0) and np.all(off == 0.0)
+
+
 def test_value_and_deriv_pair_needs_interior_points():
     for x in ([1.0], [-1.0], [0.0, math.nan]):
         with pytest.raises(ValueError):

@@ -7,11 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import jacobimax
 import jacobimax._kernels as _kernels
+import jacobimax.envelope as envelope
 import jacobimax.extrema as extrema
 import jacobimax.verify as verify
 from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
-from jacobimax.envelope import delta_window, geometry, turning_point
+from jacobimax.envelope import IDENTITY_REL, delta_window, geometry, turning_point
 from jacobimax.extrema import GridTooCoarseError, scan_extrema, structure_checks
 from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, weighted_M
 from jacobimax.scaled import ScaledReal
@@ -22,7 +24,6 @@ from jacobimax.verify import (
     ConfigError,
     Report,
     SweepConfig,
-    Tolerances,
     VerificationResult,
     check_ids,
     fit_exponent,
@@ -99,7 +100,7 @@ def test_run_check_unknown_id():
 
 def test_runner_hypothesis_error_becomes_skip(monkeypatch):
     defn = verify._REGISTRY["thm1"]
-    def boom(p, tol):
+    def boom(p):
         raise HypothesisError("window degenerate")
     monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
     r = run_check("thm1", Params(10, 1.0, 1.0))
@@ -108,7 +109,7 @@ def test_runner_hypothesis_error_becomes_skip(monkeypatch):
 
 def test_runner_numeric_error_becomes_numeric_failure(monkeypatch):
     defn = verify._REGISTRY["thm1"]
-    def boom(p, tol):
+    def boom(p):
         raise ValueError("lost a bracket")
     monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
     r = run_check("thm1", Params(10, 1.0, 1.0))
@@ -298,9 +299,9 @@ def test_identity_rows_of_a_triple_share_one_exact_table(monkeypatch):
     calls = []
     identity_checks = verify.identity_checks
 
-    def counting(k, alpha, tol=1e-9):
+    def counting(k, alpha):
         calls.append((k, alpha))
-        return identity_checks(k, alpha, tol)
+        return identity_checks(k, alpha)
 
     monkeypatch.setattr(verify, "identity_checks", counting)
     verify._identity_rows.cache_clear()
@@ -313,10 +314,19 @@ def test_identity_rows_of_a_triple_share_one_exact_table(monkeypatch):
     verify._identity_rows.cache_clear()
 
 
-def test_tolerances_must_be_positive():
-    with pytest.raises(ConfigError):
-        Tolerances(identity_rel=0.0)
-    assert Tolerances().identity_rel == 1e-9
+def test_identity_rows_compare_against_the_envelope_constant():
+    ids = [cid for cid in check_ids() if cid.startswith("identity_") and cid != "identity_A0_delta"]
+    assert len(ids) == 4
+    for p in (Params(2, 1.0, 1.0), Params(7, 2.5, 2.5), Params(30, 1e3, 1e3)):
+        for cid in ids:
+            r = run_check(cid, p)
+            assert r.status == CHECKED and r.rhs.hex() == IDENTITY_REL.hex(), (cid, p)
+
+
+def test_public_exports_resolve():
+    for module in (jacobimax, verify, envelope):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
 
 
 def _base_config(**over):
@@ -366,6 +376,22 @@ def test_sweep_config_expansion_and_grid():
         {"bogus_field": 1},
         # the scan's refinement width is a constant, not a tolerance
         {"tolerances": {"extremum_abs": 1e-13}},
+        # so is the identity tolerance: the field is gone
+        {"tolerances": {"identity_rel": 1e-9}},
+        # exponents must be JSON numbers, check ids strings, output.path a nonempty string
+        {"alpha_spec": [None]},
+        {"alpha_spec": [True]},
+        {"alpha_spec": ["1.5"]},
+        {"alpha_spec": {"lo": None, "hi": 2.0, "count": 3}},
+        {"beta_mode": {"grid": [[1]]}},
+        {"checks": [["a"]]},
+        {"output": {"path": 3}},
+        {"output": {"path": ""}},
+        # a huge JSON int or an infinite value is not a usable exponent; bools are not counts
+        {"alpha_spec": [10**400]},
+        {"beta_mode": {"grid": [math.inf]}},
+        {"k_spec": {"min": True, "max": 3}},
+        {"alpha_spec": {"lo": 1.0, "hi": 2.0, "count": True}},
     ],
 )
 def test_sweep_config_rejects_bad_input(patch):
