@@ -7,6 +7,12 @@ that loop; recurrence is its one-row case.  The running pair is rescaled by
 an exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
 significand sequence is identical to what unbounded-range arithmetic would
 produce while the power of two accumulates in a separate log offset.
+
+A step is four or five numpy calls on preallocated buffers, each coefficient
+passed as a 0-d array (one row) or an (r, 1) column (a stack), built once per
+call.  When every b[m] of the stack is +0.0 (alpha = beta >= 0 and its
+shifted families), x - b[m] is x bit for bit and the subtraction is skipped.
+A step that may leave the range examines only the points whose |P_m| left it.
 """
 
 import math
@@ -25,8 +31,12 @@ _SLACK = 1e-3
 # fewest remaining steps for which the growth bounds are worth computing
 _BOUND_STEPS = 16
 # most points of a row that is stacked with others: numpy applies a row's
-# (r, 1) coefficient column at about half its speed for a scalar, which on
-# longer rows costs more than the per-step call overhead stacking saves
+# (r, 1) coefficient column more slowly than a 0-d one, which on longer rows
+# costs more than the per-step call overhead stacking saves.  Two rows of
+# n points at k = 400, stacked against one call each: 0.8x at n = 128,
+# 1.0-1.1x at 512, 1.1-1.2x at 1,024, and 0.8x at every n up to 2,048 for
+# (1e3, 1e3), which rescales on half its steps; the extrema-cli pool took
+# the same time within noise with 128, 256 and 512
 _STACK_POINTS = 512
 
 # there is no numba backend; the constant stays because benchmark results
@@ -69,8 +79,8 @@ def _recurrence_rows(rows):
     it, and a row's pair is taken right after its own last step.  Every
     operation is elementwise, and a point is rescaled exactly when its pair
     leaves [_LO, _HI], so each row has the bits of a call on that row alone.
-    One live row keeps 1-D arrays and scalar coefficients, numpy's fastest
-    path.
+    One live row keeps 1-D arrays and 0-d coefficient arrays, numpy's
+    fastest path.
     """
     out = [None] * len(rows)
     live = []
@@ -90,6 +100,9 @@ def _recurrence_rows(rows):
     ks = [rows[i][4] for i in live]
     sizes = [rows[i][0].shape[0] for i in live]
     r, n, k = len(live), max(sizes), ks[0]
+    # x - b[m] is x, bit for bit, when b[m] is +0.0 (not -0.0, which turns a
+    # -0.0 into +0.0): a stack whose every b[m] is +0.0 skips the subtraction
+    centred = not any(rows[i][1][: rows[i][4]].view(np.int64).any() for i in live)
     if r == 1:
         xs, bt, at, ln_start, _ = rows[live[0]]
         off = np.full(n, ln_start)
@@ -116,20 +129,27 @@ def _recurrence_rows(rows):
     while True:
         # steps start .. end - 1 run on all na rows; the last of them ends at end
         end = ks[na - 1]
-        for m in range(start, end):
+        # each step's coefficients as the operands numpy applies fastest: 0-d
+        # arrays for one row, (na, 1) columns for a stack; ac[j] is a[start - 1 + j]
+        ac = [at[m, ...] for m in range(start - 1, end)]
+        bc = None if centred else [bt[m, ...] for m in range(start - 1, end)]
+        for j, m in enumerate(range(start, end), 1):
             # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
             # needed afterwards and becomes the spare buffer
-            np.subtract(xs, bt[m], out=t)
-            t *= pc
-            pm *= at[m - 1]
+            if centred:
+                np.multiply(xs, pc, t)
+            else:
+                np.subtract(xs, bc[j], t)
+                t *= pc
+            pm *= ac[j - 1]
             t -= pm
-            t /= at[m]
+            t /= ac[j]
             pm, pc, t = pc, t, pm
             if m < check:
                 continue
             # |pm| <= _HI holds from the previous step, so |pc| inside
             # [_LO, _HI] everywhere means no element needs rescaling
-            np.abs(pc, out=t)
+            np.abs(pc, t)
             low, top = _min(t, None), _max(t, None)
             if low >= _LO and top <= _HI:
                 check = m + 1
@@ -137,20 +157,31 @@ def _recurrence_rows(rows):
                     # skip the test for as long as the growth bounds of every
                     # row allow, each started from the extremes over all rows
                     top = max(top, _max(np.abs(pm), None))
-                    for j in range(na):
-                        if bounds[j] is None:
-                            x, b, a, _, kj = rows[live[j]]
-                            bounds[j] = _step_bounds(x, b, a, kj)
-                    check = min(_next_check(bounds[j], m, top, low) for j in range(na))
+                    for i in range(na):
+                        if bounds[i] is None:
+                            x, b, a, _, ki = rows[live[i]]
+                            bounds[i] = _step_bounds(x, b, a, ki)
+                    check = min(_next_check(bounds[i], m, top, low) for i in range(na))
                 continue
-            mag = np.maximum(t, np.abs(pm))
-            bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
-            if bad.any():
-                e = np.floor(np.log2(mag[bad])).astype(np.int64)
+            # and so only a point with |pc| outside [_LO, _HI] can need it,
+            # and with none below _LO (nor a nan) every such point does; step
+            # 1's pm is the untested (x - b[0]) / a[0], and is tested too
+            over = low >= _LO and m > 1
+            cand = (t > _HI) if low >= _LO else (t < _LO) | (t > _HI)
+            if m == 1:
+                cand |= np.abs(pm) > _HI
+            c = np.flatnonzero(cand)
+            pcf, pmf = pc.reshape(-1), pm.reshape(-1)
+            mag = np.maximum(t.reshape(-1)[c], np.abs(pmf[c]))
+            if not over:
+                bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
+                c, mag = c[bad], mag[bad]
+            if c.size:
+                e = np.floor(np.log2(mag)).astype(np.int64)
                 sc = np.ldexp(1.0, -e)
-                pc[bad] *= sc
-                pm[bad] *= sc
-                off[bad] += e * _LN2
+                pcf[c] *= sc
+                pmf[c] *= sc
+                off.reshape(-1)[c] += e * _LN2
             check = m + 1
         if end == k:
             break

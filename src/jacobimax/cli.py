@@ -72,17 +72,18 @@ def _cmd_extrema(args) -> int:
     records = scan_extrema(p, w)
     gm = global_max(p, w)
     if args.csv:
-        lines = ["index,x,M,ln_M,kind"]
-        lines += [f"{r.index},{r.x:.17g},{r.M:.17g},{r.ln_M:.17g},{r.kind}" for r in records]
+        rows = ["index,x,M,ln_M,kind"]
+        rows += [f"{r.index},{r.x:.17g},{r.M:.17g},{r.ln_M:.17g},{r.kind}" for r in records]
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {len(records)} records to {args.csv}")
+            fh.write("\n".join(rows) + "\n")
+        lines = [f"wrote {len(records)} records to {args.csv}"]
     else:
-        print(f"{'index':>5}  {'x':>24}  {'M':>24}  {'ln M':>12}  kind")
-        for r in records:
-            print(f"{r.index:>5}  {r.x:>24.16e}  {r.M:>24.16e}  {r.ln_M:>12.6f}  {r.kind}")
+        lines = [f"{'index':>5}  {'x':>24}  {'M':>24}  {'ln M':>12}  kind"]
+        lines += [f"{r.index:>5}  {r.x:>24.16e}  {r.M:>24.16e}  {r.ln_M:>12.6f}  {r.kind}" for r in records]
     where = "endpoint" if gm.index < 0 else f"index {gm.index}"
-    print(f"global max: M = {gm.M:.17g} at x = {gm.x:.17g} ({where})")
+    lines.append(f"global max: M = {gm.M:.17g} at x = {gm.x:.17g} ({where})")
+    # the whole output in one write
+    print("\n".join(lines))
     return 0
 
 

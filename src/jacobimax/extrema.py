@@ -60,7 +60,7 @@ _NODES_PER_DEGREE = 12
 # width within which the refinement's bisection stops
 _REFINE_TOL = 1e-13
 # grid points per recurrence call
-_CHUNK = 8192
+_CHUNK = 16384
 # most Newton steps taken from the Hermite guess of a root
 _NEWTON_STEPS = 3
 # relative distance of q from 0, per unit of the pair's cancellation factor,
@@ -284,23 +284,25 @@ def _replay(lo, hi, s_lo, root, known, tol: float):
         return np.empty(0), np.empty((0, 0))
     lo = lo.copy()
     hi = hi.copy()
+    look = known[0].size > 0
     mids = []
     for _ in range(200):
-        if np.max(hi - lo) <= tol:
+        if (hi - lo).max() <= tol:
             break
-        mid = 0.5 * (lo + hi)
+        mid = (lo + hi) * 0.5
         mids.append(mid)
         same = mid < root
-        if known[0].size:
+        if look:
             found, sign = _lookup(known, mid)
-            same = np.where(found, sign == s_lo, same)
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-        if known[0].size:
+            np.copyto(same, sign == s_lo, where=found)
+            # an evaluated zero closes the bracket on the midpoint
             hit = found & (sign == 0.0)
-            lo = np.where(hit, mid, lo)
-            hi = np.where(hit, mid, hi)
-    return 0.5 * (lo + hi), np.array(mids).reshape(-1, lo.size)
+            np.copyto(lo, mid, where=same | hit)
+            np.copyto(hi, mid, where=~same | hit)
+        else:
+            np.copyto(lo, mid, where=same)
+            np.copyto(hi, mid, where=~same)
+    return (lo + hi) * 0.5, np.array(mids).reshape(-1, lo.size)
 
 
 def _refine(p: Params, w: Window, brackets, tol: float):
@@ -326,7 +328,8 @@ def _refine(p: Params, w: Window, brackets, tol: float):
             res, mids = _replay(lo, hi, s_lo, root, kn, tol)
             results.append(res)
             ask = np.abs(mids - root) <= eps
-            ask[ask] = ~_lookup(kn, mids[ask])[0]
+            if kn[0].size:
+                ask[ask] = ~_lookup(kn, mids[ask])[0]
             col = np.nonzero(ask)[1]
             # each asked midpoint, whether the replay put it on the s_lo side, and s_lo
             asks.append((mids[ask], mids[ask] < root[col], s_lo[col]))

@@ -10,6 +10,7 @@ serial sweeps emit identical bytes.
 import csv
 import json
 import math
+import platform
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,9 @@ SKIPPED = "skipped_hypothesis"
 NUMERIC_FAILURE = "numeric_failure"
 
 _NAN = float("nan")
+# most (k, alpha, beta) points a sweep config may select; the grids of the
+# tests, demos, scripts and README reach a few thousand
+_MAX_GRID_POINTS = 100_000
 # ode_residual's sample points
 _ODE_POINTS = np.array([math.cos(theta) for theta in np.linspace(0.0, math.pi, 102)[1:-1]])
 
@@ -498,10 +502,10 @@ class SweepConfig:
             beta_mode=d.get("beta_mode", "equal_alpha"),
             output=output,
         )
-        cfg.parameter_grid()  # validate eagerly
+        cfg._checked_specs()  # validate eagerly, without building the grid
         return cfg
 
-    def _k_values(self) -> list[int]:
+    def _k_values(self) -> range:
         spec = self.k_spec
         if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
             raise ConfigError("k_spec needs min and max")
@@ -514,11 +518,15 @@ class SweepConfig:
             raise ConfigError("k_spec needs 0 <= min <= max and step >= 1")
         if parity not in ("any", "even", "odd"):
             raise ConfigError("k_spec parity must be any, even, or odd")
-        ks = [k for k in range(lo, hi + 1, step)]
-        if parity == "even":
-            ks = [k for k in ks if k % 2 == 0]
-        elif parity == "odd":
-            ks = [k for k in ks if k % 2 == 1]
+        ks = range(lo, hi + 1, step)
+        if parity != "any":
+            want = int(parity == "odd")
+            if step % 2:
+                # an odd step alternates the parity from min on
+                ks = ks[(lo - want) % 2 :: 2]
+            elif lo % 2 != want:
+                # an even step keeps min's parity
+                ks = ks[:0]
         if not ks:
             raise ConfigError("k_spec selects no degrees")
         return ks
@@ -537,21 +545,38 @@ class SweepConfig:
             return [float(v) for v in np.geomspace(lo, hi, count)]
         raise ConfigError("alpha_spec must be a nonempty list or {lo, hi, count}")
 
-    def _beta_values(self, alpha: float) -> list[float]:
+    def _beta_grid(self) -> Optional[list[float]]:
+        """The beta values of every alpha, or None when beta = alpha."""
         mode = self.beta_mode
         if mode == "equal_alpha":
-            return [alpha]
+            return None
         if isinstance(mode, dict) and isinstance(mode.get("grid"), list) and mode["grid"]:
             return _exponents("beta", mode["grid"])
         raise ConfigError('beta_mode must be "equal_alpha" or {"grid": [...]}')
 
+    def _checked_specs(self) -> tuple[range, list[float], Optional[list[float]]]:
+        """The k values, the alpha values and the beta grid, every spec validated.
+
+        The grid's size is counted from the specs (range length, list lengths
+        and the log range's count), so a grid of more than _MAX_GRID_POINTS
+        points is refused before any of it, or of its alpha values, is made.
+        """
+        ks = self._k_values()
+        betas = self._beta_grid()
+        spec = self.alpha_spec
+        count = spec.get("count") if isinstance(spec, dict) else len(spec) if isinstance(spec, list) else None
+        if _is_int(count):
+            # range arithmetic, not len(), which overflows past sys.maxsize
+            size = ((ks.stop - ks.start - 1) // ks.step + 1) * count * (1 if betas is None else len(betas))
+            if size > _MAX_GRID_POINTS:
+                raise ConfigError(f"the grid has {size} parameter points, more than the {_MAX_GRID_POINTS} allowed")
+        return ks, self._alpha_values(), betas
+
     def parameter_grid(self) -> list[Params]:
-        grid = []
-        for k in self._k_values():
-            for a in self._alpha_values():
-                for b in self._beta_values(a):
-                    grid.append(Params(k, a, b))
-        return grid
+        """Every (k, alpha, beta) point: k outermost, then alpha, then beta."""
+        ks, alphas, betas = self._checked_specs()
+        pairs = [(a, a) for a in alphas] if betas is None else [(a, b) for a in alphas for b in betas]
+        return [Params(k, a, b) for k in ks for a, b in pairs]
 
     def to_dict(self) -> dict:
         return {
@@ -632,6 +657,8 @@ def render_json(report: Report, timestamp: Optional[str] = None) -> str:
     doc = {
         "metadata": {
             "tool_version": report.tool_version,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "generated_at": ts,
             "config_echo": report.config_echo,
             "counts": report.counts,

@@ -355,16 +355,19 @@ def test_grid_makes_one_kernel_call_per_chunk(monkeypatch):
         return recurrence(x, b, a, ln_start, k)
 
     monkeypatch.setattr(_kernels, "recurrence", counting)
+    most = 0
     for p in (Params(400, 0.0, 0.0), Params(400, 1e5, 1e5), Params(300, 1e7, -0.9)):
         w = Window.full()
         xs = _scan_grid(p, w)
         chunks = [min(_CHUNK, xs.size - i) for i in range(0, xs.size, _CHUNK)]
-        assert len(chunks) >= 3
+        assert len(chunks) >= 2
+        most = max(most, len(chunks))
         calls.clear()
         _grid_signs(p, w, xs)
         # one call per chunk, then at most one for the guarded nodes
         assert calls[: len(chunks)] == chunks, (p, calls)
         assert len(calls) <= len(chunks) + 1 and sum(calls[len(chunks) :]) <= xs.size // 100, (p, calls)
+    assert most >= 3
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="edge maximum beyond the outermost grid node is lost")

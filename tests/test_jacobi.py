@@ -327,6 +327,100 @@ def test_stacked_kernel_rows_match_one_row_calls_bitwise():
         assert [g.tobytes() for g in _kernels.recurrence_rows(family)[0]] == [f.tobytes() for f in ref]
 
 
+def _assert_plain_bits(rows):
+    # every row of one stacked call against the plain loop on that row alone
+    got = _kernels.recurrence_rows(rows)
+    for i, (r, parts) in enumerate(zip(rows, got)):
+        ref = _plain_recurrence(*r)
+        assert [g.tobytes() for g in parts] == [f.tobytes() for f in ref], (i, r[4])
+
+
+def _is_centred(b, k):
+    # every b[m] the recurrence reads is +0.0, the case that skips x - b[m]
+    return not b[:k].view(np.int64).any()
+
+
+def test_centred_rows_match_plain_loop_bitwise():
+    # alpha = beta >= 0 gives b = +0.0 throughout, for the shifted families
+    # too; -0.0 and 1e-200 put a pair with |pc| < 1e-150 and |pm| = O(1) at
+    # every odd step, a rescaling candidate that is not scaled
+    x = np.array([-0.0, 0.0, 1.0, -1.0, 1e-17, -1e-17, 1e-200, -1e-200, 0.3, -0.7])
+    for k, alpha in ((2, 0.0), (41, 0.0), (400, 0.0), (250, 2.5), (300, 1e3), (400, 1e5), (500, 1e7)):
+        rows = [(x, *_recurrence_coeffs(k - j, alpha + j, alpha + j), k - j) for j in range(3)]
+        assert all(_is_centred(b, kr) for _, b, _, _, kr in rows), (k, alpha)
+        for r in rows:
+            _assert_plain_bits([r])
+        _assert_plain_bits(rows)
+    # a nan point is never rescaled, and it must not make the others' test skip
+    nan = np.concatenate([x, [np.nan]])
+    _assert_plain_bits([(nan, *_recurrence_coeffs(400, 1e3, 1e3), 400), (nan, *_recurrence_coeffs(41, 0.0, 0.0), 41)])
+    # -1/2 < alpha = beta < 0 gives b[m] = -0.0 for m >= 1, and x - (-0.0)
+    # turns x = -0.0 into +0.0: these rows must subtract
+    b_arr, a_arr, ln_start = _recurrence_coeffs(60, -0.3, -0.3)
+    assert not b_arr.any() and not _is_centred(b_arr, 60)
+    _assert_plain_bits([(x, b_arr, a_arr, ln_start, 60)])
+
+
+def test_mixed_stack_subtracts_for_every_row():
+    # one row with b != 0 makes the whole stack take the subtraction; the
+    # centred rows come first and last, so neither end alone decides
+    x = np.array([-0.0, 0.0, 1.0, -1.0, 1e-17, 0.25, -0.6, 1e-200])
+    centred = (400, 1e3, 1e3)
+    for other in ((400, 1e3, 2e3), (300, 0.5, -0.499), (2, 0.0, 1.0)):
+        rows = []
+        for k, alpha, beta in (centred, other, centred):
+            rows.append((x, *_recurrence_coeffs(k, alpha, beta), k))
+        assert _is_centred(rows[0][1], 400) and not _is_centred(rows[1][1], rows[1][4])
+        _assert_plain_bits(rows[:2])
+        _assert_plain_bits(rows[1:])
+
+
+def test_rescaling_matches_plain_loop_in_edge_pairs():
+    # an exactly zero pair (mag = 0) is never scaled: pc = 0 at x = b[0],
+    # and step 1 underflows a[0] * 1 / a[1] to 0
+    x = np.array([0.5, 0.25, -0.75])
+    b = np.array([0.5, 0.0, 0.0, 0.1])
+    a = np.array([1e-200, 1e200, 1.0, 1.0])
+    steps = []
+    val, prev, _ = _plain_recurrence(x, b, a, 0.0, 4, steps)
+    assert val[0] == prev[0] == 0.0
+    _assert_plain_bits([(x, b, a, 0.0, 4)])
+    # a pair that falls below 1e-150 together is scaled up: at x = 0.5 step 3
+    # gives pm = -5e-161 and pc = 1e-160, while x = 0.25 stays in range
+    x = np.array([0.5, 0.25])
+    b = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
+    a = np.array([1e-100, 1.0, 1e60, 1e120, 1.0])
+    steps = []
+    _plain_recurrence(x, b, a, 0.0, 5, steps)
+    assert steps[:1] == [3]
+    _assert_plain_bits([(x, b, a, 0.0, 5)])
+    # before step 1's test pm is the untested (x - b[0]) / a[0]: here it is
+    # 5e159 at x = 0.5 while that point's pc is 2.5, and the other point's
+    # pc underflows, so step 1 rescales both
+    x = np.array([0.5, 1e-300])
+    b = np.array([0.0, 0.0, 0.0])
+    a = np.array([1e-160, 1e159, 1.0])
+    steps = []
+    _plain_recurrence(x, b, a, 0.0, 3, steps)
+    assert steps[:1] == [1]
+    _assert_plain_bits([(x, b, a, 0.0, 3)])
+
+
+def test_rows_ending_after_a_rescale_match_plain_loop_bitwise():
+    # rows of one family end one step before, on and after a step that
+    # rescales some point, mid-stack, while longer rows step on
+    rng = np.random.default_rng(64)
+    x = np.concatenate([[-1.0, 1.0, 0.0, -0.0, 1e-17], rng.uniform(-1.0, 1.0, 30)])
+    for k, alpha, beta in ((500, 1e7, 1e7), (400, 1e3, 1e3), (400, 2.5, 1e6), (300, 1e5, -0.499)):
+        b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
+        steps = []
+        _plain_recurrence(x, b_arr, a_arr, ln_start, k, steps)
+        assert steps, (k, alpha, beta)
+        m = steps[len(steps) // 2]
+        rows = [(x[: 35 - 3 * i], b_arr, a_arr, ln_start, d) for i, d in enumerate((k, m + 1, m, m - 1, steps[0]))]
+        _assert_plain_bits(rows)
+
+
 def _batch_invariance_cases():
     rng = np.random.default_rng(61)
     cases = [(500, 1e5, 1e5), (500, 1e7, 1e7), (400, 0.0, 0.0), (300, 1e7, -0.9), (120, 3.0, 1e6), (2, -0.5, -0.5)]

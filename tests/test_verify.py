@@ -2,6 +2,8 @@
 
 import json
 import math
+import platform
+import time
 from collections import Counter
 
 import numpy as np
@@ -404,6 +406,35 @@ def test_sweep_config_rejects_non_object():
         SweepConfig.from_dict(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"k_spec": {"min": 0, "max": 300000}},
+        # one degree, so that a check that builds the grid makes 10**6 points, not 4 * 10**6
+        {"k_spec": {"min": 2, "max": 2}, "alpha_spec": {"lo": 1.0, "hi": 100.0, "count": 10**6}},
+    ],
+)
+def test_sweep_config_refuses_oversized_grid_without_building_it(patch):
+    # the grid is counted from the specs and refused before a point or an
+    # alpha value of it is made
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="parameter points"):
+        SweepConfig.from_dict(_base_config(**patch))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_sweep_config_grid_limit_is_inclusive():
+    # 50,000 degrees times 2 alphas is exactly the limit; one degree more is over it
+    assert verify._MAX_GRID_POINTS == 100_000
+    cfg = SweepConfig.from_dict(_base_config(k_spec={"min": 0, "max": 49_999}))
+    assert len(cfg._k_values()) * len(cfg.alpha_spec) == verify._MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="100002 parameter points"):
+        SweepConfig.from_dict(_base_config(k_spec={"min": 0, "max": 50_000}))
+    # parity and step are counted too: 25,001 even degrees of 0..50,000 times 4 betas
+    with pytest.raises(ConfigError, match="100004 parameter points"):
+        SweepConfig.from_dict(_base_config(k_spec={"min": 0, "max": 50_000, "parity": "even"}, beta_mode={"grid": [0, 1]}))
+
+
 def test_sweep_log_range_alpha():
     cfg = SweepConfig.from_dict(_base_config(alpha_spec={"lo": 1.0, "hi": 100.0, "count": 3}))
     alphas = sorted({p.alpha for p in cfg.parameter_grid()})
@@ -456,6 +487,15 @@ def test_render_json_structure():
     # the whole grid is out of hypothesis here, so NaN fields serialize as null
     assert all(row["lhs"] is None for row in doc["results"])
     assert all(row["status"] == "skipped_hypothesis" for row in doc["results"])
+
+
+def test_render_json_records_python_and_numpy_versions():
+    rep = sweep(SweepConfig.from_dict(_base_config(checks=["gamma_ratio"])))
+    meta = json.loads(render_json(rep, timestamp="T"))["metadata"]
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    # the CSV body does not carry them
+    assert render_csv(rep, timestamp="T").splitlines()[1] == "check_id,k,alpha,beta,lhs,rhs,margin,pass,status"
 
 
 def test_write_and_parse_roundtrip(tmp_path):
