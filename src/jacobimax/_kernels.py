@@ -8,10 +8,8 @@ an exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
 significand sequence is identical to what unbounded-range arithmetic would
 produce while the power of two accumulates in a separate log offset.
 
-A step is four or five numpy calls on preallocated buffers, each coefficient
-passed as a 0-d array (one row) or an (r, 1) column (a stack), built once per
-call.  When every b[m] of the stack is +0.0 (alpha = beta >= 0 and its
-shifted families), x - b[m] is x bit for bit and the subtraction is skipped.
+A step is five numpy calls on preallocated buffers, each coefficient passed
+as a 0-d array (one row) or an (r, 1) column (a stack), built once per call.
 A step that may leave the range examines only the points whose |P_m| left it.
 """
 
@@ -100,9 +98,6 @@ def _recurrence_rows(rows):
     ks = [rows[i][4] for i in live]
     sizes = [rows[i][0].shape[0] for i in live]
     r, n, k = len(live), max(sizes), ks[0]
-    # x - b[m] is x, bit for bit, when b[m] is +0.0 (not -0.0, which turns a
-    # -0.0 into +0.0): a stack whose every b[m] is +0.0 skips the subtraction
-    centred = not any(rows[i][1][: rows[i][4]].view(np.int64).any() for i in live)
     if r == 1:
         xs, bt, at, ln_start, _ = rows[live[0]]
         off = np.full(n, ln_start)
@@ -132,15 +127,12 @@ def _recurrence_rows(rows):
         # each step's coefficients as the operands numpy applies fastest: 0-d
         # arrays for one row, (na, 1) columns for a stack; ac[j] is a[start - 1 + j]
         ac = [at[m, ...] for m in range(start - 1, end)]
-        bc = None if centred else [bt[m, ...] for m in range(start - 1, end)]
+        bc = [bt[m, ...] for m in range(start - 1, end)]
         for j, m in enumerate(range(start, end), 1):
             # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
             # needed afterwards and becomes the spare buffer
-            if centred:
-                np.multiply(xs, pc, t)
-            else:
-                np.subtract(xs, bc[j], t)
-                t *= pc
+            np.subtract(xs, bc[j], t)
+            t *= pc
             pm *= ac[j - 1]
             t -= pm
             t /= ac[j]
@@ -163,19 +155,16 @@ def _recurrence_rows(rows):
                             bounds[i] = _step_bounds(x, b, a, ki)
                     check = min(_next_check(bounds[i], m, top, low) for i in range(na))
                 continue
-            # and so only a point with |pc| outside [_LO, _HI] can need it,
-            # and with none below _LO (nor a nan) every such point does; step
-            # 1's pm is the untested (x - b[0]) / a[0], and is tested too
-            over = low >= _LO and m > 1
-            cand = (t > _HI) if low >= _LO else (t < _LO) | (t > _HI)
+            # and so only a point with |pc| outside [_LO, _HI] can need it;
+            # step 1's pm is the untested (x - b[0]) / a[0], and is tested too
+            cand = (t < _LO) | (t > _HI)
             if m == 1:
                 cand |= np.abs(pm) > _HI
             c = np.flatnonzero(cand)
             pcf, pmf = pc.reshape(-1), pm.reshape(-1)
             mag = np.maximum(t.reshape(-1)[c], np.abs(pmf[c]))
-            if not over:
-                bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
-                c, mag = c[bad], mag[bad]
+            bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
+            c, mag = c[bad], mag[bad]
             if c.size:
                 e = np.floor(np.log2(mag)).astype(np.int64)
                 sc = np.ldexp(1.0, -e)

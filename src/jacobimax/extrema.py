@@ -297,11 +297,11 @@ def _replay(lo, hi, s_lo, root, known, tol: float):
             np.copyto(same, sign == s_lo, where=found)
             # an evaluated zero closes the bracket on the midpoint
             hit = found & (sign == 0.0)
-            np.copyto(lo, mid, where=same | hit)
-            np.copyto(hi, mid, where=~same | hit)
+            to_lo, to_hi = same | hit, ~same | hit
         else:
-            np.copyto(lo, mid, where=same)
-            np.copyto(hi, mid, where=~same)
+            to_lo, to_hi = same, ~same
+        np.copyto(lo, mid, where=to_lo)
+        np.copyto(hi, mid, where=to_hi)
     return (lo + hi) * 0.5, np.array(mids).reshape(-1, lo.size)
 
 
@@ -328,8 +328,7 @@ def _refine(p: Params, w: Window, brackets, tol: float):
             res, mids = _replay(lo, hi, s_lo, root, kn, tol)
             results.append(res)
             ask = np.abs(mids - root) <= eps
-            if kn[0].size:
-                ask[ask] = ~_lookup(kn, mids[ask])[0]
+            ask[ask] = ~_lookup(kn, mids[ask])[0]
             col = np.nonzero(ask)[1]
             # each asked midpoint, whether the replay put it on the s_lo side, and s_lo
             asks.append((mids[ask], mids[ask] < root[col], s_lo[col]))
