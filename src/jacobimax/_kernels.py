@@ -8,9 +8,12 @@ an exact power of two whenever its magnitude leaves [1e-150, 1e150], so the
 significand sequence is identical to what unbounded-range arithmetic would
 produce while the power of two accumulates in a separate log offset.
 
-A step is five numpy calls on preallocated buffers, each coefficient passed
-as a 0-d array (one row) or an (r, 1) column (a stack), built once per call.
-A step that may leave the range examines only the points whose |P_m| left it.
+A call is one pass: one step loop over the whole stack up to the largest
+degree.  A step is five numpy calls on preallocated buffers, each
+coefficient passed as a 0-d array (one row) or an (r, 1) column (a stack),
+built once per call.  One growth bound per call, built at most once, tells
+which steps need the range test; a step that may leave the range examines
+only the points whose |P_m| left it.
 """
 
 import math
@@ -47,12 +50,14 @@ def _step_bounds(x, b, a, k):
 
     Step m maps (pm, pc) to (pc, ((x - b[m]) pc - a[m-1] pm) / a[m]), so the
     larger magnitude of the pair grows at most by (|x - b[m]| + a[m-1]) / a[m]
-    and shrinks at most by (|x - b[m]| + a[m]) / a[m-1].  Entry m of each
-    array sums the log factors of steps 1..m, padded for rounding.
+    and shrinks at most by (|x - b[m]| + a[m]) / a[m-1].  b and a are one
+    row's coefficients or a stack's (k, r, 1) columns, whose rows share the
+    largest factor of each step.  Entry m of each array sums the log factors
+    of steps 1..m, padded for rounding.
     """
-    xb = float(_max(np.abs(x))) + np.abs(b[1:k])
-    grow = np.log(np.maximum(1.0, (xb + a[: k - 1]) / a[1:k])) + _SLACK
-    shrink = np.log(np.maximum(1.0, (xb + a[1:k]) / a[: k - 1])) + _SLACK
+    xb = float(_max(np.abs(x), None)) + np.abs(b[1:k])
+    grow = np.log(np.maximum(1.0, (xb + a[: k - 1]) / a[1:k])).reshape(k - 1, -1).max(1) + _SLACK
+    shrink = np.log(np.maximum(1.0, (xb + a[1:k]) / a[: k - 1])).reshape(k - 1, -1).max(1) + _SLACK
     return np.concatenate([[0.0], np.cumsum(grow)]), np.concatenate([[0.0], np.cumsum(shrink)])
 
 
@@ -69,16 +74,16 @@ def _recurrence_rows(rows):
     """(val, prev, off) of every row (x, b, a, ln_start, k), stacked in one loop.
 
     The live rows, those with k >= 2 and 1 to _STACK_POINTS points (a longer
-    one runs alone), are sorted by degree, largest first, and stacked into
-    (rows, points) arrays; a shorter row is padded with copies of its last
-    point, so the padding repeats the values of a real point and leaves every
-    row's extremes as they are.  Each step updates the leading rows whose
-    degree is not yet reached, with each row's coefficients broadcast along
-    it, and a row's pair is taken right after its own last step.  Every
-    operation is elementwise, and a point is rescaled exactly when its pair
-    leaves [_LO, _HI], so each row has the bits of a call on that row alone.
-    One live row keeps 1-D arrays and 0-d coefficient arrays, numpy's
-    fastest path.
+    one runs alone), are stacked into (rows, points) arrays; a shorter row is
+    padded with copies of its last point, so the padding repeats the values
+    of a real point and leaves every row's extremes as they are.  Every step
+    updates the whole stack, with each row's coefficients broadcast along it,
+    and a row's pair is taken right after its own last step, as a copy when
+    later steps reuse the buffers.  A row past its degree steps on with b = 0
+    and a = 1, values that are never read.  Every operation is elementwise,
+    and a point is rescaled exactly when its pair leaves [_LO, _HI], so each
+    row has the bits of a call on that row alone.  One live row keeps 1-D
+    arrays and 0-d coefficient arrays, numpy's fastest path.
     """
     out = [None] * len(rows)
     live = []
@@ -94,17 +99,18 @@ def _recurrence_rows(rows):
             live.append(i)
     if not live:
         return out
-    live.sort(key=lambda i: -rows[i][4])
     ks = [rows[i][4] for i in live]
     sizes = [rows[i][0].shape[0] for i in live]
-    r, n, k = len(live), max(sizes), ks[0]
+    r, n, k = len(live), max(sizes), max(ks)
+    # stacked rows that end before the last step, keyed by their own last step
+    ends = {}
     if r == 1:
         xs, bt, at, ln_start, _ = rows[live[0]]
         off = np.full(n, ln_start)
     else:
         xs = np.empty((r, n))
         off = np.empty((r, n))
-        # coefficient m of every row as an (r, 1) column; rows end before padding
+        # coefficient m of every row as an (r, 1) column, padded past its degree
         bt = np.zeros((k, r, 1))
         at = np.ones((k, r, 1))
         for j, i in enumerate(live):
@@ -114,76 +120,65 @@ def _recurrence_rows(rows):
             off[j] = ln_start
             bt[:kj, j, 0] = b[:kj]
             at[:kj, j, 0] = a[:kj]
+            if kj < k:
+                ends.setdefault(kj - 1, []).append(j)
+    # each step's coefficients as the operands numpy applies fastest: 0-d
+    # arrays for one row, (r, 1) columns for a stack
+    ac = [at[m, ...] for m in range(k)]
+    bc = [bt[m, ...] for m in range(k)]
     pm = np.ones(xs.shape)
-    pc = (xs - bt[0]) / at[0]
+    pc = (xs - bc[0]) / ac[0]
     t = np.empty(xs.shape)
-    bounds = [None] * r
+    bounds = None
     check = 1
-    na = r  # rows still stepping: the first na
-    start = 1
-    while True:
-        # steps start .. end - 1 run on all na rows; the last of them ends at end
-        end = ks[na - 1]
-        # each step's coefficients as the operands numpy applies fastest: 0-d
-        # arrays for one row, (na, 1) columns for a stack; ac[j] is a[start - 1 + j]
-        ac = [at[m, ...] for m in range(start - 1, end)]
-        bc = [bt[m, ...] for m in range(start - 1, end)]
-        for j, m in enumerate(range(start, end), 1):
-            # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
-            # needed afterwards and becomes the spare buffer
-            np.subtract(xs, bc[j], t)
-            t *= pc
-            pm *= ac[j - 1]
-            t -= pm
-            t /= ac[j]
-            pm, pc, t = pc, t, pm
-            if m < check:
-                continue
+    for m in range(1, k):
+        # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
+        # needed afterwards and becomes the spare buffer
+        np.subtract(xs, bc[m], t)
+        t *= pc
+        pm *= ac[m - 1]
+        t -= pm
+        t /= ac[m]
+        pm, pc, t = pc, t, pm
+        if m >= check:
+            check = m + 1
             # |pm| <= _HI holds from the previous step, so |pc| inside
             # [_LO, _HI] everywhere means no element needs rescaling
             np.abs(pc, t)
             low, top = _min(t, None), _max(t, None)
             if low >= _LO and top <= _HI:
-                check = m + 1
-                if end - m > _BOUND_STEPS:
-                    # skip the test for as long as the growth bounds of every
-                    # row allow, each started from the extremes over all rows
-                    top = max(top, _max(np.abs(pm), None))
-                    for i in range(na):
-                        if bounds[i] is None:
-                            x, b, a, _, ki = rows[live[i]]
-                            bounds[i] = _step_bounds(x, b, a, ki)
-                    check = min(_next_check(bounds[i], m, top, low) for i in range(na))
-                continue
-            # and so only a point with |pc| outside [_LO, _HI] can need it;
-            # step 1's pm is the untested (x - b[0]) / a[0], and is tested too
-            cand = (t < _LO) | (t > _HI)
-            if m == 1:
-                cand |= np.abs(pm) > _HI
-            c = np.flatnonzero(cand)
-            pcf, pmf = pc.reshape(-1), pm.reshape(-1)
-            mag = np.maximum(t.reshape(-1)[c], np.abs(pmf[c]))
-            bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
-            c, mag = c[bad], mag[bad]
-            if c.size:
-                e = np.floor(np.log2(mag)).astype(np.int64)
-                sc = np.ldexp(1.0, -e)
-                pcf[c] *= sc
-                pmf[c] *= sc
-                off.reshape(-1)[c] += e * _LN2
-            check = m + 1
-        if end == k:
-            break
-        # later steps touch only the rows kept, so the ended rows' views stay put
-        while ks[na - 1] == end:
-            na -= 1
-            out[live[na]] = (pc[na, : sizes[na]], pm[na, : sizes[na]], off[na, : sizes[na]])
-        xs, pc, pm, t, off, bt, at = xs[:na], pc[:na], pm[:na], t[:na], off[:na], bt[:, :na], at[:, :na]
-        start = end
+                if k - m > _BOUND_STEPS:
+                    # skip the test for as long as the stack's growth bounds
+                    # allow, started from its extremes
+                    if bounds is None:
+                        bounds = _step_bounds(xs, bt, at, k)
+                    check = _next_check(bounds, m, max(top, _max(np.abs(pm), None)), low)
+            else:
+                # and so only a point with |pc| outside [_LO, _HI] can need
+                # it; step 1's pm is the untested (x - b[0]) / a[0], and is
+                # tested too
+                cand = (t < _LO) | (t > _HI)
+                if m == 1:
+                    cand |= np.abs(pm) > _HI
+                c = np.flatnonzero(cand)
+                pcf, pmf = pc.reshape(-1), pm.reshape(-1)
+                mag = np.maximum(t.reshape(-1)[c], np.abs(pmf[c]))
+                bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
+                c, mag = c[bad], mag[bad]
+                if c.size:
+                    e = np.floor(np.log2(mag)).astype(np.int64)
+                    sc = np.ldexp(1.0, -e)
+                    pcf[c] *= sc
+                    pmf[c] *= sc
+                    off.reshape(-1)[c] += e * _LN2
+        if m in ends:
+            for j in ends[m]:
+                out[live[j]] = (pc[j, : sizes[j]].copy(), pm[j, : sizes[j]].copy(), off[j, : sizes[j]].copy())
     # the rows left all end on the last step
-    pc, pm, off = (v.reshape(na, -1) for v in (pc, pm, off))
-    for j in range(na):
-        out[live[j]] = (pc[j, : sizes[j]], pm[j, : sizes[j]], off[j, : sizes[j]])
+    pc, pm, off = (v.reshape(r, -1) for v in (pc, pm, off))
+    for j in range(r):
+        if ks[j] == k:
+            out[live[j]] = (pc[j, : sizes[j]], pm[j, : sizes[j]], off[j, : sizes[j]])
     return out
 
 

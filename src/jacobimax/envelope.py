@@ -16,11 +16,10 @@ consecutive maxima of M directly.
 """
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .jacobi import Params, Window, eval_orthonormal, eval_orthonormal_deriv
+from .jacobi import Params, Window, _exp_saturating, eval_orthonormal, eval_orthonormal_deriv
 from .scaled import ScaledReal
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "identity_checks",
     "IDENTITY_REL",
 ]
-
-_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 # relative error within which identity_checks counts a value as matching its closed form
 IDENTITY_REL = 1e-9
@@ -310,9 +307,7 @@ def sonin_point(p: Params, x: float, w: Window) -> SoninPoint:
     s_sc = f * f + (fp * fp) * (1.0 / pt.B)
     if s_sc.is_zero():
         return replace(pt, S=0.0, ln_S=-math.inf)
-    ln_s = s_sc.ln_mag
-    val = math.inf if ln_s > _LN_FLOAT_MAX else math.exp(ln_s)
-    return replace(pt, S=val, ln_S=ln_s)
+    return replace(pt, S=_exp_saturating(s_sc.ln_mag), ln_S=s_sc.ln_mag)
 
 
 def sonin_S(p: Params, x: float, w: Window) -> float:

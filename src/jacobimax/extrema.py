@@ -16,10 +16,11 @@ Q_{k-1}^{(alpha+1, beta+1)} times a constant (eval_orthonormal_deriv_parts).
 The Newton steps and the bisection midpoints use that route, with one stacked
 kernel call (y and the shifted family together) per Newton step and per
 refinement round.  The grid takes y' from the recurrence's last pair instead,
-which saves a second recurrence per node, and re-evaluates by the shifted
-family every node whose q is too close to 0 for the two routes to be sure to
-agree (_grid_signs).  So every sign, bracket, root and kind is that of the
-shifted-family route.
+in one kernel call for both grids, which saves a second recurrence per node,
+and re-evaluates by the shifted family every node whose q is too close to 0
+for the two routes to be sure to agree (_grid_signs).  So every sign,
+bracket, root and kind is that of the shifted-family route.  An endpoint's
+record holds ln M's one-sided limit there (jacobi._endpoint_ln_M).
 """
 
 import math
@@ -33,10 +34,11 @@ from .envelope import Geometry, _dln_window_factor, turning_point
 from .jacobi import (
     Params,
     Window,
+    _endpoint_ln_M,
+    _exp_saturating,
     eval_derivatives_parts,
     eval_orthonormal_deriv_parts,
     eval_value_and_deriv_parts,
-    weighted_M,
     weighted_ln_parts,
 )
 
@@ -51,7 +53,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 # smallest trust radius about a located root; the computed sign functions
 # switch within a few ulps of it
 _TRUST_FLOOR = 1e-12
@@ -59,8 +60,6 @@ _TRUST_FLOOR = 1e-12
 _NODES_PER_DEGREE = 12
 # width within which the refinement's bisection stops
 _REFINE_TOL = 1e-13
-# grid points per recurrence call
-_CHUNK = 16384
 # most Newton steps taken from the Hermite guess of a root
 _NEWTON_STEPS = 3
 # relative distance of q from 0, per unit of the pair's cancellation factor,
@@ -114,7 +113,7 @@ def _eval_parts(p: Params, xs: np.ndarray):
 
 
 def _grid_signs(p: Params, w: Window, xs: np.ndarray):
-    """Signs of y and q at xs, plus the parts, with one recurrence call per _CHUNK points.
+    """Signs of y and q at xs, plus the parts, from one recurrence call for all of xs.
 
     y and y' come from the recurrence's last pair (eval_value_and_deriv_parts).
     q's sign is defined by the shifted-family route (_q_signs on _eval_parts),
@@ -122,28 +121,20 @@ def _grid_signs(p: Params, w: Window, xs: np.ndarray):
     1e-12 * cond relative, cond being the pair's cancellation factor, so a
     node where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|) takes y' and
     q's sign from the shifted family instead, in one more recurrence call for
-    all such nodes; elsewhere the two routes give the same sign.  Chunking
-    bounds the working set of the recurrence on large grids; every value is
-    computed point by point, so the bits do not depend on it.
+    all such nodes; elsewhere the two routes give the same sign.
     """
-    sq = np.empty(xs.size)
-    near = np.empty(xs.size, dtype=bool)
-    yv, yo, dv, do = parts = tuple(np.empty(xs.size) for _ in range(4))
-    for i in range(0, xs.size, _CHUNK):
-        c = slice(i, i + _CHUNK)
-        yv[c], dv[c], yo[c], cond = eval_value_and_deriv_parts(p, xs[c])
-        yg = yv[c] * _dln_window_factor(p, xs[c], w)
-        q = dv[c] + yg
-        sq[c] = np.sign(q)
-        bound = _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv[c]) + np.abs(yg))
-        # not |q| > bound, so that a nan q or bound is re-evaluated too
-        near[c] = ~(np.abs(q) > bound)
-    do[:] = yo
-    near = np.flatnonzero(near)
+    yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
+    yg = yv * _dln_window_factor(p, xs, w)
+    q = dv + yg
+    sq = np.sign(q)
+    bound = _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv) + np.abs(yg))
+    # not |q| > bound, so that a nan q or bound is re-evaluated too
+    near = np.flatnonzero(~(np.abs(q) > bound))
+    do = yo.copy()
     if near.size:
         dv[near], do[near] = eval_orthonormal_deriv_parts(p, xs[near])
         sq[near] = _q_signs(p, w, xs[near], yv[near], yo[near], dv[near], do[near])
-    return np.sign(yv), sq, parts
+    return np.sign(yv), sq, (yv, yo, dv, do)
 
 
 def _q_signs(p: Params, w: Window, xs: np.ndarray, yv, yo, dv, do) -> np.ndarray:
@@ -376,7 +367,7 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
     n = max(64, _NODES_PER_DEGREE * (p.k + 2))
     xs = _scan_points(p, w, n)
     xs4 = _scan_points(p, w, 4 * n)
-    # both grids together, one recurrence call per _CHUNK points
+    # both grids together, in one recurrence call
     sy, sq, parts = _grid_signs(p, w, np.concatenate([xs, xs4]))
     m = xs.size
     sy4, sq4 = sy[m:], sq[m:]
@@ -412,12 +403,11 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
     records = []
     for i in range(roots.size):
         ln_v = float(ln_c[i])
-        val = 0.0 if ln_v == -math.inf else (math.inf if ln_v > _LN_FLOAT_MAX else math.exp(ln_v))
         records.append(
             ExtremumRecord(
                 index=i,
                 x=float(roots[i]),
-                M=val,
+                M=_exp_saturating(ln_v),
                 ln_M=ln_v,
                 kind="min" if is_min[i] else "max",
             )
@@ -456,16 +446,8 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
 
 def _endpoint_record(p: Params, w: Window, side: str) -> ExtremumRecord:
     x = w.d_M if side == "right" else w.d_m
-    if x == 1.0:
-        net = p.alpha + 0.5
-    elif x == -1.0:
-        net = p.beta + 0.5
-    else:
-        net = 1.0  # sqrt factor vanishes, weight finite
-    if net < 0.0:
-        return ExtremumRecord(index=-1, x=x, M=math.inf, ln_M=math.inf, kind="max")
-    val = weighted_M(p, x, w)
-    return ExtremumRecord(index=-1, x=x, M=val.value, ln_M=val.ln_value, kind="max")
+    ln = _endpoint_ln_M(p, x, w)
+    return ExtremumRecord(index=-1, x=x, M=_exp_saturating(ln), ln_M=ln, kind="max")
 
 
 def global_max(p: Params, w: Window) -> ExtremumRecord:

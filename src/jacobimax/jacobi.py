@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .gammafn import log_beta, log_gamma
-from .scaled import ScaledReal
+from .scaled import _LN_FLOAT_MAX, ScaledReal
 
 __all__ = [
     "ALPHA_FLOOR",
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # smallest alpha for which the cube-root bounds below are claimed
 ALPHA_FLOOR = (1.0 + math.sqrt(2.0)) / 4.0
@@ -284,6 +283,22 @@ def _exp_saturating(ln: float) -> float:
     return math.exp(ln)
 
 
+def _endpoint_ln_M(p: Params, x: float, w: Window) -> float:
+    """ln M's one-sided limit at the window endpoint x: -inf where M vanishes, +inf where it diverges.
+
+    At an endpoint inside (-1, 1) the square root vanishes and the weight is
+    finite.  At x = 1 (x = -1) the square root and the weight together go
+    like |1 - x|^net (|1 + x|^net), net = alpha + 1/2 (beta + 1/2); at
+    net = 0 the limit is the rest of M at x.
+    """
+    if abs(x) != 1.0:
+        return -math.inf
+    net, other = (p.alpha + 0.5, p.beta) if x == 1.0 else (p.beta + 0.5, p.alpha)
+    if net != 0.0:
+        return -math.inf if net > 0.0 else math.inf
+    return 0.5 * math.log(w.width) + other * _LN2 + 2.0 * eval_orthonormal(p, x).ln_mag
+
+
 def weighted_M(p: Params, x: float, w: Window) -> WeightedValue:
     """M(x) = sqrt((x-d_m)(d_M-x)) (1-x)^alpha (1+x)^beta P_k(x)^2.
 
@@ -297,29 +312,12 @@ def weighted_M(p: Params, x: float, w: Window) -> WeightedValue:
     x = float(x)
     if not (w.d_m <= x <= w.d_M):
         raise ValueError(f"x = {x} outside window [{w.d_m}, {w.d_M}]")
-    if x == w.d_M:
-        if x == 1.0:
-            net = p.alpha + 0.5
-            if net > 0.0:
-                return WeightedValue(0.0, -math.inf)
-            if net < 0.0:
-                raise ValueError("M diverges at x = 1 for alpha < -1/2")
-            y = eval_orthonormal(p, 1.0)
-            ln = 0.5 * math.log(1.0 - w.d_m) + p.beta * _LN2 + 2.0 * y.ln_mag
-            return WeightedValue(_exp_saturating(ln), ln)
-        return WeightedValue(0.0, -math.inf)
-    if x == w.d_m:
-        if x == -1.0:
-            net = p.beta + 0.5
-            if net > 0.0:
-                return WeightedValue(0.0, -math.inf)
-            if net < 0.0:
-                raise ValueError("M diverges at x = -1 for beta < -1/2")
-            y = eval_orthonormal(p, -1.0)
-            ln = 0.5 * math.log(w.d_M + 1.0) + p.alpha * _LN2 + 2.0 * y.ln_mag
-            return WeightedValue(_exp_saturating(ln), ln)
-        return WeightedValue(0.0, -math.inf)
-    ln = float(weighted_ln_parts(p, [x], w)[0])
+    if x == w.d_m or x == w.d_M:
+        ln = _endpoint_ln_M(p, x, w)
+        if ln == math.inf:
+            raise ValueError("M diverges at x = 1 for alpha < -1/2" if x == 1.0 else "M diverges at x = -1 for beta < -1/2")
+    else:
+        ln = float(weighted_ln_parts(p, [x], w)[0])
     return WeightedValue(_exp_saturating(ln), ln)
 
 

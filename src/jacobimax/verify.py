@@ -639,11 +639,15 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+# the CSV report's header, in column order
+_CSV_COLUMNS = ("check_id", "k", "alpha", "beta", "lhs", "rhs", "margin", "pass", "status")
+
+
 def render_csv(report: Report, timestamp: Optional[str] = None) -> str:
     """CSV text: one timestamp comment line, fixed header, then sorted rows."""
     ts = timestamp or datetime.now(timezone.utc).isoformat()
     lines = [f"# generated_at: {ts}"]
-    lines.append("check_id,k,alpha,beta,lhs,rhs,margin,pass,status")
+    lines.append(",".join(_CSV_COLUMNS))
     for r in report.rows:
         lines.append(
             f"{r.check_id},{r.k},{_fmt(r.alpha)},{_fmt(r.beta)},{_fmt(r.lhs)},"
@@ -693,14 +697,22 @@ def write_report(report: Report, path: str, fmt: str = "csv") -> None:
 
 
 def parse_report_csv(path: str) -> list[VerificationResult]:
-    """Read rows produced by render_csv (comment lines ignored)."""
+    """Read rows produced by render_csv (comment lines ignored).
+
+    Raises ConfigError, naming the columns missing, when the file does not
+    start with render_csv's header (a JSON report, say).
+    """
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
             content = [line for line in fh if not line.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"cannot read report from {path}: {exc}") from exc
-    for rec in csv.DictReader(content):
+    reader = csv.DictReader(content)
+    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path} is not a CSV report: missing columns {', '.join(missing)}")
+    for rec in reader:
         rows.append(
             VerificationResult(
                 check_id=rec["check_id"],
@@ -726,13 +738,17 @@ def fit_exponent(rows, predictor: str = "alpha") -> FitResult:
     """Least-squares slope of ln lhs against the chosen log predictor.
 
     predictor "alpha" regresses on ln alpha; "alpha_composite" regresses on
-    ln(alpha^(1/3) (1+alpha/k)^(1/6)).  Informational only.
+    ln(alpha^(1/3) (1+alpha/k)^(1/6)).  Rows that are not checked, whose lhs
+    is not positive and finite, or where the predictor is undefined (alpha <=
+    0; k < 1 for the composite) are left out.  Informational only.
     """
     if predictor not in ("alpha", "alpha_composite"):
         raise ConfigError(f"unknown predictor: {predictor!r}")
     xs, ys = [], []
     for r in rows:
         if r.status != CHECKED or not (r.lhs > 0.0) or not math.isfinite(r.lhs) or r.alpha <= 0.0:
+            continue
+        if predictor == "alpha_composite" and r.k < 1:
             continue
         if predictor == "alpha":
             xs.append(math.log(r.alpha))

@@ -214,6 +214,35 @@ def test_fit_on_unusable_report_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_fit_composite_leaves_out_degree_zero_rows(capsys, tmp_path):
+    # the composite predictor ln(alpha^(1/3) (1 + alpha/k)^(1/6)) is undefined
+    # at k = 0; those rows are left out as alpha <= 0 rows are
+    report = tmp_path / "report.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": ["emn_eq2"], "k_spec": {"min": 0, "max": 6}, "alpha_spec": [0.5, 1, 2, 4]}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg_path), "--out", str(report)])
+    assert code == 0
+    assert ",0,0.5,0.5," in report.read_text()
+    code, out, err = run(capsys, ["fit", "--in", str(report), "--predictor", "composite"])
+    assert code == 0, err
+    assert re.search(r"^slope\s*=\s*[-0-9.]+$", out, re.M), out
+
+
+def test_fit_on_a_file_that_is_not_a_csv_report_is_usage_error(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": ["thm1"], "k_spec": {"min": 40, "max": 40}, "alpha_spec": [1.0, 2.0]}))
+    json_report = tmp_path / "report.json"
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg_path), "--out", str(json_report), "--format", "json"])
+    assert code == 0
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    for path in (json_report, other):
+        code, out, err = run(capsys, ["fit", "--in", str(path)])
+        assert code == 2, path
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert "missing columns check_id, k, alpha" in err, err
+
+
 def test_version_flag(capsys):
     # argparse raises SystemExit internally; main converts it to a return code
     code, out, err = run(capsys, ["--version"])

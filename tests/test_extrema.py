@@ -9,7 +9,6 @@ import scipy.special
 from jacobimax import _kernels, extrema
 from jacobimax.envelope import Geometry, delta_squared, delta_window, geometry, sonin_S
 from jacobimax.extrema import (
-    _CHUNK,
     ExtremumRecord,
     GridTooCoarseError,
     _endpoint_record,
@@ -346,7 +345,7 @@ def test_grid_guard_takes_sign_at_refined_roots_from_shifted_family(p, w, monkey
         assert np.count_nonzero(_grid_signs(p, w, xs)[1] != ref) > 10
 
 
-def test_grid_makes_one_kernel_call_per_chunk(monkeypatch):
+def test_grid_makes_one_kernel_call(monkeypatch):
     calls = []
     recurrence = _kernels.recurrence
 
@@ -355,19 +354,14 @@ def test_grid_makes_one_kernel_call_per_chunk(monkeypatch):
         return recurrence(x, b, a, ln_start, k)
 
     monkeypatch.setattr(_kernels, "recurrence", counting)
-    most = 0
     for p in (Params(400, 0.0, 0.0), Params(400, 1e5, 1e5), Params(300, 1e7, -0.9)):
         w = Window.full()
         xs = _scan_grid(p, w)
-        chunks = [min(_CHUNK, xs.size - i) for i in range(0, xs.size, _CHUNK)]
-        assert len(chunks) >= 2
-        most = max(most, len(chunks))
         calls.clear()
         _grid_signs(p, w, xs)
-        # one call per chunk, then at most one for the guarded nodes
-        assert calls[: len(chunks)] == chunks, (p, calls)
-        assert len(calls) <= len(chunks) + 1 and sum(calls[len(chunks) :]) <= xs.size // 100, (p, calls)
-    assert most >= 3
+        # one pair call for the whole grid, then at most one for the guarded nodes
+        assert calls[:1] == [xs.size], (p, calls)
+        assert len(calls) <= 2 and sum(calls[1:]) <= xs.size // 100, (p, calls)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="edge maximum beyond the outermost grid node is lost")

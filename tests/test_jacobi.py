@@ -1,6 +1,7 @@
 """Orthonormal Jacobi evaluation against closed forms and external oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,22 @@ def test_rows_ending_after_a_rescale_match_plain_loop_bitwise():
         m = steps[len(steps) // 2]
         rows = [(x[: 35 - 3 * i], b_arr, a_arr, ln_start, d) for i, d in enumerate((k, m + 1, m, m - 1, steps[0]))]
         _assert_plain_bits(rows)
+
+
+def test_short_row_stepping_on_its_padding_matches_plain_loop_bitwise():
+    # a degree-2 row whose last pair lies near 1e150 (one point above it, so
+    # its last step rescales) steps about 400 more times on its b = 0, a = 1
+    # padding beside a degree-400 row; neither row's bits change and no
+    # step overflows
+    x = np.array([0.0, 0.5, -0.95, 1.0, -1.0, 0.3])
+    short = (x, np.array([0.0, 0.0]), np.array([1.0, 0.8e-150]), 0.0, 2)
+    steps = []
+    val, prev, _ = _plain_recurrence(*short, steps)
+    assert steps == [1] and 1e149 < np.max(np.abs(val)) < 1e151
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for alpha, beta in ((0.0, 0.0), (1e5, 1e5), (2.5, 1e6)):
+            _assert_plain_bits([short, (x, *_recurrence_coeffs(400, alpha, beta), 400)])
 
 
 def _batch_invariance_cases():

@@ -554,6 +554,19 @@ def test_fit_exponent_ignores_unusable_rows():
     np.testing.assert_allclose(fit.slope, 1.0 / 3.0, rtol=1e-12)
 
 
+def test_fit_exponent_composite_leaves_out_degree_zero_rows():
+    rows = [_fit_row(k, a, a ** (1.0 / 3.0) * (1.0 + a / k) ** (1.0 / 6.0)) for k in (6, 12) for a in (1.0, 10.0, 100.0)]
+    fit = fit_exponent(rows + [_fit_row(0, 2.0, 1.0)], predictor="alpha_composite")
+    assert fit == fit_exponent(rows, predictor="alpha_composite")
+
+
+def test_parse_report_csv_names_missing_columns(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("# generated_at: T\ncheck_id,k,alpha,beta,lhs,rhs\nthm1,2,1,1,0.5,1\n")
+    with pytest.raises(ConfigError, match="missing columns margin, pass, status"):
+        parse_report_csv(str(path))
+
+
 def test_fit_exponent_guards():
     with pytest.raises(ConfigError):
         fit_exponent([_fit_row(10, 2.0, 1.0)] * 4)
