@@ -101,11 +101,10 @@ def _summarize(report: _verify.Report, stream) -> None:
         print(f"{cid:<28} {'  '.join(parts)}", file=stream)
     verdict = "PASS" if report.n_failed == 0 else "FAIL"
     code = "32" if verdict == "PASS" else "31"
-    n_checked = sum(1 for r in report.rows if r.status == _verify.CHECKED)
     print(
         _paint(verdict, code, color)
-        + f" ({n_checked} checked, {report.n_failed} failed, "
-        + f"{sum(1 for r in report.rows if r.status == _verify.SKIPPED)} skipped, "
+        + f" ({report.total(_verify.CHECKED)} checked, {report.n_failed} failed, "
+        + f"{report.total(_verify.SKIPPED)} skipped, "
         + f"{report.n_numeric_failures} numeric failures)",
         file=stream,
     )
@@ -192,14 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None, help="JSON sweep config supplying the grid")
     s.add_argument("--out", default=None, help="write the full report to this path")
     s.add_argument("--format", choices=["csv", "json"], default="csv", help="report format")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads")
+    s.add_argument("--jobs", type=int, default=1, help="worker threads (at most one per CPU)")
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("sweep", help="run a configured grid sweep and write the report")
     s.add_argument("--config", required=True, help="JSON sweep config")
     s.add_argument("--out", default=None, help="report path (overrides config output.path)")
     s.add_argument("--format", choices=["csv", "json"], default=None, help="report format")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads")
+    s.add_argument("--jobs", type=int, default=1, help="worker threads (at most one per CPU)")
     s.set_defaults(func=_cmd_sweep)
 
     s = subs.add_parser("fit", help="fit a growth exponent to report rows")

@@ -13,9 +13,9 @@ only at the midpoints too close to that root to decide.
 The sign of y is that of the recurrence value.  The sign of q, whose zeros
 are those of f', is defined by the shifted-family route: y' is
 Q_{k-1}^{(alpha+1, beta+1)} times a constant (eval_orthonormal_deriv_parts).
-The Newton steps and the bisection midpoints use that route, with one stacked
-kernel call (y and the shifted family together) per Newton step and per
-refinement round.  The grid takes y' from the recurrence's last pair instead,
+The Newton steps and the bisection midpoints use that route, with two kernel
+calls (y, then the shifted family) per Newton step and per refinement
+round.  The grid takes y' from the recurrence's last pair instead,
 in one kernel call for both grids, which saves a second recurrence per node,
 and re-evaluates by the shifted family every node whose q is too close to 0
 for the two routes to be sure to agree (_grid_signs).  So every sign,
@@ -107,7 +107,7 @@ def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
 
 
 def _eval_parts(p: Params, xs: np.ndarray):
-    """(yv, yo, dv, do): y = P_k and y' at xs as significand / ln offset pairs, from one kernel call."""
+    """(yv, yo, dv, do): y = P_k and y' at xs as significand / ln offset pairs, from one kernel call each."""
     (yv, yo), (dv, do) = eval_derivatives_parts(p, [xs, xs])
     return yv, yo, dv, do
 
@@ -214,11 +214,11 @@ def _locate(p: Params, w: Window, xs, parts, y_left, q_left):
 
     A cubic Hermite fit to the 4x-grid values of each bracket, one pass for
     the y and q brackets together, gives a first guess; a Newton step on y or
-    F, evaluated afresh in one kernel call for both families, then lands it
-    within a few ulps of the computed sign change.  The radius grows with the
-    square of the last step, the size of the error Newton leaves; brackets
-    whose radius is still above twice its floor take another step, up to
-    _NEWTON_STEPS.  A bracket without a usable step gets an infinite radius:
+    F, evaluated afresh at both families' points together (one kernel call
+    for y, one for y'), then lands it within a few ulps of the computed sign
+    change.  The radius grows with the square of the last step, the size of
+    the error Newton leaves; brackets whose radius is still above twice its
+    floor take another step, up to _NEWTON_STEPS.  A bracket without a usable step gets an infinite radius:
     its model is trusted nowhere.
     """
     left = np.concatenate([y_left, q_left])
@@ -301,9 +301,9 @@ def _refine(p: Params, w: Window, brackets, tol: float):
 
     `brackets` holds one (lo, hi, s_lo, root, eps) tuple of arrays for y and
     one for q.  Each round replays both bisections against the model roots
-    and evaluates, in one stacked kernel call, every sign the replay took from
-    the model within eps of a root: y at both families' points and the
-    shifted family at q's only.  The first round also evaluates root -/+ eps;
+    and evaluates, in one kernel call each for y and the shifted family, every
+    sign the replay took from the model within eps of a root: y at both
+    families' points and the shifted family at q's only.  The first round also evaluates root -/+ eps;
     where either is not on its model side, the bracket's model is trusted
     nowhere and all its midpoints are evaluated.  Rounds repeat until every evaluated
     sign agrees with the sign the replay used.  Outside eps the model is
@@ -327,7 +327,7 @@ def _refine(p: Params, w: Window, brackets, tol: float):
         if not (evals[0].size or evals[1].size):
             return results
         ny = evals[0].size
-        # y at both families' points and y' at q's, in one kernel call
+        # y at both families' points and y' at q's, in one kernel call each
         (yv, yo), (dv, do) = eval_derivatives_parts(p, [np.concatenate(evals), evals[1]])
         sq = _q_signs(p, w, evals[1], yv[ny:], yo[ny:], dv, do)
         agree = True

@@ -196,7 +196,7 @@ def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarray]]:
-    """P_k^(j) at the points points[j], j = 0, 1, ..., from one stacked kernel call.
+    """P_k^(j) at the points points[j], j = 0, 1, ..., from one kernel call per order.
 
     The j-th derivative is c_j Q_{k-j}, with Q orthonormal for (alpha + j,
     beta + j) and ln c_j the sum of _deriv_ln_prefactor down the chain p,
@@ -206,10 +206,11 @@ def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarr
     """
     pts = [_points(x) for x in points]
     fams = [p] + [Params(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]
-    rows = [(xs, *_recurrence_coeffs(q.k, q.alpha, q.beta), q.k) for xs, q in zip(pts, fams)]
     out = []
     ln_c = 0.0
-    for j, (val, _, off) in enumerate(_kernels.recurrence_rows(rows)):
+    for j, (xs, q) in enumerate(zip(pts, fams)):
+        b, a, ln_p0 = _recurrence_coeffs(q.k, q.alpha, q.beta)
+        val, _, off = _kernels.recurrence(xs, b, a, ln_p0, q.k)
         if j:
             step = _deriv_ln_prefactor(fams[j - 1])
             ln_c = step if j == 1 else ln_c + step
@@ -347,13 +348,13 @@ def ode_residual(p: Params, x: float) -> float:
     The second derivative comes from chaining the first-derivative reduction
     twice, so this cross-checks the evaluation and derivative routes at once.
     To check many points, pass them all to ode_residuals: it makes one
-    kernel call for the whole set.
+    kernel call per derivative order for the whole set.
     """
     return ode_residuals(p, [float(x)])[0]
 
 
 def ode_residuals(p: Params, x) -> list[float]:
-    """ode_residual at every point of x, with y, y' and y'' from one stacked kernel call.
+    """ode_residual at every point of x, with y, y' and y'' from one kernel call each.
 
     The three terms t1 = (1-x^2) y'', t2 = -((a+b+2)x + a-b) y' and
     t3 = k(k+a+b+1) y are formed as ln|t| arrays from the kernel's

@@ -10,6 +10,7 @@ serial sweeps emit identical bytes.
 import csv
 import json
 import math
+import os
 import platform
 import sys
 from collections import Counter
@@ -175,7 +176,7 @@ def _pointwise_points(p: Params) -> tuple[np.ndarray, float, np.ndarray]:
 def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     """(x, M(x), bound) at each sample point where the bound is not vacuous.
 
-    ln M comes from the triple's stacked kernel call (_sampling_parts); each M
+    ln M comes from the triple's P_k kernel call (_sampling_parts); each M
     and bound has the same bits as weighted_M and pointwise_bound at its point.
     """
     xs, num, den, val, off = _sampling_parts(p.k, p.alpha, p.beta)["pointwise"]
@@ -188,7 +189,7 @@ def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
 def _run_pointwise(p: Params) -> tuple[float, float]:
     """Smallest margin of the pointwise bound over the samples; the first of equal margins wins.
 
-    P_k at the ~95 sample points comes from the triple's one stacked kernel call.
+    P_k at the ~95 sample points comes from the triple's one P_k kernel call.
     """
     _, lhs, rhs = min(_pointwise_samples(p), key=lambda sample: sample[2] - sample[1])
     return lhs, rhs
@@ -208,7 +209,7 @@ def _run_gamma_ratio(p: Params) -> tuple[float, float]:
 
 
 def _run_ode_residual(p: Params) -> tuple[float, float]:
-    """Largest ODE residual over 100 points, with y, y' and y'' from the triple's stacked kernel call."""
+    """Largest ODE residual over 100 points, with y, y' and y'' from the triple's kernel calls."""
     parts = _sampling_parts(p.k, p.alpha, p.beta)["ode_residual"]
     return max([0.0, *_ode_residuals(p, _ODE_POINTS, *parts)]), 1e-8
 
@@ -248,7 +249,7 @@ def _run_deriv_fd(p: Params) -> tuple[float, float]:
     """Largest gap between P_k' and a five-point difference quotient at 50 centres.
 
     P_k at the centres and their 200 stencil points, and P_k' at the centres,
-    come from the triple's stacked kernel call.  Each centre's stencil values
+    come from the triple's kernel calls.  Each centre's stencil values
     and derivative are scaled by exp(-max(ln|P_k(u)|, ln|P_k'(u)|)), taken
     from the kernel's (significand, ln offset) outputs, so the row is computed
     where |P_k| lies far outside double range as well.
@@ -265,13 +266,13 @@ def _run_deriv_fd(p: Params) -> tuple[float, float]:
 
 @lru_cache(maxsize=64)
 def _sampling_parts(k: int, alpha: float, beta: float) -> MappingProxyType:
-    """Kernel outputs for a triple's three sampling rows, from one stacked call.
+    """Kernel outputs for a triple's three sampling rows, from one kernel call per polynomial.
 
-    Row 0 evaluates P_k at ode_residual's points, deriv_fd's stencils and
-    pointwise's kept samples; row 1 evaluates P_k' at the ode points and the
-    deriv_fd centres; row 2 evaluates P_k'' at the ode points.  A check whose
-    hypothesis fails adds no points.  Maps each check id to its read-only
-    slices; sweeps run triple by triple, so a small memo serves them.
+    The P_k call evaluates ode_residual's points, deriv_fd's stencils and
+    pointwise's kept samples; the P_k' call the ode points and the deriv_fd
+    centres; the P_k'' call the ode points.  A check whose hypothesis fails
+    adds no points.  Maps each check id to its read-only slices; sweeps run
+    triple by triple, so a small memo serves them.
     """
     p = Params(k, alpha, beta)
     h, u = _deriv_fd_points(p) if _REGISTRY["deriv_fd"].hypothesis(p) is None else (0.0, np.empty(0))
@@ -592,16 +593,21 @@ class SweepConfig:
 class Report:
     rows: tuple[VerificationResult, ...]
     config_echo: dict
+    # per check id, the rows of each status plus the passed and failed checked rows (_count_rows)
     counts: dict
     tool_version: str = __version__
 
+    def total(self, key: str) -> int:
+        """Rows with status `key`, or checked rows that "passed" or "failed", over every check."""
+        return sum(c.get(key, 0) for c in self.counts.values())
+
     @property
     def n_failed(self) -> int:
-        return sum(1 for r in self.rows if r.status == CHECKED and not r.passed)
+        return self.total("failed")
 
     @property
     def n_numeric_failures(self) -> int:
-        return sum(1 for r in self.rows if r.status == NUMERIC_FAILURE)
+        return self.total(NUMERIC_FAILURE)
 
     def exit_code(self) -> int:
         if self.n_failed:
@@ -627,7 +633,8 @@ def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     # triple by triple, so that the checks of a triple meet its memos while they are fresh
     work = [(cid, p) for p in grid for cid in config.checks]
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # never more threads than CPUs, whatever --jobs asks for
+        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(lambda t: run_check(*t), work))
     else:
         results = [run_check(cid, p) for cid, p in work]
@@ -700,19 +707,23 @@ def parse_report_csv(path: str) -> list[VerificationResult]:
     """Read rows produced by render_csv (comment lines ignored).
 
     Raises ConfigError, naming the columns missing, when the file does not
-    start with render_csv's header (a JSON report, say).
+    start with render_csv's header (a JSON report, say), and naming the line
+    of a row with fewer fields than the header.
     """
     rows = []
     try:
         with open(path, encoding="utf-8") as fh:
-            content = [line for line in fh if not line.startswith("#")]
+            # (line number in the file, line) of every line that is not a comment
+            content = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"cannot read report from {path}: {exc}") from exc
-    reader = csv.DictReader(content)
+    reader = csv.DictReader(line for _, line in content)
     missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"{path} is not a CSV report: missing columns {', '.join(missing)}")
     for rec in reader:
+        if None in rec.values():
+            raise ConfigError(f"{path}, line {content[reader.line_num - 1][0]}: fewer fields than the header")
         rows.append(
             VerificationResult(
                 check_id=rec["check_id"],

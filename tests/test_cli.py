@@ -243,6 +243,21 @@ def test_fit_on_a_file_that_is_not_a_csv_report_is_usage_error(capsys, tmp_path)
         assert "missing columns check_id, k, alpha" in err, err
 
 
+def test_fit_on_a_report_row_with_too_few_fields_is_usage_error(capsys, tmp_path):
+    # the short row is the file's fourth line, after a comment and a full row
+    report = tmp_path / "short.csv"
+    report.write_text(
+        "# generated_at: T\n"
+        "check_id,k,alpha,beta,lhs,rhs,margin,pass,status\n"
+        "thm1,2,1,1,0.5,1,0.5,true,checked\n"
+        "thm1,2,1\n"
+    )
+    code, out, err = run(capsys, ["fit", "--in", str(report)])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert f"{report}, line 4: fewer fields than the header" in err, err
+
+
 def test_version_flag(capsys):
     # argparse raises SystemExit internally; main converts it to a return code
     code, out, err = run(capsys, ["--version"])

@@ -1,7 +1,6 @@
 """Orthonormal Jacobi evaluation against closed forms and external oracles."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -261,7 +260,7 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
     ]
     for k, alpha, beta in cases:
         b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
-        for x in (edge, rng.uniform(-1.0, 1.0, size=300), np.cos(np.linspace(0.0, math.pi, 257)), edge[:1]):
+        for x in (edge, rng.uniform(-1.0, 1.0, size=300), np.cos(np.linspace(0.0, math.pi, 257)), edge[:1], edge[:0]):
             ref = _plain_recurrence(x, b_arr, a_arr, ln_start, k)
             got = _kernels.recurrence(x, b_arr, a_arr, ln_start, k)
             assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
@@ -276,64 +275,12 @@ def test_numpy_kernel_matches_plain_loop_bitwise():
         assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
 
 
-def test_stacked_kernel_rows_match_one_row_calls_bitwise():
-    # recurrence_rows stacks rows of any degree, length and family into one
-    # loop; every row must keep the bits of recurrence called on it alone
-    rng = np.random.default_rng(63)
-    edge = np.array([-1.0, 1.0, 0.0, 1e-17, -1e-17])
-
-    def exponent():
-        # -0.499 to 1e7, log-uniform in the distance from -1/2
-        return float(np.exp(rng.uniform(math.log(1e-3), math.log(1e7 + 0.5))) - 0.5)
-
-    def row(k, alpha, beta, x):
-        return (x, *_recurrence_coeffs(k, alpha, beta), k)
-
-    def points(n):
-        x = np.concatenate([edge[: int(rng.integers(0, 6))], rng.uniform(-1.0, 1.0, n)])
-        rng.shuffle(x)
-        return x
-
-    def check(rows):
-        got = _kernels.recurrence_rows(rows)
-        assert len(got) == len(rows)
-        for i, (r, parts) in enumerate(zip(rows, got)):
-            ref = _kernels.recurrence(*r)
-            assert [g.tobytes() for g in parts] == [f.tobytes() for f in ref], (i, r[4])
-
-    for _ in range(40):
-        rows = []
-        for _ in range(int(rng.integers(1, 6))):
-            k = int(rng.choice([0, 1, 2, int(rng.integers(3, 501))]))
-            alpha = exponent()
-            beta = alpha if rng.random() < 0.4 else exponent()
-            rows.append(row(k, alpha, beta, points(int(rng.integers(0, 80)))))
-        check(rows)
-    # a family whose last step rescales some point: the degree below it must
-    # come from its own run, not from the prev of the longer one
-    x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 30)])
-    for k, alpha, beta in ((500, 1e7, 1e7), (400, 2.5, 1e6), (300, 1e5, -0.499)):
-        b_arr, a_arr, ln_start = _recurrence_coeffs(k, alpha, beta)
-        steps = []
-        _plain_recurrence(x, b_arr, a_arr, ln_start, k, steps)
-        assert steps, (k, alpha, beta)
-        m = steps[len(steps) // 2]
-        family = [row(m + 1, alpha, beta, x), row(m, alpha, beta, x), row(m - 1, alpha, beta, x[:7])]
-        # a row longer than _kernels._STACK_POINTS runs alone
-        long = np.concatenate([x] * 20)
-        assert long.size > _kernels._STACK_POINTS
-        others = [row(k, alpha, beta, x[::2]), row(1, alpha, beta, x[:3]), row(0, alpha, beta, x), row(k, alpha, beta, long)]
-        check(family + others)
-        ref = _plain_recurrence(x, b_arr, a_arr, ln_start, m + 1)
-        assert [g.tobytes() for g in _kernels.recurrence_rows(family)[0]] == [f.tobytes() for f in ref]
-
-
 def _assert_plain_bits(rows):
-    # every row of one stacked call against the plain loop on that row alone
-    got = _kernels.recurrence_rows(rows)
-    for i, (r, parts) in enumerate(zip(rows, got)):
+    # the kernel on each row (x, b, a, ln_start, k) against the plain loop
+    for i, r in enumerate(rows):
+        got = _kernels.recurrence(*r)
         ref = _plain_recurrence(*r)
-        assert [g.tobytes() for g in parts] == [f.tobytes() for f in ref], (i, r[4])
+        assert [g.tobytes() for g in got] == [f.tobytes() for f in ref], (i, r[4])
 
 
 def test_symmetric_rows_match_plain_loop_bitwise():
@@ -342,10 +289,7 @@ def test_symmetric_rows_match_plain_loop_bitwise():
     # |pm| = O(1) at every odd step, a rescaling candidate that is not scaled
     x = np.array([-0.0, 0.0, 1.0, -1.0, 1e-17, -1e-17, 1e-200, -1e-200, 0.3, -0.7])
     for k, alpha in ((2, 0.0), (41, 0.0), (60, -0.3), (400, 0.0), (250, 2.5), (300, 1e3), (400, 1e5), (500, 1e7)):
-        rows = [(x, *_recurrence_coeffs(k - j, alpha + j, alpha + j), k - j) for j in range(3)]
-        for r in rows:
-            _assert_plain_bits([r])
-        _assert_plain_bits(rows)
+        _assert_plain_bits([(x, *_recurrence_coeffs(k - j, alpha + j, alpha + j), k - j) for j in range(3)])
     # a nan point is never rescaled, and the other points are rescaled as without it
     nan = np.concatenate([x, [np.nan]])
     _assert_plain_bits([(nan, *_recurrence_coeffs(400, 1e3, 1e3), 400), (nan, *_recurrence_coeffs(41, 0.0, 0.0), 41)])
@@ -384,7 +328,7 @@ def test_rescaling_matches_plain_loop_in_edge_pairs():
 
 def test_rows_ending_after_a_rescale_match_plain_loop_bitwise():
     # rows of one family end one step before, on and after a step that
-    # rescales some point, mid-stack, while longer rows step on
+    # rescales some point
     rng = np.random.default_rng(64)
     x = np.concatenate([[-1.0, 1.0, 0.0, -0.0, 1e-17], rng.uniform(-1.0, 1.0, 30)])
     for k, alpha, beta in ((500, 1e7, 1e7), (400, 1e3, 1e3), (400, 2.5, 1e6), (300, 1e5, -0.499)):
@@ -397,20 +341,15 @@ def test_rows_ending_after_a_rescale_match_plain_loop_bitwise():
         _assert_plain_bits(rows)
 
 
-def test_short_row_stepping_on_its_padding_matches_plain_loop_bitwise():
-    # a degree-2 row whose last pair lies near 1e150 (one point above it, so
-    # its last step rescales) steps about 400 more times on its b = 0, a = 1
-    # padding beside a degree-400 row; neither row's bits change and no
-    # step overflows
+def test_row_rescaled_on_its_last_step_matches_plain_loop_bitwise():
+    # a degree-2 row whose last pair lies near 1e150, one point above it, so
+    # its one step rescales, with step 1's pm tested too
     x = np.array([0.0, 0.5, -0.95, 1.0, -1.0, 0.3])
-    short = (x, np.array([0.0, 0.0]), np.array([1.0, 0.8e-150]), 0.0, 2)
+    row = (x, np.array([0.0, 0.0]), np.array([1.0, 0.8e-150]), 0.0, 2)
     steps = []
-    val, prev, _ = _plain_recurrence(*short, steps)
+    val = _plain_recurrence(*row, steps)[0]
     assert steps == [1] and 1e149 < np.max(np.abs(val)) < 1e151
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for alpha, beta in ((0.0, 0.0), (1e5, 1e5), (2.5, 1e6)):
-            _assert_plain_bits([short, (x, *_recurrence_coeffs(400, alpha, beta), 400)])
+    _assert_plain_bits([row])
 
 
 def _batch_invariance_cases():

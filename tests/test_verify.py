@@ -1,5 +1,6 @@
 """Check registry semantics, sweep determinism, report formats, exponent fits."""
 
+import dataclasses
 import json
 import math
 import platform
@@ -115,7 +116,7 @@ def test_runner_numeric_error_becomes_numeric_failure(monkeypatch):
     monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
     r = run_check("thm1", Params(10, 1.0, 1.0))
     assert r.status == NUMERIC_FAILURE and not r.passed
-    rep = Report(rows=(r,), config_echo={}, counts={})
+    rep = Report(rows=(r,), config_echo={}, counts=verify._count_rows((r,)))
     assert rep.exit_code() == 3
 
 
@@ -147,26 +148,29 @@ def test_gamma_ratio_row_is_the_smallest_gap_on_its_grid():
 
 
 def test_sampling_rows_make_one_kernel_call_per_polynomial(monkeypatch):
-    # every polynomial a triple's three sampling rows need (y, y' and y'') is
-    # a row of one stacked kernel call, shared through the per-triple memo;
-    # ode_residuals and one Newton step of the extrema scan make one call too
+    # every polynomial a triple's three sampling rows need (y, y' and y'', up
+    # to degree k) is one kernel call, shared through the per-triple memo;
+    # ode_residuals makes one call per polynomial too, and one Newton step of
+    # the extrema scan one for y and one for y'
     calls = []
-    for name in ("recurrence", "recurrence_rows"):
-        def counting(*args, _real=getattr(_kernels, name), _name=name):
-            calls.append(_name)
-            return _real(*args)
+    recurrence = _kernels.recurrence
 
-        monkeypatch.setattr(_kernels, name, counting)
+    def counting(x, b, a, ln_start, k):
+        calls.append(k)
+        return recurrence(x, b, a, ln_start, k)
+
+    monkeypatch.setattr(_kernels, "recurrence", counting)
     for p in (Params(1, 0.7, 0.7), Params(2, 1.0, 1.0), Params(60, 40.0, 40.0), Params(300, 1e5, 1e5)):
+        polys = [p.k - j for j in range(min(3, p.k + 1))]
         verify._sampling_parts.cache_clear()
         calls.clear()
         for cid in ("ode_residual", "deriv_fd", "pointwise"):
             r = run_check(cid, p)
             assert r.status == CHECKED, (cid, p)
-        assert calls == ["recurrence_rows"], (p, calls)
+        assert calls == polys, (p, calls)
         calls.clear()
         ode_residuals(p, np.linspace(-0.9, 0.9, 7))
-        assert len(calls) == 1, (p, calls)
+        assert calls == polys, (p, calls)
 
     located = []
     locate = extrema._locate
@@ -184,7 +188,7 @@ def test_sampling_rows_make_one_kernel_call_per_polynomial(monkeypatch):
         extrema.scan_extrema(Params(40, 3.0, 3.0), Window.full())
     finally:
         extrema._cached_scan.cache_clear()
-    assert located == [["recurrence_rows"]]
+    assert located == [[40, 39]]
 
 
 def test_sampling_rows_construct_no_scaled_real(monkeypatch):
@@ -460,6 +464,51 @@ def test_sweep_parallel_matches_serial():
     assert serial.rows == parallel.rows
     ts = "2026-01-01T00:00:00Z"
     assert render_csv(serial, timestamp=ts) == render_csv(parallel, timestamp=ts)
+
+
+def test_sweep_thread_pool_has_at_most_one_thread_per_cpu(monkeypatch):
+    # however large jobs is, the pool asks for no more threads than CPUs;
+    # the stand-in pool records its size and runs the work serially, so
+    # this test starts no thread
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", SerialPool)
+    cfg = SweepConfig.from_dict(_base_config(checks=["thm4_even_value", "gamma_ratio"]))
+    serial = sweep(cfg).rows
+    for cpus, jobs, want in ((3, 100_000, 3), (3, 2, 2), (None, 100_000, 1)):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        assert sweep(cfg, jobs=jobs).rows == serial
+        assert sizes[-1] == want, (cpus, jobs, sizes)
+
+
+def test_report_totals_match_its_rows():
+    # checked, passed, failed, skipped and numeric-failure rows all counted once
+    cfg = SweepConfig.from_dict(_base_config(checks=["thm4_even_value", "thm1", "gamma_ratio"], k_spec={"min": 0, "max": 5}))
+    rows = sweep(cfg).rows
+    broken = VerificationResult("thm1", 3, 0.5, 0.5, math.nan, math.nan, math.nan, False, NUMERIC_FAILURE)
+    failed = dataclasses.replace(rows[0], status=CHECKED, passed=False)
+    rows += (broken, failed)
+    rep = Report(rows=rows, config_echo={}, counts=verify._count_rows(rows))
+    status = Counter(r.status for r in rows)
+    assert status[SKIPPED] and status[CHECKED]
+    for key in (CHECKED, SKIPPED, NUMERIC_FAILURE):
+        assert rep.total(key) == status[key], key
+    assert rep.total("passed") == sum(r.status == CHECKED and r.passed for r in rows)
+    assert rep.n_failed == sum(r.status == CHECKED and not r.passed for r in rows) >= 1
+    assert rep.n_numeric_failures == 1 and rep.exit_code() == 1
 
 
 def test_render_csv_shape():
