@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py [--dump DIR]
 
-Prints five lines, each a digest and what it covers:
+Prints six lines, each a digest and what it covers:
 
 - extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
   every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
@@ -21,7 +21,14 @@ Prints five lines, each a digest and what it covers:
   every block of the verify-sweep pool in perfbench/reference/verify-sweep.json
   (read only for its inputs: one k, its alphas, and beta = alpha or a beta
   grid), in pool order, every cache cleared before each block.  The blocks
-  reach k = 60 with exponents 0.05-1e3 and unequal pairs.
+  reach k = 60 with exponents 0.05-1e3 and unequal pairs;
+- extrema-random: for each of RANDOM_ITEMS (k, alpha, beta, window) items
+  drawn from a generator seeded with RANDOM_SEED, repr(scan_extrema) and
+  repr(global_max), or the exception's class and message, every cache
+  cleared before each item.  The draw reaches what the extrema-cli pool
+  does not: k 0-300, exponents -0.95 to 1e5 (a quarter of them below
+  -1/2), delta windows, and custom windows down to width 1e-6 and up to
+  either end of [-1, 1].
 
 Run it from a checkout; the package is imported from its src/ directory.
 With --dump DIR the raw outputs are also written to DIR/<name>.txt, so two
@@ -33,14 +40,18 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 import jacobimax  # noqa: E402
 from jacobimax import cli, verify  # noqa: E402
+from jacobimax.envelope import delta_window  # noqa: E402
 
 POOL = ROOT / "perfbench" / "reference" / "extrema-cli.json"
 SCALAR_POOL = ROOT / "perfbench" / "reference" / "scalar-checks.json"
@@ -48,6 +59,8 @@ VERIFY_POOL = ROOT / "perfbench" / "reference" / "verify-sweep.json"
 K_SPEC = {"min": 0, "max": 13}
 ALPHAS = [-0.5, -0.3, 0.0, 0.3, jacobimax.ALPHA_FLOOR, 0.5, 0.6, 1.0, 2.5, 30.0]
 BETAS = [-0.5, 0.3, 0.5, 0.6, 1.0, 2.5]
+RANDOM_SEED = 20240611
+RANDOM_ITEMS = 600
 
 
 def _clear_caches():
@@ -103,6 +116,58 @@ def scalar_rows() -> str:
     return "".join(lines)
 
 
+def _random_exponent(rng) -> float:
+    u = rng.random()
+    if u < 0.25:
+        return float(rng.uniform(-0.95, -0.5))
+    if u < 0.6:
+        return float(rng.uniform(-0.5, 3.0))
+    return float(10.0 ** rng.uniform(0.5, 5.0))
+
+
+def random_items():
+    """The extrema-random draw, as (Params, window name, Window) triples."""
+    rng = np.random.default_rng(RANDOM_SEED)
+    items = []
+    for _ in range(RANDOM_ITEMS):
+        k = int(rng.integers(0, 13)) if rng.random() < 0.25 else int(rng.integers(0, 301))
+        name = str(rng.choice(["full", "delta", "custom"]))
+        if name == "delta":
+            alpha = float(10.0 ** rng.uniform(math.log10(0.5), 5.0))
+            p = jacobimax.Params(k, alpha, alpha)
+        else:
+            p = jacobimax.Params(k, _random_exponent(rng), _random_exponent(rng))
+        if name == "full":
+            w = jacobimax.Window.full()
+        elif name == "delta":
+            w = delta_window(p)
+        else:
+            width = float(10.0 ** rng.uniform(-6.0, math.log10(2.0)))
+            lo = float(rng.uniform(-1.0, 1.0 - width))
+            edge = rng.random()
+            # a quarter of the windows reach -1 or 1
+            if edge < 0.125:
+                w = jacobimax.Window(-1.0, -1.0 + width)
+            elif edge < 0.25:
+                w = jacobimax.Window(1.0 - width, 1.0)
+            else:
+                w = jacobimax.Window(lo, lo + width)
+        items.append((p, name, w))
+    return items
+
+
+def extrema_random() -> str:
+    chunks = []
+    for p, name, w in random_items():
+        chunks.append(f"{p!r} {name} {w!r}\n")
+        _clear_caches()
+        try:
+            chunks.append(f"{jacobimax.scan_extrema(p, w)!r}\n{jacobimax.global_max(p, w)!r}\n")
+        except (jacobimax.GridTooCoarseError, ValueError) as exc:
+            chunks.append(f"{type(exc).__name__}: {exc}\n")
+    return "".join(chunks)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dump", type=Path, help="also write each raw output to DIR/<name>.txt")
@@ -113,6 +178,7 @@ def main(argv=None) -> int:
         "sweep-equal-alpha": lambda: sweep_csv(K_SPEC, ALPHAS, "equal_alpha"),
         "scalar-rows": scalar_rows,
         "verify-pool": verify_pool_csv,
+        "extrema-random": extrema_random,
     }
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)

@@ -1,26 +1,25 @@
 """Locate every local extremum of the weighted square M over a window.
 
-Interior maxima of M = f^2 are the zeros of f' and interior minima are the
-zeros of f, where f = u y is the transformed solution from the envelope
-frame.  Both sign patterns are sampled on an angle-uniform grid, cross-checked
-at four times the density, and bracketed.  Each bracket's root is located by
-a cubic Hermite fit to the grid values and a Newton step on the freshly
-evaluated function.  The roots reported are those that bisecting the computed
-sign functions would give, to the last bit: the bisection's midpoint sequence
-is replayed against the located root, and signs are evaluated, in one batch,
-only at the midpoints too close to that root to decide.
+Interior maxima of M = f^2 are zeros of f' and interior minima are zeros of
+f, where f = u y is the transformed solution from the envelope frame.  The
+signs of y and of q, whose zeros are those of f', are sampled on an
+angle-uniform grid, cross-checked at four times the density, and bracketed;
+both families' brackets then form one array.  Each bracket's root is located
+by a cubic Hermite fit to the grid values and Newton steps on fresh values.
+The roots reported are those that bisecting the computed sign functions would
+give, to the last bit: each family's bisection midpoint sequence is replayed
+against the located roots, and signs are evaluated, in one batch per round,
+only at the midpoints too close to a root to decide.
 
-The sign of y is that of the recurrence value.  The sign of q, whose zeros
-are those of f', is defined by the shifted-family route: y' is
-Q_{k-1}^{(alpha+1, beta+1)} times a constant (eval_orthonormal_deriv_parts).
-The Newton steps and the bisection midpoints use that route, with two kernel
-calls (y, then the shifted family) per Newton step and per refinement
-round.  The grid takes y' from the recurrence's last pair instead,
-in one kernel call for both grids, which saves a second recurrence per node,
-and re-evaluates by the shifted family every node whose q is too close to 0
-for the two routes to be sure to agree (_grid_signs).  So every sign,
-bracket, root and kind is that of the shifted-family route.  An endpoint's
-record holds ln M's one-sided limit there (jacobi._endpoint_ln_M).
+One evaluator, _signs, computes every sign and value the scan uses: both
+grids, every Newton step and every refinement round.  It takes y and y' from
+the recurrence's last pair, and q's sign is defined by the shifted-family
+route, y' = c Q_{k-1}^{(alpha+1, beta+1)} (eval_orthonormal_deriv_parts): a
+point whose q is too close to 0 for the two routes to be sure to agree is
+re-evaluated by that route.  Kinds come from signs the scan already has: M = 0
+at a root of y, a minimum, and at a root of q, where M' = 2 u^2 y q, M has a
+maximum iff y there has q's sign just left of it.  An endpoint's record holds
+ln M's one-sided limit there (jacobi._endpoint_ln_M).
 """
 
 import math
@@ -36,10 +35,10 @@ from .jacobi import (
     Window,
     _endpoint_ln_M,
     _exp_saturating,
-    eval_derivatives_parts,
+    _weighted_ln,
     eval_orthonormal_deriv_parts,
+    eval_orthonormal_parts,
     eval_value_and_deriv_parts,
-    weighted_ln_parts,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "structure_checks",
 ]
 
-_LN2 = math.log(2.0)
 # smallest trust radius about a located root; the computed sign functions
 # switch within a few ulps of it
 _TRUST_FLOOR = 1e-12
@@ -63,16 +61,17 @@ _REFINE_TOL = 1e-13
 # most Newton steps taken from the Hermite guess of a root
 _NEWTON_STEPS = 3
 # relative distance of q from 0, per unit of the pair's cancellation factor,
-# within which a grid node's q sign is taken from the shifted family; the two
+# within which a point's q sign is taken from the shifted family; the two
 # routes' y' differ by at most a few 1e-12 per unit in the tests
 _PAIR_GUARD = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
-    """Raised when the scan cannot resolve the extrema.
+    """Raised when the scan cannot certify that it lost no extremum.
 
-    Either refining the scan grid 4x changes the number of sign changes, or
-    two consecutive extrema found are of the same kind (not alternating).
+    Either refining the scan grid 4x changes the number of sign changes of y
+    or q, or two consecutive extrema, with kinds read from signs, are of the
+    same kind (not alternating).
     """
 
 
@@ -106,22 +105,16 @@ def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
     return xs[(xs > w.d_m) & (xs < w.d_M)]
 
 
-def _eval_parts(p: Params, xs: np.ndarray):
-    """(yv, yo, dv, do): y = P_k and y' at xs as significand / ln offset pairs, from one kernel call each."""
-    (yv, yo), (dv, do) = eval_derivatives_parts(p, [xs, xs])
-    return yv, yo, dv, do
+def _signs(p: Params, w: Window, xs: np.ndarray):
+    """Signs of y and q at xs, and the parts (yv, yo, dv, do): the scan's one evaluator.
 
-
-def _grid_signs(p: Params, w: Window, xs: np.ndarray):
-    """Signs of y and q at xs, plus the parts, from one recurrence call for all of xs.
-
-    y and y' come from the recurrence's last pair (eval_value_and_deriv_parts).
-    q's sign is defined by the shifted-family route (_q_signs on _eval_parts),
-    which the refinement also uses.  The two routes' y' agree to a few
-    1e-12 * cond relative, cond being the pair's cancellation factor, so a
-    node where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|) takes y' and
-    q's sign from the shifted family instead, in one more recurrence call for
-    all such nodes; elsewhere the two routes give the same sign.
+    y and y' come from the recurrence's last pair, in one kernel call for all
+    of xs (eval_value_and_deriv_parts).  q's sign is defined by the
+    shifted-family route, eval_orthonormal_deriv_parts.  The two routes' y'
+    agree to a few 1e-12 * cond relative, cond being the pair's cancellation
+    factor, so a point where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|)
+    takes y' and q's sign from the shifted family instead, in one more call
+    for all such points; elsewhere the two routes give the same sign.
     """
     yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
     yg = yv * _dln_window_factor(p, xs, w)
@@ -133,22 +126,15 @@ def _grid_signs(p: Params, w: Window, xs: np.ndarray):
     do = yo.copy()
     if near.size:
         dv[near], do[near] = eval_orthonormal_deriv_parts(p, xs[near])
-        sq[near] = _q_signs(p, w, xs[near], yv[near], yo[near], dv[near], do[near])
+        # q = y' + y (ln u)' on the larger of the two offsets
+        om = np.maximum(do[near], yo[near])
+        sq[near] = np.sign(dv[near] * np.exp(do[near] - om) + yg[near] * np.exp(yo[near] - om))
     return np.sign(yv), sq, (yv, yo, dv, do)
 
 
-def _q_signs(p: Params, w: Window, xs: np.ndarray, yv, yo, dv, do) -> np.ndarray:
-    # q = y' + y * (ln u)'; shares interior zeros with the slope of sqrt(M)
-    g = _dln_window_factor(p, xs, w)
-    if p.k == 0:
-        return np.sign(yv * g)
-    om = np.maximum(do, yo)
-    return np.sign(dv * np.exp(do - om) + yv * g * np.exp(yo - om))
-
-
-def _root_structure(xs: np.ndarray, s: np.ndarray):
-    """Node-exact roots plus the left node of each bracket [xs[i], xs[i+1]] of opposite signs."""
-    exact = xs[s == 0.0]
+def _root_structure(s: np.ndarray):
+    """Indices of the node-exact roots, and of the left node of each bracket of opposite signs."""
+    exact = np.flatnonzero(s == 0.0)
     nz = np.flatnonzero(s != 0.0)
     if nz.size < 2:
         return exact, np.empty(0, dtype=np.intp)
@@ -158,8 +144,8 @@ def _root_structure(xs: np.ndarray, s: np.ndarray):
     return exact, left[flip]
 
 
-def _count_roots(xs: np.ndarray, s: np.ndarray) -> int:
-    exact, left = _root_structure(xs, s)
+def _count_roots(s: np.ndarray) -> int:
+    exact, left = _root_structure(s)
     return exact.size + left.size
 
 
@@ -209,37 +195,33 @@ def _hermite_root(x0, x1, f0, d0, f1, d1):
     return x0 + t * h
 
 
-def _locate(p: Params, w: Window, xs, parts, y_left, q_left):
-    """Model roots of y and q, one per bracket, with their trust radii.
+def _locate(p: Params, w: Window, ends, parts, is_y):
+    """Model roots of the brackets and their trust radii.
 
-    A cubic Hermite fit to the 4x-grid values of each bracket, one pass for
-    the y and q brackets together, gives a first guess; a Newton step on y or
-    F, evaluated afresh at both families' points together (one kernel call
-    for y, one for y'), then lands it within a few ulps of the computed sign
-    change.  The radius grows with the square of the last step, the size of
-    the error Newton leaves; brackets whose radius is still above twice its
-    floor take another step, up to _NEWTON_STEPS.  A bracket without a usable step gets an infinite radius:
-    its model is trusted nowhere.
+    `ends` holds every bracket's left node, then every right node, `parts`
+    the grid's (yv, yo, dv, do) there, and is_y marks y's brackets.  A cubic
+    Hermite fit to the grid values, of y for y's brackets and of F for q's,
+    gives a first guess; Newton steps on y or F, evaluated by _signs at all
+    brackets' points together, land it within a few ulps of the computed
+    sign change.  The radius grows with the square of the last step, the size
+    of the error Newton leaves; a bracket whose radius is above twice its
+    floor takes another step, up to _NEWTON_STEPS.  A bracket without a
+    usable step gets an infinite radius: its model is trusted nowhere.
     """
-    left = np.concatenate([y_left, q_left])
-    lo = xs[left]
-    hi = xs[left + 1]
-    is_y = np.arange(left.size) < y_left.size
-    # both families' brackets in one pass: y is fitted with y', q with F and F'
-    ends = np.concatenate([left, left + 1])
-    om, y, d, f, df = _slopes(p, w, xs[ends], *(a[ends] for a in parts))
+    n = is_y.size
+    lo, hi = ends[:n], ends[n:]
+    om, y, d, f, df = _slopes(p, w, ends, *parts)
     both = np.concatenate([is_y, is_y])
     v = np.where(both, y, f)
     dv = np.where(both, d, df)
     # one scale per bracket: rescale the right node to the left node's
-    n = left.size
     rs = np.exp(om[n:] - om[:n])
     x = _hermite_root(lo, hi, v[:n], dv[:n], v[n:] * rs, dv[n:] * rs)
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     eps = np.full(x.size, math.inf)
     todo = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
-        _, y, d, f, df = _slopes(p, w, x[todo], *_eval_parts(p, x[todo]))
+        _, y, d, f, df = _slopes(p, w, x[todo], *_signs(p, w, x[todo])[2])
         step = np.where(is_y[todo], -y / d, -f / df)
         new = x[todo] + step
         ok = np.isfinite(new) & (new > lo[todo]) & (new < hi[todo])
@@ -249,8 +231,7 @@ def _locate(p: Params, w: Window, xs, parts, y_left, q_left):
         todo = todo[eps[todo] > 2.0 * _TRUST_FLOOR]
         if not todo.size:
             break
-    ny = y_left.size
-    return (x[:ny], eps[:ny]), (x[ny:], eps[ny:])
+    return x, eps
 
 
 def _lookup(known, xs):
@@ -260,6 +241,12 @@ def _lookup(known, xs):
         return np.zeros(xs.shape, dtype=bool), np.zeros(xs.shape)
     i = np.minimum(np.searchsorted(kx, xs), kx.size - 1)
     return kx[i] == xs, ks[i]
+
+
+def _own_signs(known, is_y, xs):
+    """Evaluated sign at each point of xs in its bracket's family: y's where is_y, q's elsewhere."""
+    s = _lookup(known, xs)[1]
+    return np.where(is_y, s[:, 0], s[:, 1])
 
 
 def _replay(lo, hi, s_lo, root, known, tol: float):
@@ -296,64 +283,55 @@ def _replay(lo, hi, s_lo, root, known, tol: float):
     return (lo + hi) * 0.5, np.array(mids).reshape(-1, lo.size)
 
 
-def _refine(p: Params, w: Window, brackets, tol: float):
-    """y and q roots, bit-identical to bisecting their computed sign functions.
+def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, is_y, tol: float):
+    """Bracket roots, bit-identical to bisecting each family's computed sign function.
 
-    `brackets` holds one (lo, hi, s_lo, root, eps) tuple of arrays for y and
-    one for q.  Each round replays both bisections against the model roots
-    and evaluates, in one kernel call each for y and the shifted family, every
-    sign the replay took from the model within eps of a root: y at both
-    families' points and the shifted family at q's only.  The first round also evaluates root -/+ eps;
-    where either is not on its model side, the bracket's model is trusted
-    nowhere and all its midpoints are evaluated.  Rounds repeat until every evaluated
-    sign agrees with the sign the replay used.  Outside eps the model is
-    trusted: the computed sign functions change sign once per bracket.
+    Bracket i is [lo[i], hi[i]], y's where is_y[i] and q's elsewhere, with
+    sign s_lo[i] at lo[i], model root root[i] and trust radius eps[i].  Each
+    round replays the bisections against the model roots, once per family so
+    that each stops on its own widest bracket, and evaluates in one _signs
+    call every sign the replays took from the model within eps of a root;
+    the points join one sorted known set with both their signs.  The first
+    round also evaluates root -/+ eps; where either is not on its model side,
+    the bracket's model is trusted nowhere.  Rounds repeat until every
+    evaluated sign agrees with the sign the replay used.  Outside eps the
+    model is trusted: the computed sign functions change sign once per bracket.
     """
-    brackets = [list(b) for b in brackets]
-    known = [(np.empty(0), np.empty(0))] * 2
-    guards = [(root - eps, root + eps) for _, _, _, root, eps in brackets]
+    fams = (np.flatnonzero(is_y), np.flatnonzero(~is_y))
+    # sorted evaluated points, and their y and q signs as columns 0 and 1
+    kx, ks = np.empty(0), np.empty((0, 2))
+    gl, gr = root - eps, root + eps
+    out = np.empty(lo.size)
     first = True
     while True:
-        results, asks, evals = [], [], []
-        for (lo, hi, s_lo, root, eps), kn, (gl, gr) in zip(brackets, known, guards):
-            res, mids = _replay(lo, hi, s_lo, root, kn, tol)
-            results.append(res)
-            ask = np.abs(mids - root) <= eps
-            ask[ask] = ~_lookup(kn, mids[ask])[0]
-            col = np.nonzero(ask)[1]
-            # each asked midpoint, whether the replay put it on the s_lo side, and s_lo
-            asks.append((mids[ask], mids[ask] < root[col], s_lo[col]))
-            evals.append(np.unique(np.concatenate([mids[ask], gl[gl > lo], gr[gr < hi]] if first else [mids[ask]])))
-        if not (evals[0].size or evals[1].size):
-            return results
-        ny = evals[0].size
-        # y at both families' points and y' at q's, in one kernel call each
-        (yv, yo), (dv, do) = eval_derivatives_parts(p, [np.concatenate(evals), evals[1]])
-        sq = _q_signs(p, w, evals[1], yv[ny:], yo[ny:], dv, do)
-        agree = True
-        for i, signs in enumerate((np.sign(yv[:ny]), sq)):
-            known[i] = _merge(known[i], evals[i], signs)
-            pts, side, s_lo = asks[i]
-            got = _lookup(known[i], pts)[1]
-            agree &= not (((got == s_lo) != side) | (got == 0.0)).any()
-            if first:
-                lo, hi, s_lo, _, eps = brackets[i]
-                gl, gr = guards[i]
-                trusted = ((gl <= lo) | (_lookup(known[i], gl)[1] == s_lo)) & (
-                    (gr >= hi) | (_lookup(known[i], gr)[1] == -s_lo)
-                )
-                agree &= bool(trusted.all())
-                brackets[i][4] = np.where(trusted, eps, math.inf)
+        pts, at = [], []
+        for col, j in enumerate(fams):
+            known = (kx, ks[:, col])
+            out[j], mids = _replay(lo[j], hi[j], s_lo[j], root[j], known, tol)
+            ask = np.abs(mids - root[j]) <= eps[j]
+            ask[ask] = ~_lookup(known, mids[ask])[0]
+            pts.append(mids[ask])
+            at.append(j[np.nonzero(ask)[1]])
+        # each asked midpoint and the bracket it belongs to
+        pts, at = np.concatenate(pts), np.concatenate(at)
+        new = np.unique(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
+        if not new.size:
+            return out
+        sy, sq, _ = _signs(p, w, new)
+        kx = np.concatenate([kx, new])
+        order = np.argsort(kx, kind="stable")
+        kx, ks = kx[order], np.concatenate([ks, np.stack([sy, sq], axis=1)])[order]
+        got = _own_signs((kx, ks), is_y[at], pts)
+        agree = not (((got == s_lo[at]) != (pts < root[at])) | (got == 0.0)).any()
+        if first:
+            trusted = ((gl <= lo) | (_own_signs((kx, ks), is_y, gl) == s_lo)) & (
+                (gr >= hi) | (_own_signs((kx, ks), is_y, gr) == -s_lo)
+            )
+            agree &= bool(trusted.all())
+            eps = np.where(trusted, eps, math.inf)
         if agree:
-            return results
+            return out
         first = False
-
-
-def _merge(known, xs, signs):
-    kx = np.concatenate([known[0], xs])
-    ks = np.concatenate([known[1], signs])
-    order = np.argsort(kx, kind="stable")
-    return kx[order], ks[order]
 
 
 @lru_cache(maxsize=1024)
@@ -368,50 +346,43 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
     xs = _scan_points(p, w, n)
     xs4 = _scan_points(p, w, 4 * n)
     # both grids together, in one recurrence call
-    sy, sq, parts = _grid_signs(p, w, np.concatenate([xs, xs4]))
+    sy, sq, parts = _signs(p, w, np.concatenate([xs, xs4]))
     m = xs.size
-    sy4, sq4 = sy[m:], sq[m:]
-    if _count_roots(xs, sy[:m]) != _count_roots(xs4, sy4) or _count_roots(xs, sq[:m]) != _count_roots(xs4, sq4):
+    if _count_roots(sy[:m]) != _count_roots(sy[m:]) or _count_roots(sq[:m]) != _count_roots(sq[m:]):
         raise GridTooCoarseError(
             f"sign-change count changed under 4x refinement for k={p.k}, "
             f"alpha={p.alpha}, beta={p.beta}"
         )
-    ye, yl = _root_structure(xs4, sy4)
-    qe, ql = _root_structure(xs4, sq4)
-    y_roots, q_roots = ye, qe
-    if yl.size or ql.size:
+    sy, sq, parts = sy[m:], sq[m:], tuple(a[m:] for a in parts)
+    (ye, yl), (qe, ql) = _root_structure(sy), _root_structure(sq)
+    # both families' brackets in one array, y's first
+    left = np.concatenate([yl, ql])
+    is_y = np.arange(left.size) < yl.size
+    lo, hi, s_lo = xs4[left], xs4[left + 1], np.concatenate([sy[yl], sq[ql]])
+    found = np.empty(0)
+    if left.size:
+        ends = np.concatenate([left, left + 1])
         with np.errstate(all="ignore"):
-            (yr, yeps), (qr, qeps) = _locate(p, w, xs4, tuple(a[m:] for a in parts), yl, ql)
-        y_ref, q_ref = _refine(
-            p, w, [(xs4[yl], xs4[yl + 1], sy4[yl], yr, yeps), (xs4[ql], xs4[ql + 1], sq4[ql], qr, qeps)], _REFINE_TOL
-        )
-        y_roots = np.concatenate([ye, y_ref])
-        q_roots = np.concatenate([qe, q_ref])
-    roots = np.sort(np.concatenate([y_roots, q_roots]))
+            root, eps = _locate(p, w, xs4[ends], tuple(a[ends] for a in parts), is_y)
+        found = _refine(p, w, lo, hi, s_lo, root, eps, is_y, _REFINE_TOL)
+    # every root, whether it is y's, and q's sign just left of it: s_lo for a
+    # bracket, the node before for a node-exact root (0 at the first node)
+    roots = np.concatenate([xs4[ye], xs4[qe], found])
     if roots.size == 0:
         return ()
-
-    edges = np.concatenate([[w.d_m], roots, [w.d_M]])
-    gap = np.minimum(np.diff(edges)[:-1], np.diff(edges)[1:])
-    h = np.minimum(1e-6 * w.width, 0.25 * gap)
-    ln_c, ln_m, ln_p = np.split(weighted_ln_parts(p, np.concatenate([roots, roots - h, roots + h]), w), 3)
-    # sign of M(x-h) + M(x+h) - 2 M(x) decides the kind, computed in log space
-    top = np.maximum(ln_m, ln_p)
-    side = top + np.log(np.exp(ln_m - top) + np.exp(ln_p - top))
-    is_min = side > _LN2 + ln_c
-
-    records = []
-    for i in range(roots.size):
-        ln_v = float(ln_c[i])
-        records.append(
-            ExtremumRecord(
-                index=i,
-                x=float(roots[i]),
-                M=_exp_saturating(ln_v),
-                ln_M=ln_v,
-                kind="min" if is_min[i] else "max",
-            )
-        )
+    of_y = np.concatenate([np.ones(ye.size, dtype=bool), np.zeros(qe.size, dtype=bool), is_y])
+    q_left = np.concatenate([np.zeros(ye.size), sq[np.maximum(qe - 1, 0)], s_lo])
+    order = np.argsort(roots, kind="stable")
+    roots, of_y, q_left = roots[order], of_y[order], q_left[order]
+    val, off = eval_orthonormal_parts(p, roots)
+    ln_M = _weighted_ln(p, roots, w, val, off)
+    # M = 0 at a root of y; at a root of q, M' = 2 u^2 y q, so M rises into
+    # it, and it is a maximum, iff y there has q's sign just left of it
+    is_max = ~of_y & (np.sign(val) == q_left)
+    records = [
+        ExtremumRecord(index=i, x=float(x), M=_exp_saturating(float(ln)), ln_M=float(ln), kind="max" if top else "min")
+        for i, (x, ln, top) in enumerate(zip(roots, ln_M, is_max))
+    ]
     for a, b in zip(records, records[1:]):
         if a.kind == b.kind:
             raise GridTooCoarseError(
@@ -424,22 +395,17 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
 def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     """All interior critical points of M on the window, sorted by x.
 
-    Samples sign patterns on a theta-uniform grid of max(64, 12 (k+2))
+    Samples the signs of y and q on a theta-uniform grid of max(64, 12 (k+2))
     interior nodes (plus a denser pass over the oscillation band when the
-    weight pushes all activity toward the center), verifies the root count
+    weight pushes all activity toward the center), verifies the root counts
     against a 4x-density pass, and refines each 4x-grid bracket to a width of
-    1e-13.
-    The refined roots are exactly those that bisecting the computed sign
-    functions from the 4x-grid brackets gives: each root is first located by
-    a Hermite fit to the grid values and a Newton step, and the bisection's
-    midpoint sequence is then replayed against it, evaluating signs only at
-    midpoints too close to the located root to decide.  q's sign function is
-    the shifted-family route's everywhere: the grid computes y' from the
-    recurrence's last pair and re-evaluates by the shifted family each node
-    whose q lies within the pair's cancellation bound of 0.  With k = 0 and
-    alpha = beta = -1/2 on the full window M is the constant 1/pi, and the
-    list is empty.  Results are memoized per (k, alpha, beta, window); each
-    call returns a fresh list.
+    1e-13.  The refined roots are exactly those that bisecting the computed
+    sign functions from the 4x-grid brackets gives (_locate, _refine), and
+    q's sign is the shifted-family route's everywhere (_signs).  A root of y
+    is a minimum; a root of q is a maximum iff y has q's left sign there.
+    With k = 0 and alpha = beta = -1/2 on the full window M is the constant
+    1/pi, and the list is empty.  Results are memoized per (k, alpha, beta,
+    window); each call returns a fresh list.
     """
     return list(_cached_scan(p.k, p.alpha, p.beta, w.d_m, w.d_M))
 

@@ -196,26 +196,29 @@ def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarray]]:
-    """P_k^(j) at the points points[j], j = 0, 1, ..., from one kernel call per order.
+    """P_k^(j) at the points points[j], j = 0, 1, ..., from one kernel call per order with points.
 
     The j-th derivative is c_j Q_{k-j}, with Q orthonormal for (alpha + j,
     beta + j) and ln c_j the sum of _deriv_ln_prefactor down the chain p,
     (k-1, alpha+1, beta+1), ...  Returns one (significand, ln offset) pair
-    per order; orders above k are (0, 0).  Order 0 has the bits of
-    eval_orthonormal_parts at every point.
+    per order; orders above k are (0, 0), and an order without points makes
+    no kernel call.  Order 0 has the bits of eval_orthonormal_parts at every
+    point.
     """
     pts = [_points(x) for x in points]
     fams = [p] + [Params(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]
     out = []
     ln_c = 0.0
     for j, (xs, q) in enumerate(zip(pts, fams)):
-        b, a, ln_p0 = _recurrence_coeffs(q.k, q.alpha, q.beta)
-        val, _, off = _kernels.recurrence(xs, b, a, ln_p0, q.k)
         if j:
             step = _deriv_ln_prefactor(fams[j - 1])
             ln_c = step if j == 1 else ln_c + step
-            off = off + ln_c
-        out.append((val, off))
+        if not xs.size:
+            out.append((np.empty(0), np.empty(0)))
+            continue
+        b, a, ln_p0 = _recurrence_coeffs(q.k, q.alpha, q.beta)
+        val, _, off = _kernels.recurrence(xs, b, a, ln_p0, q.k)
+        out.append((val, off + ln_c if j else off))
     out += [(np.zeros(xs.size), np.zeros(xs.size)) for xs in pts[len(fams) :]]
     return out
 
@@ -331,7 +334,8 @@ def weighted_ln_parts(p: Params, x, w: Window) -> np.ndarray:
 
 
 def _weighted_ln(p: Params, xs: np.ndarray, w: Window, val: np.ndarray, off: np.ndarray) -> np.ndarray:
-    # ln M at xs from P_k = val * exp(off) there
+    # ln M at xs from P_k = val * exp(off) there; extrema's records pass the
+    # parts they also read y's sign from
     with np.errstate(divide="ignore"):
         ln_p = np.log(np.abs(val)) + off
     return (

@@ -708,7 +708,9 @@ def parse_report_csv(path: str) -> list[VerificationResult]:
 
     Raises ConfigError, naming the columns missing, when the file does not
     start with render_csv's header (a JSON report, say), and naming the line
-    of a row with fewer fields than the header.
+    of a row with fewer or more fields than the header, a number that does
+    not parse, a pass other than true or false, or a status that is not one
+    of the three.
     """
     rows = []
     try:
@@ -722,21 +724,21 @@ def parse_report_csv(path: str) -> list[VerificationResult]:
     if missing:
         raise ConfigError(f"{path} is not a CSV report: missing columns {', '.join(missing)}")
     for rec in reader:
+        where = f"{path}, line {content[reader.line_num - 1][0]}"
         if None in rec.values():
-            raise ConfigError(f"{path}, line {content[reader.line_num - 1][0]}: fewer fields than the header")
-        rows.append(
-            VerificationResult(
-                check_id=rec["check_id"],
-                k=int(rec["k"]),
-                alpha=float(rec["alpha"]),
-                beta=float(rec["beta"]),
-                lhs=float(rec["lhs"]),
-                rhs=float(rec["rhs"]),
-                margin=float(rec["margin"]),
-                passed=rec["pass"] == "true",
-                status=rec["status"],
-            )
-        )
+            raise ConfigError(f"{where}: fewer fields than the header")
+        # csv.DictReader files the fields beyond the header under the key None
+        if None in rec:
+            raise ConfigError(f"{where}: more fields than the header")
+        if rec["pass"] not in ("true", "false"):
+            raise ConfigError(f"{where}: pass is {rec['pass']!r}, not true or false")
+        if rec["status"] not in (CHECKED, SKIPPED, NUMERIC_FAILURE):
+            raise ConfigError(f"{where}: unknown status {rec['status']!r}")
+        try:
+            nums = [int(rec["k"])] + [float(rec[c]) for c in ("alpha", "beta", "lhs", "rhs", "margin")]
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        rows.append(VerificationResult(rec["check_id"], *nums, passed=rec["pass"] == "true", status=rec["status"]))
     return rows
 
 

@@ -4,6 +4,8 @@ import json
 import math
 import re
 
+import pytest
+
 from jacobimax import cli
 from jacobimax.cli import main
 
@@ -256,6 +258,31 @@ def test_fit_on_a_report_row_with_too_few_fields_is_usage_error(capsys, tmp_path
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err, err
     assert f"{report}, line 4: fewer fields than the header" in err, err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("thm1,6,1,1,0.5,1,0.5,true,checked,EXTRA,9", "more fields than the header"),
+        ("thm1,7,1,1,0.5,1,0.5,yes,checked", "pass is 'yes', not true or false"),
+        ("thm1,7,1,1,0.5,1,0.5,true,whatever", "unknown status 'whatever'"),
+        ("thm1,seven,1,1,0.5,1,0.5,true,checked", "invalid literal for int()"),
+    ],
+    ids=["extra-fields", "pass-yes", "unknown-status", "bad-number"],
+)
+def test_fit_on_a_malformed_report_row_is_usage_error(capsys, tmp_path, row, message):
+    # the bad row is the file's fourth line, after a comment and a full row
+    report = tmp_path / "bad.csv"
+    report.write_text(
+        "# generated_at: T\n"
+        "check_id,k,alpha,beta,lhs,rhs,margin,pass,status\n"
+        "thm1,2,1,1,0.5,1,0.5,false,skipped_hypothesis\n"
+        f"{row}\n"
+    )
+    code, out, err = run(capsys, ["fit", "--in", str(report)])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert f"{report}, line 4: {message}" in err, err
 
 
 def test_version_flag(capsys):

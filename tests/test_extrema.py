@@ -7,21 +7,19 @@ import pytest
 import scipy.special
 
 from jacobimax import _kernels, extrema
-from jacobimax.envelope import Geometry, delta_squared, delta_window, geometry, sonin_S
+from jacobimax.envelope import Geometry, _dln_window_factor, delta_squared, delta_window, geometry, sonin_S
 from jacobimax.extrema import (
     ExtremumRecord,
     GridTooCoarseError,
     _endpoint_record,
-    _eval_parts,
-    _grid_signs,
-    _q_signs,
     _root_structure,
     _scan_points,
+    _signs,
     global_max,
     scan_extrema,
     structure_checks,
 )
-from jacobimax.jacobi import Params, Window, eval_orthonormal_parts
+from jacobimax.jacobi import Params, Window, eval_orthonormal_deriv_parts, eval_orthonormal_parts, weighted_ln_parts
 
 
 def test_chebyshev_equioscillation():
@@ -219,6 +217,15 @@ def test_structure_checks_against_live_scan():
     assert rep.eta_containment.margin > 0.0
 
 
+def _shifted_family_signs(p, w, xs):
+    # reference signs of y and of q = y' + y (ln u)' at xs, with y' from the
+    # shifted family, computed here apart from the scan's own evaluator
+    yv, yo = eval_orthonormal_parts(p, xs)
+    dv, do = eval_orthonormal_deriv_parts(p, xs)
+    om = np.maximum(do, yo)
+    return np.sign(yv), np.sign(dv * np.exp(do - om) + yv * _dln_window_factor(p, xs, w) * np.exp(yo - om))
+
+
 def _bisect_reference(signfn, lo, hi, s_lo, tol):
     # plain vectorized bisection of every bracket until the widest is within tol
     lo = lo.copy()
@@ -239,9 +246,9 @@ def _bisect_reference(signfn, lo, hi, s_lo, tol):
 
 def _bisected_roots(p, w, signfn, tol=1e-13):
     xs4 = _scan_points(p, w, 4 * max(64, 12 * (p.k + 2)))
-    exact, left = _root_structure(xs4, signfn(xs4))
+    exact, left = _root_structure(signfn(xs4))
     s_lo = signfn(xs4[left])
-    return np.sort(np.concatenate([exact, _bisect_reference(signfn, xs4[left], xs4[left + 1], s_lo, tol)]))
+    return np.sort(np.concatenate([xs4[exact], _bisect_reference(signfn, xs4[left], xs4[left + 1], s_lo, tol)]))
 
 
 @pytest.mark.parametrize(
@@ -265,10 +272,10 @@ def test_refined_roots_match_plain_bisection_bitwise(p, window):
     recs = scan_extrema(p, w)
 
     def y_sign(z):
-        return np.sign(eval_orthonormal_parts(p, z)[0])
+        return _shifted_family_signs(p, w, z)[0]
 
     def q_sign(z):
-        return _q_signs(p, w, z, *_eval_parts(p, z))
+        return _shifted_family_signs(p, w, z)[1]
 
     maxima = np.array([r.x for r in recs if r.kind == "max"])
     minima = np.array([r.x for r in recs if r.kind == "min"])
@@ -292,7 +299,7 @@ def test_scan_returns_fresh_list():
 
 
 def _scan_grid(p, w):
-    # both grids of a scan, as _cached_scan passes them to _grid_signs
+    # both grids of a scan, as _cached_scan passes them to _signs
     n = max(64, 12 * (p.k + 2))
     return np.concatenate([_scan_points(p, w, n), _scan_points(p, w, 4 * n)])
 
@@ -320,11 +327,12 @@ def test_grid_signs_match_shifted_family(p, window):
     # must still be the shifted-family route's, node for node
     w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
     xs = _scan_grid(p, w)
-    sy, sq, (yv, yo, _, _) = _grid_signs(p, w, xs)
-    ref = _eval_parts(p, xs)
-    assert sy.tobytes() == np.sign(ref[0]).tobytes()
-    assert yv.tobytes() == ref[0].tobytes() and yo.tobytes() == ref[1].tobytes()
-    assert np.array_equal(sq, _q_signs(p, w, xs, *ref))
+    sy, sq, (yv, yo, _, _) = _signs(p, w, xs)
+    ref_y, ref_q = _shifted_family_signs(p, w, xs)
+    ref_v, ref_o = eval_orthonormal_parts(p, xs)
+    assert sy.tobytes() == ref_y.tobytes()
+    assert yv.tobytes() == ref_v.tobytes() and yo.tobytes() == ref_o.tobytes()
+    assert np.array_equal(sq, ref_q)
 
 
 @pytest.mark.parametrize(
@@ -337,12 +345,12 @@ def test_grid_guard_takes_sign_at_refined_roots_from_shifted_family(p, w, monkey
     # must hand every such node to the shifted family
     xm = np.array([r.x for r in scan_extrema(p, w) if r.kind == "max"])
     xs = np.unique(np.concatenate([np.nextafter(xm, -2.0), xm, np.nextafter(xm, 2.0)]))
-    ref = _q_signs(p, w, xs, *_eval_parts(p, xs))
-    assert np.array_equal(_grid_signs(p, w, xs)[1], ref)
+    ref = _shifted_family_signs(p, w, xs)[1]
+    assert np.array_equal(_signs(p, w, xs)[1], ref)
     if p.alpha == 1e5:
         # without the guard the pair's own signs differ at many of them
         monkeypatch.setattr(extrema, "_PAIR_GUARD", 0.0)
-        assert np.count_nonzero(_grid_signs(p, w, xs)[1] != ref) > 10
+        assert np.count_nonzero(_signs(p, w, xs)[1] != ref) > 10
 
 
 def test_grid_makes_one_kernel_call(monkeypatch):
@@ -358,12 +366,64 @@ def test_grid_makes_one_kernel_call(monkeypatch):
         w = Window.full()
         xs = _scan_grid(p, w)
         calls.clear()
-        _grid_signs(p, w, xs)
-        # one pair call for the whole grid, then at most one with points, for
-        # the guarded nodes' shifted family
-        guarded = [n for n in calls[1:] if n]
-        assert calls[:1] == [xs.size], (p, calls)
-        assert len(guarded) <= 1 and sum(guarded) <= xs.size // 100, (p, calls)
+        _signs(p, w, xs)
+        # one pair call for the whole grid, then at most one, for the guarded
+        # nodes' shifted family; no call is made for an empty point set
+        assert calls[:1] == [xs.size] and len(calls) <= 2, (p, calls)
+        assert all(calls) and sum(calls[1:]) <= xs.size // 100, (p, calls)
+
+
+@pytest.mark.parametrize(
+    "p, kind", [(Params(0, -0.7, -0.7), "min"), (Params(0, -0.9, -0.6), "min"), (Params(0, 0.3, 2.0), "max")]
+)
+def test_degree_zero_root_of_q_takes_its_kind_from_signs(p, kind):
+    # at k = 0 the one critical point is a root of q; with both exponents
+    # below -1/2, M diverges at both ends and that point is a minimum
+    assert [r.kind for r in scan_extrema(p, Window.full())] == [kind]
+
+
+def _probe_kinds(p, w, recs):
+    # brute force: M is monotone between consecutive critical points, so at
+    # x -/+ h, a quarter of the way to each neighbour or window end, M is
+    # lower at a maximum and higher at a minimum
+    x = np.array([r.x for r in recs])
+    gap = np.diff(np.concatenate([[w.d_m], x, [w.d_M]]))
+    with np.errstate(divide="ignore"):
+        ln_x, ln_l, ln_r = (weighted_ln_parts(p, z, w) for z in (x, x - 0.25 * gap[:-1], x + 0.25 * gap[1:]))
+    return np.where((ln_l < ln_x) & (ln_r < ln_x), "max", np.where((ln_l > ln_x) & (ln_r > ln_x), "min", "neither"))
+
+
+_KIND_CASES = [
+    (Params(0, -0.55, -0.95), "full"), (Params(0, -0.6, -0.6), Window(-0.5, 0.9)), (Params(1, -0.7, -0.7), "full"),
+    (Params(2, -0.9, 0.3), "full"), (Params(3, -0.6, -0.95), "full"), (Params(5, 0.5, -0.8), "full"),
+    (Params(8, -0.75, 2.0), "full"), (Params(12, 0.8, 1.9), "full"), (Params(17, -0.95, -0.6), "full"),
+    (Params(30, -0.55, 40.0), "full"), (Params(40, 3.0, 3.0), "full"), (Params(64, -0.5, -0.5), "full"),
+    (Params(100, 1e3, 1e3), "full"), (Params(250, -0.9, 1e3), "full"),
+    (Params(12, 0.6, 0.6), "delta"), (Params(40, 3.0, 3.0), "delta"), (Params(200, 1e5, 1e5), "delta"),
+    (Params(3, -0.7, -0.7), Window(-0.3, 0.9)), (Params(9, -0.95, 2.0), Window(-0.999, -0.2)),
+    (Params(20, 5.0, 1.0), Window(-0.9, 0.2)), (Params(30, 0.0, 0.0), Window(-0.3, 0.9)),
+    (Params(6, -0.8, -0.6), Window(0.5, 1.0)), (Params(7, 0.4, -0.85), Window(-1.0, -0.5)),
+    (Params(60, -0.49, -0.3), Window(-0.999999, 0.5)), (Params(150, 1e3, 10.0), Window(0.001, 0.99)),
+    (Params(11, 2.0, -0.9), Window(0.1, 0.1001)), (Params(80, 1.5, 1.5), Window(-1e-4, 1e-4)),
+]
+
+
+@pytest.mark.parametrize("p, window", _KIND_CASES)
+def test_kinds_from_signs_match_a_brute_force_probe(p, window):
+    w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
+    recs = scan_extrema(p, w)
+    assert recs and [r.kind for r in recs] == _probe_kinds(p, w, recs).tolist(), p
+
+
+def test_lone_critical_point_in_a_narrow_window_is_a_maximum():
+    # M vanishes at both ends of a window inside (-1, 1), so its one
+    # interior critical point is a maximum; a probe at x -/+ 1e-6 of the
+    # width is lost in the rounding of ln M, about -1.5e5 here
+    p = Params(285, -0.44123969067443974, 92455.10714396337)
+    w = Window(-0.615981063462196, -0.6159793138353401)
+    recs = scan_extrema(p, w)
+    assert [r.kind for r in recs] == ["max"] == _probe_kinds(p, w, recs).tolist()
+    assert global_max(p, w).index == 0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="edge maximum beyond the outermost grid node is lost")

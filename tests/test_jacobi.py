@@ -13,6 +13,7 @@ from jacobimax.jacobi import (
     Window,
     _deriv_ln_prefactor,
     _recurrence_coeffs,
+    eval_derivatives_parts,
     eval_orthonormal,
     eval_orthonormal_deriv,
     eval_orthonormal_deriv_parts,
@@ -454,6 +455,33 @@ def test_derivative_parts_range_check_points_at_every_degree():
             eval_orthonormal_deriv_parts(Params(k, 1.0, 1.0), [0.5, 2.0])
     val, off = eval_orthonormal_deriv_parts(Params(0, 1.0, 1.0), [-1.0, 0.5, 1.0])
     assert np.all(val == 0.0) and np.all(off == 0.0)
+
+
+def test_derivative_parts_call_the_kernel_only_for_orders_with_points(monkeypatch):
+    calls = []
+    recurrence = _kernels.recurrence
+
+    def counting(x, b, a, ln_start, k):
+        calls.append((len(x), k))
+        return recurrence(x, b, a, ln_start, k)
+
+    monkeypatch.setattr(_kernels, "recurrence", counting)
+    p = Params(12, 1.5, 0.5)
+    x = np.linspace(-0.9, 0.9, 5)
+    eval_orthonormal_deriv_parts(p, x)
+    assert calls == [(5, 11)]
+    calls.clear()
+    # an order without points still carries its prefactor into the next
+    skipped = eval_derivatives_parts(p, [x, [], x])
+    assert calls == [(5, 12), (5, 10)]
+    full = eval_derivatives_parts(p, [x, x, x])
+    for got, ref in zip(skipped[::2], full[::2]):
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+    assert skipped[1][0].size == 0 and skipped[1][1].size == 0
+    calls.clear()
+    # at k = 0 the derivative is 0 and needs no kernel call at all
+    val, off = eval_orthonormal_deriv_parts(Params(0, 1.0, 1.0), x)
+    assert calls == [] and np.all(val == 0.0) and np.all(off == 0.0)
 
 
 def test_value_and_deriv_pair_needs_interior_points():
