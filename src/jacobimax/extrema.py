@@ -92,6 +92,17 @@ def _band_halfwidth(p: Params) -> float:
     return min(1.0, 1.5 * turning_point(p) + 2.0 / (p.k + 1.0))
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """a sorted, with each value once: np.unique for finite a that never holds both zeros.
+
+    np.unique itself would load numpy.ma on first use.
+    """
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
     lo_t = math.acos(w.d_M)
     hi_t = math.acos(w.d_m)
@@ -101,7 +112,7 @@ def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
     b_hi = math.acos(max(-bx, w.d_m))
     if (b_lo > lo_t or b_hi < hi_t) and b_lo < b_hi:
         thetas.append(np.linspace(b_lo, b_hi, n + 2)[1:-1])
-    xs = np.unique(np.cos(np.concatenate(thetas)))
+    xs = _sorted_distinct(np.cos(np.concatenate(thetas)))
     return xs[(xs > w.d_m) & (xs < w.d_M)]
 
 
@@ -314,7 +325,7 @@ def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, is_y, tol: float):
             at.append(j[np.nonzero(ask)[1]])
         # each asked midpoint and the bracket it belongs to
         pts, at = np.concatenate(pts), np.concatenate(at)
-        new = np.unique(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
+        new = _sorted_distinct(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
         if not new.size:
             return out
         sy, sq, _ = _signs(p, w, new)

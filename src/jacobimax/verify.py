@@ -14,7 +14,6 @@ import os
 import platform
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -214,6 +213,25 @@ def _run_ode_residual(p: Params) -> tuple[float, float]:
     return max([0.0, *_ode_residuals(p, _ODE_POINTS, *parts)]), 1e-8
 
 
+# deriv_fd's 50 uniforms: numpy.random.default_rng(72026).random(50), written out
+_FD_UNIFORMS = np.array([
+    0.07639473023799603, 0.30497466785543714, 0.9742481824477183, 0.13794321926525777,
+    0.13066269348216775, 0.6709601198977053, 0.5449912140479197, 0.9604455824221778,
+    0.8656634243221739, 0.23763821400869756, 0.6665585070604735, 0.983834623153222,
+    0.9736006524795523, 0.7843706472784497, 0.5090464949570309, 0.6967251908481193,
+    0.8995133697904348, 0.7627320802381827, 0.7921474804585777, 0.47953056851514897,
+    0.17581277321624889, 0.19299734715264671, 0.5667840230576996, 0.1889074258305844,
+    0.030777792605903964, 0.6675413567598324, 0.10795720098774964, 0.8726629865532568,
+    0.3071403304336445, 0.8857121880151552, 0.9300742244404013, 0.78758190007422,
+    0.9111506605009542, 0.9184579708292396, 0.4611572400937086, 0.29175881982826124,
+    0.817752048476883, 0.03771650831817974, 0.8162978706299614, 0.38642218754151925,
+    0.7531802023011986, 0.7029803283810818, 0.2797940727874304, 0.2591783059669579,
+    0.08586337392263266, 0.8830020670150647, 0.14405778007117798, 0.48504399998398506,
+    0.05258261273939602, 0.636280372736252,
+])
+_FD_UNIFORMS.setflags(write=False)
+
+
 def _deriv_fd_points(p: Params) -> tuple[float, np.ndarray]:
     """(h, u): the step and the 50 centres of deriv_fd's five-point stencils."""
     s = 2.0 * p.k + p.alpha + p.beta + 1.0
@@ -230,19 +248,7 @@ def _deriv_fd_points(p: Params) -> tuple[float, np.ndarray]:
     omega = s * x_t + env_slope + 4.0
     noise = 1.5 * (32.0 + p.k + 0.5 * max(p.alpha + p.beta + 1.0, 0.0) * band * band) * 2.2e-16
     h = min(1e-3, max((30.0 * noise / omega**5) ** 0.2, 1e-8))
-    return h, -band + 2.0 * band * _fd_uniforms()
-
-
-@lru_cache(maxsize=1)
-def _fd_uniforms() -> np.ndarray:
-    """deriv_fd's 50 uniforms: -band + 2 band u is default_rng(72026).uniform(-band, band, 50).
-
-    Drawn on first use, not at import: numpy.random adds about 6 MB of peak
-    RSS to a process that runs no deriv_fd row.
-    """
-    u = np.random.default_rng(72026).random(50)
-    u.setflags(write=False)
-    return u
+    return h, -band + 2.0 * band * _FD_UNIFORMS
 
 
 def _run_deriv_fd(p: Params) -> tuple[float, float]:
@@ -633,6 +639,9 @@ def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     # triple by triple, so that the checks of a triple meet its memos while they are fresh
     work = [(cid, p) for p in grid for cid in config.checks]
     if jobs > 1:
+        # imported here, so that a serial sweep loads no thread-pool module
+        from concurrent.futures import ThreadPoolExecutor
+
         # never more threads than CPUs, whatever --jobs asks for
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(lambda t: run_check(*t), work))

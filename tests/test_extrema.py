@@ -15,6 +15,7 @@ from jacobimax.extrema import (
     _root_structure,
     _scan_points,
     _signs,
+    _sorted_distinct,
     global_max,
     scan_extrema,
     structure_checks,
@@ -371,6 +372,54 @@ def test_grid_makes_one_kernel_call(monkeypatch):
         # nodes' shifted family; no call is made for an empty point set
         assert calls[:1] == [xs.size] and len(calls) <= 2, (p, calls)
         assert all(calls) and sum(calls[1:]) <= xs.size // 100, (p, calls)
+
+
+def test_sorted_distinct_keeps_np_unique_values_and_order(monkeypatch):
+    # every array the scan deduplicates (both scan grids and each refine
+    # round's points) gives np.unique's bits, on full, delta and custom
+    # windows, a band-doubled grid, and k = 0 and k = 400
+    seen = []
+
+    def checked(a):
+        got, want = _sorted_distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), a.size
+        seen.append(a.size)
+        return got
+
+    monkeypatch.setattr(extrema, "_sorted_distinct", checked)
+    cases = [
+        (Params(287, 50495.7, 50495.7), Window.full()),
+        (Params(400, 0.0, 0.0), Window.full()),
+        (Params(400, 1e3, 1e3), Window.full()),
+        (Params(60, 200.0, 1.5), Window.full()),
+        (Params(0, 0.3, 2.0), Window.full()),
+        (Params(30, 5.0, 5.0), delta_window(Params(30, 5.0, 5.0))),
+        (Params(25, 3.0, 40.0), Window(-0.3, 0.6)),
+        (Params(12, -0.4, 7.0), Window(-0.9, 0.1)),
+    ]
+    extrema._cached_scan.cache_clear()
+    try:
+        for p, w in cases:
+            seen.clear()
+            scan_extrema(p, w)
+            n = max(64, extrema._NODES_PER_DEGREE * (p.k + 2))
+            # both grids, then at least one refine round
+            assert len(seen) >= 3 and seen[1] == 4 * seen[0], (p, seen)
+            if p.k == 287:
+                assert seen[0] == 2 * n  # the band's nodes are added to the window's
+    finally:
+        extrema._cached_scan.cache_clear()
+    # exact repeats, as when a guard point meets a replay midpoint
+    grid = _scan_points(Params(40, 2.0, 2.0), Window.full(), 200)
+    rng = np.random.default_rng(5)
+    for a in (
+        np.concatenate([grid, grid[::3], grid[::-7]]),
+        rng.permutation(np.repeat(grid[:50], 3)),
+        np.array([0.25, -0.5, 0.25, 0.25, 1e-300, -1.0, -0.5]),
+        np.array([0.5]),
+        np.empty(0),
+    ):
+        assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 @pytest.mark.parametrize(

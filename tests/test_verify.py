@@ -1,10 +1,15 @@
 """Check registry semantics, sweep determinism, report formats, exponent fits."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,7 +490,7 @@ def test_sweep_thread_pool_has_at_most_one_thread_per_cpu(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     cfg = SweepConfig.from_dict(_base_config(checks=["thm4_even_value", "gamma_ratio"]))
     serial = sweep(cfg).rows
     for cpus, jobs, want in ((3, 100_000, 3), (3, 2, 2), (None, 100_000, 1)):
@@ -623,3 +628,30 @@ def test_fit_exponent_guards():
         fit_exponent([_fit_row(10, 2.0, 1.0)] * 6)
     with pytest.raises(ConfigError):
         fit_exponent([_fit_row(10, a, 1.0) for a in [1.0, 2.0, 3.0, 4.0, 5.0]], predictor="volume")
+
+
+def test_runs_load_no_random_masked_or_thread_pool_module():
+    # an extrema run, every check at one triple and a serial sweep import
+    # neither numpy.random nor numpy.ma nor concurrent.futures; a fresh
+    # interpreter, since the test session has imported them already
+    script = """
+import contextlib, io, json, sys
+from jacobimax import cli, verify
+from jacobimax.jacobi import Params
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["extrema", "--k", "30", "--alpha", "2.5", "--beta", "2.5", "--window", "full"]) == 0
+rows = [verify.run_check(cid, Params(6, 1.5, 1.5)) for cid in verify.check_ids()]
+cfg = verify.SweepConfig.from_dict(
+    {"checks": ["all"], "k_spec": {"min": 2, "max": 4}, "alpha_spec": [1.0], "beta_mode": "equal_alpha"}
+)
+report = verify.sweep(cfg, jobs=1)
+loaded = [m for m in ("numpy.random", "numpy.ma", "concurrent.futures") if m in sys.modules]
+print(json.dumps({"statuses": {r.check_id: r.status for r in rows}, "rows": len(report.rows), "loaded": loaded}))
+"""
+    src = str(Path(jacobimax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    assert set(got["statuses"]) == EXPECTED_IDS
+    assert got["statuses"]["deriv_fd"] == CHECKED and got["rows"] == 3 * len(EXPECTED_IDS)
+    assert got["loaded"] == []
