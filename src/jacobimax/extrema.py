@@ -7,9 +7,10 @@ angle-uniform grid, cross-checked at four times the density, and bracketed;
 both families' brackets then form one array.  Each bracket's root is located
 by a cubic Hermite fit to the grid values and Newton steps on fresh values.
 The roots reported are those that bisecting the computed sign functions would
-give, to the last bit: each family's bisection midpoint sequence is replayed
-against the located roots, and signs are evaluated, in one batch per round,
-only at the midpoints too close to a root to decide.
+give, to the last bit: one replay per round runs both families' bisection
+midpoint sequences against the located roots, each family stopping on its own
+widest bracket, and signs are evaluated, in one batch per round, only at the
+midpoints too close to a root to decide.
 
 One evaluator, _signs, computes every sign and value the scan uses: both
 grids, every Newton step and every refinement round.  It takes y and y' from
@@ -186,7 +187,11 @@ def _slopes(p: Params, w: Window, xs, yv, yo, dv, do):
 
 
 def _hermite_root(x0, x1, f0, d0, f1, d1):
-    """Zero in (x0, x1) of the cubic matching f and f' at both ends (f0 f1 < 0)."""
+    """Zero in (x0, x1) of the cubic matching f and f' at both ends (f0 f1 < 0).
+
+    Safeguarded Newton steps in t = (x - x0) / (x1 - x0), at most 8, until
+    every bracket's step is below 1e-15.
+    """
     h = x1 - x0
     b0 = h * d0
     b1 = h * d1
@@ -201,8 +206,12 @@ def _hermite_root(x0, x1, f0, d0, f1, d1):
         left = np.sign(pt) == np.sign(f0)
         lo = np.where(left, t, lo)
         hi = np.where(left, hi, t)
-        t = t - pt / dp
+        step = pt / dp
+        t = t - step
         t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
+        # a nan step has not converged
+        if (np.abs(step) < 1e-15).all():
+            break
     return x0 + t * h
 
 
@@ -245,98 +254,115 @@ def _locate(p: Params, w: Window, ends, parts, is_y):
     return x, eps
 
 
-def _lookup(known, xs):
-    """(found, sign) of each point of xs in the sorted evaluated points `known`."""
+def _lookup(known, xs, col):
+    """(found, sign) of each point of xs in the sorted evaluated points `known`.
+
+    `known` holds the points and their y and q signs as columns 0 and 1; col,
+    broadcast against xs, is each point's column.
+    """
     kx, ks = known
     if kx.size == 0:
         return np.zeros(xs.shape, dtype=bool), np.zeros(xs.shape)
     i = np.minimum(np.searchsorted(kx, xs), kx.size - 1)
-    return kx[i] == xs, ks[i]
+    return kx[i] == xs, ks[i, col]
 
 
-def _own_signs(known, is_y, xs):
-    """Evaluated sign at each point of xs in its bracket's family: y's where is_y, q's elsewhere."""
-    s = _lookup(known, xs)[1]
-    return np.where(is_y, s[:, 0], s[:, 1])
+def _replay(lo, hi, s_lo, root, known, col, tol: float):
+    """Run both families' bisection midpoint sequences with signs that are not evaluated.
 
-
-def _replay(lo, hi, s_lo, root, known, tol: float):
-    """Run the bisection's midpoint sequence with signs that are not evaluated.
-
-    The bisection halves every bracket [lo, hi] (sign s_lo at lo) until the
-    widest is within tol.  Here a midpoint takes its sign from `known` (sorted
-    points and their evaluated signs) where it is there, and otherwise from
-    the side of the model root it lies on.  Returns the refined roots and
-    every midpoint visited, one row per halving.
+    Bracket i is [lo[i], hi[i]], with sign s_lo[i] at lo[i], of y where
+    col[i] is 0 and of q where it is 1; y's brackets come first.  Each
+    family's bisection halves all its brackets until its own widest is within
+    tol, so the loop halves both families together, then the slice of the one
+    still going.  A midpoint takes its sign, in its family's column, from
+    `known` (sorted points and their evaluated y and q signs) where it is
+    there, and otherwise from the side of the model root it lies on.  Returns
+    the refined roots and every midpoint visited, one row per halving, nan in
+    a family's columns after it has stopped.
     """
-    if lo.size == 0:
-        return np.empty(0), np.empty((0, 0))
     lo = lo.copy()
     hi = hi.copy()
     look = known[0].size > 0
-    mids = []
-    for _ in range(200):
-        if (hi - lo).max() <= tol:
+    # an evaluated zero closes its bracket on the midpoint; without one, each
+    # halving halves every width (up to rounding far below tol), so a width
+    # test cannot pass in the first floor(log2(widest / tol)) - 2 halvings
+    zeros = look and bool((known[1] == 0.0).any())
+    ny = col.size - int(np.count_nonzero(col))
+    width = hi - lo
+    # (first bracket, end, halvings before the first width test) per family;
+    # every family stops within blind + 5 halvings
+    fams, rows = [], 1
+    for a, b in ((0, ny), (ny, col.size)):
+        if a < b:
+            widest = float(width[a:b].max())
+            blind = math.floor(math.log2(widest / tol)) - 2 if widest > tol else 0
+            fams.append((a, b, 0 if zeros else blind))
+            rows = max(rows, blind + 8)
+    mids = np.full((rows, col.size), np.nan)
+    j, s = 0, None
+    while j < rows:
+        fams = [f for f in fams if j < f[2] or not (hi[f[0] : f[1]] - lo[f[0] : f[1]]).max() <= tol]
+        if not fams:
             break
-        mid = (lo + hi) * 0.5
-        mids.append(mid)
-        same = mid < root
+        if s != slice(fams[0][0], fams[-1][1]):
+            s = slice(fams[0][0], fams[-1][1])
+            lo_s, hi_s, root_s, s_lo_s, col_s = lo[s], hi[s], root[s], s_lo[s], col[s]
+        mid = mids[j, s]
+        np.add(lo_s, hi_s, out=mid)
+        mid *= 0.5
+        same = mid < root_s
         if look:
-            found, sign = _lookup(known, mid)
-            np.copyto(same, sign == s_lo, where=found)
-            # an evaluated zero closes the bracket on the midpoint
+            found, sign = _lookup(known, mid, col_s)
+            np.copyto(same, sign == s_lo_s, where=found)
+        if zeros:
             hit = found & (sign == 0.0)
-            to_lo, to_hi = same | hit, ~same | hit
+            np.copyto(lo_s, mid, where=same | hit)
+            np.copyto(hi_s, mid, where=~same | hit)
         else:
-            to_lo, to_hi = same, ~same
-        np.copyto(lo, mid, where=to_lo)
-        np.copyto(hi, mid, where=to_hi)
-    return (lo + hi) * 0.5, np.array(mids).reshape(-1, lo.size)
+            np.copyto(lo_s, mid, where=same)
+            np.copyto(hi_s, mid, where=~same)
+        j += 1
+    return (lo + hi) * 0.5, mids[:j]
 
 
 def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, is_y, tol: float):
     """Bracket roots, bit-identical to bisecting each family's computed sign function.
 
-    Bracket i is [lo[i], hi[i]], y's where is_y[i] and q's elsewhere, with
-    sign s_lo[i] at lo[i], model root root[i] and trust radius eps[i].  Each
-    round replays the bisections against the model roots, once per family so
-    that each stops on its own widest bracket, and evaluates in one _signs
-    call every sign the replays took from the model within eps of a root;
-    the points join one sorted known set with both their signs.  The first
-    round also evaluates root -/+ eps; where either is not on its model side,
-    the bracket's model is trusted nowhere.  Rounds repeat until every
-    evaluated sign agrees with the sign the replay used.  Outside eps the
-    model is trusted: the computed sign functions change sign once per bracket.
+    Bracket i is [lo[i], hi[i]], y's where is_y[i] and q's elsewhere, y's
+    first, with sign s_lo[i] at lo[i], model root root[i] and trust radius
+    eps[i].  Each round replays both families' bisections against the model
+    roots in one _replay call, each family stopping on its own widest
+    bracket, and evaluates in one _signs call every sign the replay took from
+    the model within eps of a root; the points join one sorted known set
+    with both their signs.  The first round also evaluates root -/+ eps;
+    where either is not on its model side, the bracket's model is trusted
+    nowhere.  Rounds repeat until every evaluated sign agrees with the sign
+    the replay used.  Outside eps the model is trusted: the computed sign
+    functions change sign once per bracket.
     """
-    fams = (np.flatnonzero(is_y), np.flatnonzero(~is_y))
-    # sorted evaluated points, and their y and q signs as columns 0 and 1
-    kx, ks = np.empty(0), np.empty((0, 2))
+    # each bracket's column in the known signs: 0 for y, 1 for q
+    col = (~is_y).astype(np.intp)
+    known = (np.empty(0), np.empty((0, 2)))
     gl, gr = root - eps, root + eps
-    out = np.empty(lo.size)
     first = True
     while True:
-        pts, at = [], []
-        for col, j in enumerate(fams):
-            known = (kx, ks[:, col])
-            out[j], mids = _replay(lo[j], hi[j], s_lo[j], root[j], known, tol)
-            ask = np.abs(mids - root[j]) <= eps[j]
-            ask[ask] = ~_lookup(known, mids[ask])[0]
-            pts.append(mids[ask])
-            at.append(j[np.nonzero(ask)[1]])
+        out, mids = _replay(lo, hi, s_lo, root, known, col, tol)
+        ask = np.abs(mids - root) <= eps
+        ask[ask] = ~_lookup(known, mids[ask], 0)[0]
         # each asked midpoint and the bracket it belongs to
-        pts, at = np.concatenate(pts), np.concatenate(at)
+        pts, at = mids[ask], np.nonzero(ask)[1]
         new = _sorted_distinct(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
         if not new.size:
             return out
         sy, sq, _ = _signs(p, w, new)
-        kx = np.concatenate([kx, new])
+        kx = np.concatenate([known[0], new])
         order = np.argsort(kx, kind="stable")
-        kx, ks = kx[order], np.concatenate([ks, np.stack([sy, sq], axis=1)])[order]
-        got = _own_signs((kx, ks), is_y[at], pts)
+        known = kx[order], np.concatenate([known[1], np.stack([sy, sq], axis=1)])[order]
+        got = _lookup(known, pts, col[at])[1]
         agree = not (((got == s_lo[at]) != (pts < root[at])) | (got == 0.0)).any()
         if first:
-            trusted = ((gl <= lo) | (_own_signs((kx, ks), is_y, gl) == s_lo)) & (
-                (gr >= hi) | (_own_signs((kx, ks), is_y, gr) == -s_lo)
+            trusted = ((gl <= lo) | (_lookup(known, gl, col)[1] == s_lo)) & (
+                (gr >= hi) | (_lookup(known, gr, col)[1] == -s_lo)
             )
             agree &= bool(trusted.all())
             eps = np.where(trusted, eps, math.inf)
@@ -359,13 +385,13 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
     # both grids together, in one recurrence call
     sy, sq, parts = _signs(p, w, np.concatenate([xs, xs4]))
     m = xs.size
-    if _count_roots(sy[:m]) != _count_roots(sy[m:]) or _count_roots(sq[:m]) != _count_roots(sq[m:]):
+    (ye, yl), (qe, ql) = _root_structure(sy[m:]), _root_structure(sq[m:])
+    if _count_roots(sy[:m]) != ye.size + yl.size or _count_roots(sq[:m]) != qe.size + ql.size:
         raise GridTooCoarseError(
             f"sign-change count changed under 4x refinement for k={p.k}, "
             f"alpha={p.alpha}, beta={p.beta}"
         )
     sy, sq, parts = sy[m:], sq[m:], tuple(a[m:] for a in parts)
-    (ye, yl), (qe, ql) = _root_structure(sy), _root_structure(sq)
     # both families' brackets in one array, y's first
     left = np.concatenate([yl, ql])
     is_y = np.arange(left.size) < yl.size

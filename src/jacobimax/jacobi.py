@@ -184,8 +184,10 @@ def eval_orthonormal(p: Params, x: float) -> ScaledReal:
     return ScaledReal.from_parts(float(val[0]), float(off[0]))
 
 
+@lru_cache(maxsize=4096)
 def _deriv_ln_prefactor(p: Params) -> float:
-    # P_k' = c * Q_{k-1} with Q orthonormal for (alpha+1, beta+1)
+    # P_k' = c * Q_{k-1} with Q orthonormal for (alpha+1, beta+1); memoized
+    # per (k, alpha, beta), since each call takes eight log_gamma calls
     inner = Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0)
     return math.log(0.5 * (p.k + p.alpha + p.beta + 1.0)) + 0.5 * (log_norm(inner) - log_norm(p))
 

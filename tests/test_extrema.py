@@ -261,16 +261,50 @@ def _bisected_roots(p, w, signfn, tol=1e-13):
         (Params(25, 7.5, 7.5), "delta"),
         (Params(30, 0.0, 0.0), "custom"),
         (Params(64, -0.5, -0.5), "full"),
+        # _locate's roots moved off by 3 radii: no model is trusted, and later
+        # rounds replay against evaluated signs
+        (Params(40, 3.0, 3.0), "lookup"),
+        # q's brackets only: a window strictly between two zeros of y
+        (Params(30, 0.0, 0.0), "between-zeros"),
+        # y's brackets only: M diverges at both ends, and k = 1 has no maximum
+        (Params(1, -0.7, -0.6), "no-maximum"),
+        # the families stop after different numbers of halvings, y's last
+        # here and q's last in the next case
+        (Params(17, 1.0, 1.0), "uneven"),
+        (Params(2, 1.0, 50.0), "uneven"),
     ],
 )
-def test_refined_roots_match_plain_bisection_bitwise(p, window):
-    if window == "full":
-        w = Window.full()
-    elif window == "delta":
+def test_refined_roots_match_plain_bisection_bitwise(p, window, monkeypatch):
+    if window == "delta":
         w = Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
-    else:
+    elif window == "custom":
         w = Window(-0.3, 0.9)
-    recs = scan_extrema(p, w)
+    elif window == "between-zeros":
+        w = Window(-0.44, -0.36)
+    else:
+        w = Window.full()
+    replays = []
+    replay = extrema._replay
+
+    def recording(lo, hi, s_lo, root, known, col, tol):
+        out, mids = replay(lo, hi, s_lo, root, known, col, tol)
+        replays.append((known[0].size, col, mids))
+        return out, mids
+
+    monkeypatch.setattr(extrema, "_replay", recording)
+    if window == "lookup":
+        locate = extrema._locate
+
+        def shifted(*args):
+            root, eps = locate(*args)
+            return root + 3.0 * eps, eps
+
+        monkeypatch.setattr(extrema, "_locate", shifted)
+    extrema._cached_scan.cache_clear()
+    try:
+        recs = scan_extrema(p, w)
+    finally:
+        extrema._cached_scan.cache_clear()
 
     def y_sign(z):
         return _shifted_family_signs(p, w, z)[0]
@@ -282,6 +316,44 @@ def test_refined_roots_match_plain_bisection_bitwise(p, window):
     minima = np.array([r.x for r in recs if r.kind == "min"])
     assert maxima.tobytes() == _bisected_roots(p, w, q_sign).tobytes()
     assert minima.tobytes() == _bisected_roots(p, w, y_sign).tobytes()
+    # what makes each added case: the first replay's families, or later
+    # replays that read evaluated signs
+    _, col, mids = replays[0]
+    if window == "lookup":
+        assert len(replays) >= 3 and replays[-1][0] > 0
+    elif window == "between-zeros":
+        assert col.all() and len(maxima) == 1
+    elif window == "no-maximum":
+        assert not col.any() and len(minima) == 1
+    elif window == "uneven":
+        halvings = [int(np.isfinite(mids[:, col == c]).all(axis=1).sum()) for c in (0, 1)]
+        assert halvings[0] != halvings[1] and min(halvings) > 0, halvings
+
+
+@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 6, 1)), (Params(300, 1e5, 1e5), (3, 7, 2))])
+def test_scan_call_counts(p, counts, monkeypatch):
+    # one full-window scan's _signs calls, kernel calls and bisection
+    # replays; a refine round replays both families in one call
+    calls = {"_signs": 0, "recurrence": 0, "_replay": 0}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(extrema, "_signs")
+    counted(_kernels, "recurrence")
+    counted(extrema, "_replay")
+    extrema._cached_scan.cache_clear()
+    try:
+        scan_extrema(p, Window.full())
+    finally:
+        extrema._cached_scan.cache_clear()
+    assert (calls["_signs"], calls["recurrence"], calls["_replay"]) == counts
 
 
 @pytest.mark.parametrize("k, alpha, beta", [(10, 0.5, 1.5), (33, -0.3, 4.0), (60, 2.0, 2.0), (120, 0.0, 0.0)])
