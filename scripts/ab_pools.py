@@ -14,8 +14,14 @@ speed on a shared host out of the ratios.
 
 Per pool it prints the ratios this / other of the summed item times, of the
 item-time medians and of the 90th percentiles, and the number of items whose
-summaries (perfbench's summarize of the output) differ between the two; the
-same figures and the differing items go to the JSON file --out.
+summaries (perfbench's summarize of the output) differ between the two.  An
+exact difference need not be a wrong answer, so each of this side's summaries
+is also judged the way perfbench judges a run: by the workload's own check
+against the recorded reference, with perfbench/tolerances.json.  The gate
+counts the operations that fail (and how many of those fail at the reference
+too) and lists every mismatch, which perfbench would report as a wrong output.
+The same figures, the differing items and the mismatches go to the JSON file
+--out.
 """
 
 import argparse
@@ -74,12 +80,19 @@ def run_once(w, side, item):
     dt = time.perf_counter() - t0
     if "exc" not in raw:
         raw = w.collect(ctx, item, raw)
-    return dt, json.dumps(w.summarize(raw), sort_keys=True)
+    return dt, w.summarize(raw)
 
 
-def ab_pool(w, sides, repeats: int):
-    """Best-of-repeats times of every pool item on both sides, and the items whose summaries differ."""
-    pool = [item for stratum in json.loads((PERFBENCH / "reference" / f"{w.name}.json").read_text())["pool"] for item in stratum]
+def ab_pool(w, sides, repeats: int, tol: dict):
+    """Best-of-repeats times of every pool item on both sides, the items whose summaries differ, and this side's gate.
+
+    The gate is perfbench's check of this side's summaries against the
+    recorded references: operations, failed operations, the failures the
+    reference shares, and every mismatch.
+    """
+    doc = json.loads((PERFBENCH / "reference" / f"{w.name}.json").read_text())
+    pool = [item for stratum in doc["pool"] for item in stratum]
+    refs = [ref for stratum in doc["reference"] for ref in stratum]
     if w.name == "verify-sweep":
         # both sides share one work directory
         for item in [w.warmup] + pool:
@@ -88,16 +101,23 @@ def ab_pool(w, sides, repeats: int):
         run_once(w, side, w.warmup)
     best = np.full((len(pool), 2), np.inf)
     differ = []
+    gate = {"ops": 0, "failed": 0, "failed_at_reference": 0, "mismatches": []}
     for i, item in enumerate(pool):
         summaries = [None, None]
         for r in range(repeats):
             for s in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
                 dt, summary = run_once(w, sides[s], item)
                 best[i, s] = min(best[i, s], dt)
-                summaries[s] = summaries[s] or summary
-        if summaries[0] != summaries[1]:
+                if summaries[s] is None:
+                    summaries[s] = summary
+        if json.dumps(summaries[0], sort_keys=True) != json.dumps(summaries[1], sort_keys=True):
             differ.append(w.describe(item))
-    return best, differ
+        v = w.check(item, refs[i], summaries[0], tol)
+        gate["ops"] += v.ops
+        gate["failed"] += v.failed
+        gate["failed_at_reference"] += len(v.known)
+        gate["mismatches"] += [f"{w.describe(item)}: {msg}" for msg in v.mismatches]
+    return best, differ, gate
 
 
 def main(argv=None) -> int:
@@ -122,8 +142,9 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "pools": {},
         }
+        tol = json.loads((PERFBENCH / "tolerances.json").read_text(encoding="utf-8"))
         for name in args.pools.split(","):
-            best, differ = ab_pool(wl.WORKLOADS[name], sides, args.repeats)
+            best, differ, gate = ab_pool(wl.WORKLOADS[name], sides, args.repeats, tol)
             sums = best.sum(axis=0)
             p50 = np.percentile(best, 50, axis=0)
             p90 = np.percentile(best, 90, axis=0)
@@ -137,13 +158,18 @@ def main(argv=None) -> int:
                 "p90_ratio": p90[0] / p90[1],
                 "summaries_differ": len(differ),
                 "differing_items": differ,
+                "gate": gate,
             }
             results["pools"][name] = res
             print(
                 f"{name}: {res['items']} items, this/other sum {sums[0]:.3f}/{sums[1]:.3f} s = {res['sum_ratio']:.3f},"
-                f" p50 {res['p50_ratio']:.3f}, p90 {res['p90_ratio']:.3f}; summaries differ on {len(differ)}",
+                f" p50 {res['p50_ratio']:.3f}, p90 {res['p90_ratio']:.3f}; summaries differ on {len(differ)};"
+                f" gate: {gate['failed']} of {gate['ops']} operations failed ({gate['failed_at_reference']} also at"
+                f" the reference), {len(gate['mismatches'])} mismatches",
                 flush=True,
             )
+            for line in gate["mismatches"]:
+                print(f"  MISMATCH: {line}", flush=True)
     args.out.write_text(json.dumps(results, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -6,11 +6,12 @@ signs of y and of q, whose zeros are those of f', are sampled on an
 angle-uniform grid, cross-checked at four times the density, and bracketed;
 both families' brackets then form one array.  Each bracket's root is located
 by a cubic Hermite fit to the grid values and Newton steps on fresh values.
-The roots reported are those that bisecting the computed sign functions would
-give, to the last bit: one replay per round runs both families' bisection
-midpoint sequences against the located roots, each family stopping on its own
-widest bracket, and signs are evaluated, in one batch per round, only at the
-midpoints too close to a root to decide.
+y's roots are these Newton roots, unless Newton did not converge.  q's roots,
+which decide which of two mirror-image maxima global_max reports, are those
+that bisecting q's computed sign function would give, to the last bit: each
+round replays the bisection's midpoint sequence against the located roots, and
+signs are evaluated, in one batch per round, only at the midpoints too close
+to a root to decide.  An unconverged y bracket is bisected the same way on y.
 
 One evaluator, _signs, computes every sign and value the scan uses: both
 grids, every Newton step and every refinement round.  It takes y and y' from
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 # smallest trust radius about a located root; the computed sign functions
-# switch within a few ulps of it
+# switch within a few ulps of it, and a root within twice it has converged
 _TRUST_FLOOR = 1e-12
 # scan grid nodes per degree: max(64, _NODES_PER_DEGREE * (k + 2)) interior nodes
 _NODES_PER_DEGREE = 12
@@ -254,116 +255,89 @@ def _locate(p: Params, w: Window, ends, parts, is_y):
     return x, eps
 
 
-def _lookup(known, xs, col):
-    """(found, sign) of each point of xs in the sorted evaluated points `known`.
-
-    `known` holds the points and their y and q signs as columns 0 and 1; col,
-    broadcast against xs, is each point's column.
-    """
+def _lookup(known, xs):
+    """(found, sign) of each point of xs in the sorted evaluated points `known`."""
     kx, ks = known
     if kx.size == 0:
         return np.zeros(xs.shape, dtype=bool), np.zeros(xs.shape)
     i = np.minimum(np.searchsorted(kx, xs), kx.size - 1)
-    return kx[i] == xs, ks[i, col]
+    return kx[i] == xs, ks[i]
 
 
-def _replay(lo, hi, s_lo, root, known, col, tol: float):
-    """Run both families' bisection midpoint sequences with signs that are not evaluated.
+def _replay(lo, hi, s_lo, root, known, tol: float):
+    """Run the bisection's midpoint sequence with signs that are not evaluated.
 
-    Bracket i is [lo[i], hi[i]], with sign s_lo[i] at lo[i], of y where
-    col[i] is 0 and of q where it is 1; y's brackets come first.  Each
-    family's bisection halves all its brackets until its own widest is within
-    tol, so the loop halves both families together, then the slice of the one
-    still going.  A midpoint takes its sign, in its family's column, from
-    `known` (sorted points and their evaluated y and q signs) where it is
-    there, and otherwise from the side of the model root it lies on.  Returns
-    the refined roots and every midpoint visited, one row per halving, nan in
-    a family's columns after it has stopped.
+    The bisection halves every bracket [lo, hi] (sign s_lo at lo) until the
+    widest is within tol.  Here a midpoint takes its sign from `known` (sorted
+    points and their evaluated signs) where it is there, and otherwise from
+    the side of the model root it lies on.  Returns the refined roots and
+    every midpoint visited, one row per halving.
     """
     lo = lo.copy()
     hi = hi.copy()
     look = known[0].size > 0
     # an evaluated zero closes its bracket on the midpoint; without one, each
     # halving halves every width (up to rounding far below tol), so a width
-    # test cannot pass in the first floor(log2(widest / tol)) - 2 halvings
+    # test cannot pass in the first floor(log2(widest / tol)) - 2 halvings,
+    # and the bisection stops within blind + 5
     zeros = look and bool((known[1] == 0.0).any())
-    ny = col.size - int(np.count_nonzero(col))
-    width = hi - lo
-    # (first bracket, end, halvings before the first width test) per family;
-    # every family stops within blind + 5 halvings
-    fams, rows = [], 1
-    for a, b in ((0, ny), (ny, col.size)):
-        if a < b:
-            widest = float(width[a:b].max())
-            blind = math.floor(math.log2(widest / tol)) - 2 if widest > tol else 0
-            fams.append((a, b, 0 if zeros else blind))
-            rows = max(rows, blind + 8)
-    mids = np.full((rows, col.size), np.nan)
-    j, s = 0, None
-    while j < rows:
-        fams = [f for f in fams if j < f[2] or not (hi[f[0] : f[1]] - lo[f[0] : f[1]]).max() <= tol]
-        if not fams:
-            break
-        if s != slice(fams[0][0], fams[-1][1]):
-            s = slice(fams[0][0], fams[-1][1])
-            lo_s, hi_s, root_s, s_lo_s, col_s = lo[s], hi[s], root[s], s_lo[s], col[s]
-        mid = mids[j, s]
-        np.add(lo_s, hi_s, out=mid)
+    widest = float((hi - lo).max())
+    blind = math.floor(math.log2(widest / tol)) - 2 if widest > tol else 0
+    mids = np.empty((blind + 8, lo.size))
+    first_test = 0 if zeros else blind
+    j = 0
+    while j < len(mids) and (j < first_test or not (hi - lo).max() <= tol):
+        mid = mids[j]
+        np.add(lo, hi, out=mid)
         mid *= 0.5
-        same = mid < root_s
+        same = mid < root
         if look:
-            found, sign = _lookup(known, mid, col_s)
-            np.copyto(same, sign == s_lo_s, where=found)
+            found, sign = _lookup(known, mid)
+            np.copyto(same, sign == s_lo, where=found)
+        to_hi = ~same
         if zeros:
             hit = found & (sign == 0.0)
-            np.copyto(lo_s, mid, where=same | hit)
-            np.copyto(hi_s, mid, where=~same | hit)
-        else:
-            np.copyto(lo_s, mid, where=same)
-            np.copyto(hi_s, mid, where=~same)
+            same |= hit
+            to_hi |= hit
+        np.copyto(lo, mid, where=same)
+        np.copyto(hi, mid, where=to_hi)
         j += 1
     return (lo + hi) * 0.5, mids[:j]
 
 
-def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, is_y, tol: float):
-    """Bracket roots, bit-identical to bisecting each family's computed sign function.
+def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, fam: int, tol: float):
+    """Bracket roots, bit-identical to bisecting one computed sign function.
 
-    Bracket i is [lo[i], hi[i]], y's where is_y[i] and q's elsewhere, y's
-    first, with sign s_lo[i] at lo[i], model root root[i] and trust radius
-    eps[i].  Each round replays both families' bisections against the model
-    roots in one _replay call, each family stopping on its own widest
-    bracket, and evaluates in one _signs call every sign the replay took from
-    the model within eps of a root; the points join one sorted known set
-    with both their signs.  The first round also evaluates root -/+ eps;
-    where either is not on its model side, the bracket's model is trusted
-    nowhere.  Rounds repeat until every evaluated sign agrees with the sign
-    the replay used.  Outside eps the model is trusted: the computed sign
-    functions change sign once per bracket.
+    fam picks the function from _signs: 0 for y, 1 for q.  Bracket i is
+    [lo[i], hi[i]], with sign s_lo[i] at lo[i], model root root[i] and trust
+    radius eps[i].  Each round replays the bisection against the model roots
+    and evaluates, in one _signs call, every sign the replay took from the
+    model within eps of a root; the points join one sorted known set.  The
+    first round also evaluates root -/+ eps; where either is not on its model
+    side, the bracket's model is trusted nowhere.  Rounds repeat until every
+    evaluated sign agrees with the sign the replay used.  Outside eps the
+    model is trusted: the computed sign function changes sign once per
+    bracket.
     """
-    # each bracket's column in the known signs: 0 for y, 1 for q
-    col = (~is_y).astype(np.intp)
-    known = (np.empty(0), np.empty((0, 2)))
+    known = (np.empty(0), np.empty(0))
     gl, gr = root - eps, root + eps
     first = True
     while True:
-        out, mids = _replay(lo, hi, s_lo, root, known, col, tol)
+        out, mids = _replay(lo, hi, s_lo, root, known, tol)
         ask = np.abs(mids - root) <= eps
-        ask[ask] = ~_lookup(known, mids[ask], 0)[0]
+        ask[ask] = ~_lookup(known, mids[ask])[0]
         # each asked midpoint and the bracket it belongs to
         pts, at = mids[ask], np.nonzero(ask)[1]
         new = _sorted_distinct(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
         if not new.size:
             return out
-        sy, sq, _ = _signs(p, w, new)
         kx = np.concatenate([known[0], new])
         order = np.argsort(kx, kind="stable")
-        known = kx[order], np.concatenate([known[1], np.stack([sy, sq], axis=1)])[order]
-        got = _lookup(known, pts, col[at])[1]
+        known = kx[order], np.concatenate([known[1], _signs(p, w, new)[fam]])[order]
+        got = _lookup(known, pts)[1]
         agree = not (((got == s_lo[at]) != (pts < root[at])) | (got == 0.0)).any()
         if first:
-            trusted = ((gl <= lo) | (_lookup(known, gl, col)[1] == s_lo)) & (
-                (gr >= hi) | (_lookup(known, gr, col)[1] == -s_lo)
-            )
+            trusted = ((gl <= lo) | (_lookup(known, gl)[1] == s_lo)) & ((gr >= hi) | (_lookup(known, gr)[1] == -s_lo))
             agree &= bool(trusted.all())
             eps = np.where(trusted, eps, math.inf)
         if agree:
@@ -400,8 +374,12 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
     if left.size:
         ends = np.concatenate([left, left + 1])
         with np.errstate(all="ignore"):
-            root, eps = _locate(p, w, xs4[ends], tuple(a[ends] for a in parts), is_y)
-        found = _refine(p, w, lo, hi, s_lo, root, eps, is_y, _REFINE_TOL)
+            found, eps = _locate(p, w, xs4[ends], tuple(a[ends] for a in parts), is_y)
+        # y's converged Newton roots are its roots; q's brackets, and y's that
+        # Newton left unconverged, bisect on their own sign function
+        for fam, sel in ((0, is_y & ~(eps <= 2.0 * _TRUST_FLOOR)), (1, ~is_y)):
+            if sel.any():
+                found[sel] = _refine(p, w, lo[sel], hi[sel], s_lo[sel], found[sel], eps[sel], fam, _REFINE_TOL)
     # every root, whether it is y's, and q's sign just left of it: s_lo for a
     # bracket, the node before for a node-exact root (0 at the first node)
     roots = np.concatenate([xs4[ye], xs4[qe], found])
@@ -435,11 +413,12 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     Samples the signs of y and q on a theta-uniform grid of max(64, 12 (k+2))
     interior nodes (plus a denser pass over the oscillation band when the
     weight pushes all activity toward the center), verifies the root counts
-    against a 4x-density pass, and refines each 4x-grid bracket to a width of
-    1e-13.  The refined roots are exactly those that bisecting the computed
-    sign functions from the 4x-grid brackets gives (_locate, _refine), and
-    q's sign is the shifted-family route's everywhere (_signs).  A root of y
-    is a minimum; a root of q is a maximum iff y has q's left sign there.
+    against a 4x-density pass, and locates each 4x-grid bracket's root by
+    Newton steps (_locate).  A root of y is its Newton root; a root of q is
+    exactly the one that bisecting q's computed sign function from its 4x-grid
+    bracket to a width of 1e-13 gives (_refine), q's sign being the
+    shifted-family route's everywhere (_signs).  A root of y is a minimum; a
+    root of q is a maximum iff y has q's left sign there.
     With k = 0 and alpha = beta = -1/2 on the full window M is the constant
     1/pi, and the list is empty.  Results are memoized per (k, alpha, beta,
     window); each call returns a fresh list.

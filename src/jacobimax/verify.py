@@ -2,9 +2,10 @@
 
 Every check maps a parameter triple to one result row (lhs, rhs, margin,
 status); rows outside a check's hypotheses are recorded as skipped rather
-than evaluated, and library errors surface as numeric_failure rows instead of
-exceptions.  Reports sort by (check_id, k, alpha, beta) so concurrent and
-serial sweeps emit identical bytes.
+than evaluated, and the library's numeric errors surface as numeric_failure
+rows instead of exceptions; any other exception propagates.  Reports sort by
+(check_id, k, alpha, beta) so concurrent and serial sweeps emit identical
+bytes.
 """
 
 import csv
@@ -25,7 +26,7 @@ import numpy as np
 from . import bounds as _bounds
 from ._version import __version__
 from .envelope import IDENTITY_REL, OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
-from .extrema import global_max, scan_extrema, structure_checks
+from .extrema import GridTooCoarseError, global_max, scan_extrema, structure_checks
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
 from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
 
@@ -62,6 +63,10 @@ _ODE_POINTS = np.array([math.cos(theta) for theta in np.linspace(0.0, math.pi, 1
 
 class ConfigError(ValueError):
     """Invalid sweep configuration or unknown check id."""
+
+
+class UndefinedRowError(Exception):
+    """A row's comparison is undefined: its landmark, or a closed form it reads, is absent."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def _structure_runner(window: str, claim: str):
         w = Window.full() if window == "full" else delta_window(p)
         comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
         if comparison is None:
-            raise ValueError(f"{claim} undefined: its landmark or its records are absent")
+            raise UndefinedRowError(f"{claim} undefined: its landmark or its records are absent")
         return comparison
 
     return runner
@@ -149,7 +154,7 @@ def _run_identity_a0(p: Params) -> tuple[float, float]:
     # beyond the hull means A0(delta) < 0 (the containment direction)
     rows = _identity_rows(p.k, p.alpha)
     if not rows["a0_at_delta_scaled"].ok:
-        raise ValueError("scaled A0 closed form failed")
+        raise UndefinedRowError("scaled A0 closed form failed")
     return rows["a0_at_delta_negative"].computed, 0.0
 
 
@@ -437,7 +442,7 @@ def check_ids() -> list[str]:
 
 
 def run_check(check_id: str, p: Params) -> VerificationResult:
-    """Evaluate one check at one parameter triple; never raises for valid inputs."""
+    """Evaluate one check at one parameter triple; for valid inputs, only a bug raises."""
     if check_id not in _REGISTRY:
         raise ConfigError(f"unknown check id: {check_id!r}")
     defn = _REGISTRY[check_id]
@@ -448,7 +453,7 @@ def run_check(check_id: str, p: Params) -> VerificationResult:
         lhs, rhs = defn.runner(p)
     except _bounds.HypothesisError:
         return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, SKIPPED)
-    except (ArithmeticError, ValueError, RuntimeError, OutsideOscillationRegionError):
+    except (ArithmeticError, GridTooCoarseError, OutsideOscillationRegionError, UndefinedRowError):
         return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, NUMERIC_FAILURE)
     margin = rhs - lhs
     return VerificationResult(check_id, p.k, p.alpha, p.beta, float(lhs), float(rhs), float(margin), bool(margin > 0.0), CHECKED)
@@ -457,6 +462,19 @@ def run_check(check_id: str, p: Params) -> VerificationResult:
 def _is_int(v) -> bool:
     # a JSON integer: bool is an int subclass, but true is not a count
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _object(name: str, value, required: tuple = (), optional: tuple = ()) -> dict:
+    """value, once it is a JSON object with every required key and no key beyond required and optional."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"{name} needs {', '.join(missing)}")
+    unknown = sorted(set(value) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {unknown}")
+    return value
 
 
 def _exponents(name: str, values: list) -> list[float]:
@@ -482,22 +500,21 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(d) - {"checks", "k_spec", "alpha_spec", "beta_mode", "output"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _object("config", d, optional=("checks", "k_spec", "alpha_spec", "beta_mode", "output"))
         checks = d.get("checks", ["all"])
         if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
             raise ConfigError("checks must be a nonempty list of check ids")
-        if "all" in checks:
-            checks = check_ids()
         for cid in checks:
-            if cid not in _REGISTRY:
+            if cid != "all" and cid not in _REGISTRY:
                 raise ConfigError(f"unknown check id: {cid!r}")
+        if len(set(checks)) < len(checks) or ("all" in checks and len(checks) > 1):
+            raise ConfigError("checks must name each check once, or be [\"all\"] alone")
+        if checks == ["all"]:
+            checks = check_ids()
         output = d.get("output")
         if output is not None:
-            if not isinstance(output, dict) or not isinstance(output.get("path"), str) or not output["path"]:
+            _object("output", output, ("path",), ("format",))
+            if not isinstance(output["path"], str) or not output["path"]:
                 raise ConfigError("output must be an object with a nonempty path string")
             if output.get("format", "csv") not in ("csv", "json"):
                 raise ConfigError("output format must be csv or json")
@@ -512,9 +529,7 @@ class SweepConfig:
         return cfg
 
     def _k_values(self) -> range:
-        spec = self.k_spec
-        if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
-            raise ConfigError("k_spec needs min and max")
+        spec = _object("k_spec", self.k_spec, ("min", "max"), ("step", "parity"))
         lo, hi = spec["min"], spec["max"]
         step = spec.get("step", 1)
         parity = spec.get("parity", "any")
@@ -541,7 +556,8 @@ class SweepConfig:
         spec = self.alpha_spec
         if isinstance(spec, list) and spec:
             return _exponents("alpha", spec)
-        if isinstance(spec, dict) and {"lo", "hi", "count"} <= set(spec):
+        if isinstance(spec, dict):
+            _object("alpha_spec", spec, ("lo", "hi", "count"))
             lo, hi = _exponents("alpha", [spec["lo"], spec["hi"]])
             count = spec["count"]
             if not (_is_int(count) and count >= 1):
@@ -556,8 +572,9 @@ class SweepConfig:
         mode = self.beta_mode
         if mode == "equal_alpha":
             return None
-        if isinstance(mode, dict) and isinstance(mode.get("grid"), list) and mode["grid"]:
-            return _exponents("beta", mode["grid"])
+        grid = _object("beta_mode", mode, ("grid",))["grid"] if isinstance(mode, dict) else None
+        if isinstance(grid, list) and grid:
+            return _exponents("beta", grid)
         raise ConfigError('beta_mode must be "equal_alpha" or {"grid": [...]}')
 
     def _checked_specs(self) -> tuple[range, list[float], Optional[list[float]]]:

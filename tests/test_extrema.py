@@ -252,6 +252,32 @@ def _bisected_roots(p, w, signfn, tol=1e-13):
     return np.sort(np.concatenate([xs4[exact], _bisect_reference(signfn, xs4[left], xs4[left + 1], s_lo, tol)]))
 
 
+def _case_window(p, window):
+    if window == "delta":
+        return Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
+    if window == "custom":
+        return Window(-0.3, 0.9)
+    if window == "between-zeros":
+        return Window(-0.44, -0.36)
+    return Window.full()
+
+
+def _scan_fresh(p, w):
+    extrema._cached_scan.cache_clear()
+    try:
+        return scan_extrema(p, w)
+    finally:
+        extrema._cached_scan.cache_clear()
+
+
+def _y_sign(p, w):
+    return lambda z: _shifted_family_signs(p, w, z)[0]
+
+
+def _q_sign(p, w):
+    return lambda z: _shifted_family_signs(p, w, z)[1]
+
+
 @pytest.mark.parametrize(
     "p, window",
     [
@@ -261,73 +287,64 @@ def _bisected_roots(p, w, signfn, tol=1e-13):
         (Params(25, 7.5, 7.5), "delta"),
         (Params(30, 0.0, 0.0), "custom"),
         (Params(64, -0.5, -0.5), "full"),
-        # _locate's roots moved off by 3 radii: no model is trusted, and later
-        # rounds replay against evaluated signs
+        # _locate's roots of q moved off by 3 radii: no model is trusted, and
+        # later rounds replay against evaluated signs
         (Params(40, 3.0, 3.0), "lookup"),
         # q's brackets only: a window strictly between two zeros of y
         (Params(30, 0.0, 0.0), "between-zeros"),
         # y's brackets only: M diverges at both ends, and k = 1 has no maximum
         (Params(1, -0.7, -0.6), "no-maximum"),
-        # the families stop after different numbers of halvings, y's last
-        # here and q's last in the next case
-        (Params(17, 1.0, 1.0), "uneven"),
-        (Params(2, 1.0, 50.0), "uneven"),
     ],
 )
 def test_refined_roots_match_plain_bisection_bitwise(p, window, monkeypatch):
-    if window == "delta":
-        w = Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
-    elif window == "custom":
-        w = Window(-0.3, 0.9)
-    elif window == "between-zeros":
-        w = Window(-0.44, -0.36)
-    else:
-        w = Window.full()
+    # maxima carry plain bisection's bits; minima are Newton roots of y, within
+    # the bisection's width of its roots
+    w = _case_window(p, window)
     replays = []
     replay = extrema._replay
 
-    def recording(lo, hi, s_lo, root, known, col, tol):
-        out, mids = replay(lo, hi, s_lo, root, known, col, tol)
-        replays.append((known[0].size, col, mids))
-        return out, mids
+    def recording(lo, hi, s_lo, root, known, tol):
+        replays.append(known[0].size)
+        return replay(lo, hi, s_lo, root, known, tol)
 
     monkeypatch.setattr(extrema, "_replay", recording)
     if window == "lookup":
         locate = extrema._locate
 
-        def shifted(*args):
-            root, eps = locate(*args)
-            return root + 3.0 * eps, eps
+        def shifted(p, w, ends, parts, is_y):
+            root, eps = locate(p, w, ends, parts, is_y)
+            return np.where(is_y, root, root + 3.0 * eps), eps
 
         monkeypatch.setattr(extrema, "_locate", shifted)
-    extrema._cached_scan.cache_clear()
-    try:
-        recs = scan_extrema(p, w)
-    finally:
-        extrema._cached_scan.cache_clear()
-
-    def y_sign(z):
-        return _shifted_family_signs(p, w, z)[0]
-
-    def q_sign(z):
-        return _shifted_family_signs(p, w, z)[1]
-
+    recs = _scan_fresh(p, w)
     maxima = np.array([r.x for r in recs if r.kind == "max"])
     minima = np.array([r.x for r in recs if r.kind == "min"])
-    assert maxima.tobytes() == _bisected_roots(p, w, q_sign).tobytes()
-    assert minima.tobytes() == _bisected_roots(p, w, y_sign).tobytes()
-    # what makes each added case: the first replay's families, or later
-    # replays that read evaluated signs
-    _, col, mids = replays[0]
+    assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
+    np.testing.assert_allclose(minima, _bisected_roots(p, w, _y_sign(p, w)), rtol=0.0, atol=1e-13)
+    # what makes each added case: later replays that read evaluated signs,
+    # or which family has brackets
     if window == "lookup":
-        assert len(replays) >= 3 and replays[-1][0] > 0
+        assert len(replays) >= 3 and replays[-1] > 0
     elif window == "between-zeros":
-        assert col.all() and len(maxima) == 1
+        assert replays and len(maxima) == 1 and not minima.size
     elif window == "no-maximum":
-        assert not col.any() and len(minima) == 1
-    elif window == "uneven":
-        halvings = [int(np.isfinite(mids[:, col == c]).all(axis=1).sum()) for c in (0, 1)]
-        assert halvings[0] != halvings[1] and min(halvings) > 0, halvings
+        assert not replays and len(minima) == 1
+
+
+@pytest.mark.parametrize(
+    "p, window",
+    [(Params(12, 0.8, 1.9), "full"), (Params(40, 3.0, 3.0), "delta"), (Params(30, 0.0, 0.0), "custom")],
+)
+def test_unconverged_newton_bisects_y_bitwise(p, window, monkeypatch):
+    # with no Newton step every y bracket is unconverged and bisects on y's
+    # computed signs, as q's brackets bisect on q's
+    monkeypatch.setattr(extrema, "_NEWTON_STEPS", 0)
+    w = _case_window(p, window)
+    recs = _scan_fresh(p, w)
+    minima = np.array([r.x for r in recs if r.kind == "min"])
+    maxima = np.array([r.x for r in recs if r.kind == "max"])
+    assert minima.size and minima.tobytes() == _bisected_roots(p, w, _y_sign(p, w)).tobytes()
+    assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
 
 
 @pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 6, 1)), (Params(300, 1e5, 1e5), (3, 7, 2))])
@@ -362,6 +379,29 @@ def test_minima_are_gauss_jacobi_nodes(k, alpha, beta):
     minima = np.array([r.x for r in recs if r.kind == "min"])
     nodes = np.sort(scipy.special.roots_jacobi(k, alpha, beta)[0])
     np.testing.assert_allclose(minima, nodes, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "p, window",
+    [
+        (Params(12, 0.8, 1.9), "full"),
+        (Params(40, 3.0, 3.0), "full"),
+        (Params(200, 0.0, 0.0), "full"),
+        (Params(150, 0.7, 30.0), "full"),
+        (Params(40, 3.0, 3.0), "delta"),
+        (Params(25, 7.5, 7.5), "delta"),
+        (Params(30, 0.0, 0.0), "custom"),
+    ],
+)
+def test_minima_match_roots_jacobi_inside_the_window(p, window):
+    # y's Newton roots are its zeros to a few ulps: within 1e-14 of the
+    # Gauss-Jacobi nodes that lie inside the window
+    w = _case_window(p, window)
+    minima = np.array([r.x for r in scan_extrema(p, w) if r.kind == "min"])
+    nodes = np.sort(scipy.special.roots_jacobi(p.k, p.alpha, p.beta)[0])
+    nodes = nodes[(nodes > w.d_m) & (nodes < w.d_M)]
+    assert minima.size == nodes.size
+    np.testing.assert_allclose(minima, nodes, rtol=0.0, atol=1e-14)
 
 
 def test_scan_returns_fresh_list():

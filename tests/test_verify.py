@@ -117,12 +117,24 @@ def test_runner_hypothesis_error_becomes_skip(monkeypatch):
 def test_runner_numeric_error_becomes_numeric_failure(monkeypatch):
     defn = verify._REGISTRY["thm1"]
     def boom(p):
-        raise ValueError("lost a bracket")
+        raise GridTooCoarseError("lost a bracket")
     monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
     r = run_check("thm1", Params(10, 1.0, 1.0))
     assert r.status == NUMERIC_FAILURE and not r.passed
     rep = Report(rows=(r,), config_echo={}, counts=verify._count_rows((r,)))
     assert rep.exit_code() == 3
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_runner_programming_error_propagates(error, monkeypatch):
+    # only the library's numeric errors become numeric_failure rows; a bug
+    # raising anything else surfaces
+    defn = verify._REGISTRY["thm1"]
+    def boom(p):
+        raise error("a bug")
+    monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
+    with pytest.raises(error, match="a bug"):
+        run_check("thm1", Params(10, 1.0, 1.0))
 
 
 def test_pointwise_vacuous_bound_is_a_skip():
@@ -264,7 +276,7 @@ def test_structural_rows_report_structure_checks_bitwise():
 
 def test_structural_rows_without_their_landmark_are_numeric_failures(monkeypatch):
     # outside the hypotheses a landmark can be absent: beta < -1/2 leaves no
-    # eta band, and beta <= 1/2 no x0; the runner then raises ValueError
+    # eta band, and beta <= 1/2 no x0; the runner then raises UndefinedRowError
     for cid, p in (("thm3_containment", Params(6, 1.0, -0.9)), ("thm5_unimodal", Params(6, 1.0, 0.3))):
         assert _structure_comparison(cid, p) is None
         defn = verify._REGISTRY[cid]
@@ -402,6 +414,15 @@ def test_sweep_config_expansion_and_grid():
         {"beta_mode": {"grid": [math.inf]}},
         {"k_spec": {"min": True, "max": 3}},
         {"alpha_spec": {"lo": 1.0, "hi": 2.0, "count": True}},
+        # "all" stands alone, and no check id is listed twice
+        {"checks": ["all", "bogus"]},
+        {"checks": ["all", "thm1"]},
+        {"checks": ["thm1", "thm1"]},
+        # every object refuses a key it does not know, at every level
+        {"k_spec": {"min": 6, "max": 8, "stpe": 2}},
+        {"alpha_spec": {"lo": 1.0, "hi": 2.0, "count": 3, "cnt": 5}},
+        {"beta_mode": {"grid": [1.0], "mode": "cross"}},
+        {"output": {"path": "x.csv", "fromat": "json"}},
     ],
 )
 def test_sweep_config_rejects_bad_input(patch):
