@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py [--dump DIR]
 
-Prints six lines, each a digest and what it covers:
+Prints seven lines, each a digest and what it covers:
 
 - extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
   every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
@@ -28,7 +28,12 @@ Prints six lines, each a digest and what it covers:
   cleared before each item.  The draw reaches what the extrema-cli pool
   does not: k 0-300, exponents -0.95 to 1e5 (a quarter of them below
   -1/2), delta windows, and custom windows down to width 1e-6 and up to
-  either end of [-1, 1].
+  either end of [-1, 1];
+- reports: for the sweep-beta-grid and sweep-equal-alpha sweeps (each run
+  once for both digests), render_json(report, timestamp="T"), the report's
+  counts, n_failed, n_numeric_failures and exit_code(), and the summary
+  cli._summarize prints for it.  The JSON metadata carries the Python and
+  numpy versions, so this digest compares runs on one machine only.
 
 Run it from a checkout; the package is imported from its src/ directory.
 With --dump DIR the raw outputs are also written to DIR/<name>.txt, so two
@@ -37,6 +42,7 @@ checkouts' outputs can be compared with diff.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -59,6 +65,8 @@ VERIFY_POOL = ROOT / "perfbench" / "reference" / "verify-sweep.json"
 K_SPEC = {"min": 0, "max": 13}
 ALPHAS = [-0.5, -0.3, 0.0, 0.3, jacobimax.ALPHA_FLOOR, 0.5, 0.6, 1.0, 2.5, 30.0]
 BETAS = [-0.5, 0.3, 0.5, 0.6, 1.0, 2.5]
+# the beta_mode of each named sweep, over K_SPEC and ALPHAS
+SWEEPS = {"sweep-beta-grid": {"grid": BETAS}, "sweep-equal-alpha": "equal_alpha"}
 RANDOM_SEED = 20240611
 RANDOM_ITEMS = 600
 
@@ -85,21 +93,44 @@ def extrema_outputs() -> str:
     return "".join(chunks)
 
 
-def sweep_csv(k_spec, alphas, beta_mode) -> str:
+def sweep_report(k_spec, alphas, beta_mode):
     cfg = verify.SweepConfig.from_dict(
         {"checks": ["all"], "k_spec": k_spec, "alpha_spec": alphas, "beta_mode": beta_mode}
     )
     _clear_caches()
-    return verify.render_csv(verify.sweep(cfg), timestamp="T")
+    return verify.sweep(cfg)
+
+
+@functools.cache
+def named_sweep(name: str):
+    """The report of the named sweep of SWEEPS, made once for the two digests that read it."""
+    return sweep_report(K_SPEC, ALPHAS, SWEEPS[name])
+
+
+def report_outputs() -> str:
+    chunks = []
+    for name in SWEEPS:
+        rep = named_sweep(name)
+        summary = io.StringIO()
+        cli._summarize(rep, summary)
+        chunks.append(
+            f"=== {name}\n{verify.render_json(rep, timestamp='T')}counts {rep.counts!r}\n"
+            f"n_failed {rep.n_failed}\nn_numeric_failures {rep.n_numeric_failures}\nexit_code {rep.exit_code()}\n"
+            f"--- summary\n{summary.getvalue()}"
+        )
+    return "".join(chunks)
 
 
 def verify_pool_csv() -> str:
     rounds = json.loads(VERIFY_POOL.read_text(encoding="utf-8"))["pool"]
     return "".join(
-        sweep_csv(
-            {"min": item["k"], "max": item["k"]},
-            item["alphas"],
-            "equal_alpha" if item["betas"] is None else {"grid": item["betas"]},
+        verify.render_csv(
+            sweep_report(
+                {"min": item["k"], "max": item["k"]},
+                item["alphas"],
+                "equal_alpha" if item["betas"] is None else {"grid": item["betas"]},
+            ),
+            timestamp="T",
         )
         for stratum in rounds
         for item in stratum
@@ -174,11 +205,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     outputs = {
         "extrema": extrema_outputs,
-        "sweep-beta-grid": lambda: sweep_csv(K_SPEC, ALPHAS, {"grid": BETAS}),
-        "sweep-equal-alpha": lambda: sweep_csv(K_SPEC, ALPHAS, "equal_alpha"),
+        "sweep-beta-grid": lambda: verify.render_csv(named_sweep("sweep-beta-grid"), timestamp="T"),
+        "sweep-equal-alpha": lambda: verify.render_csv(named_sweep("sweep-equal-alpha"), timestamp="T"),
         "scalar-rows": scalar_rows,
         "verify-pool": verify_pool_csv,
         "extrema-random": extrema_random,
+        "reports": report_outputs,
     }
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)

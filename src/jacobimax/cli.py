@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         return 0 if code is None else int(code)
     try:
         return args.func(args)
-    except (ValueError, OSError, GridTooCoarseError) as exc:
+    except (ValueError, OSError, OverflowError, GridTooCoarseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

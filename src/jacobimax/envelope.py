@@ -85,7 +85,10 @@ class Geometry:
 
 
 def delta_squared(k: int, alpha: float) -> float:
-    """Square of the symmetric containment radius for alpha = beta >= 1/2."""
+    """Square of the symmetric containment radius for alpha = beta >= 1/2.
+
+    Raises OverflowError where its denominator overflows, from alpha ~ 6.7e153 on.
+    """
     if alpha < 0.5:
         raise ValueError("containment radius needs alpha >= 1/2")
     if alpha == 0.5:
@@ -94,6 +97,8 @@ def delta_squared(k: int, alpha: float) -> float:
     # difference-of-squares form to survive alpha >> k
     num = (2.0 * k + 1.0) * (2.0 * k + 4.0 * alpha + 1.0) - 3.0
     den = (2.0 * k + 2.0 * alpha - 1.0) * (2.0 * k + 2.0 * alpha + 3.0)
+    if not math.isfinite(den):
+        raise OverflowError(f"containment radius overflows for k={k}, alpha={alpha}")
     return num / den
 
 

@@ -72,8 +72,10 @@ class GridTooCoarseError(RuntimeError):
     """Raised when the scan cannot certify that it lost no extremum.
 
     Either refining the scan grid 4x changes the number of sign changes of y
-    or q, or two consecutive extrema, with kinds read from signs, are of the
-    same kind (not alternating).
+    or q, or the full window's 4x grid finds other than k zeros of y (every
+    zero of P_k lies in (-1, 1) for alpha, beta > -1: Szego, Thm 3.3.1), or
+    two consecutive extrema, with kinds read from signs, are of the same kind
+    (not alternating).
     """
 
 
@@ -365,6 +367,10 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
             f"sign-change count changed under 4x refinement for k={p.k}, "
             f"alpha={p.alpha}, beta={p.beta}"
         )
+    if w.is_full and ye.size + yl.size != p.k:
+        raise GridTooCoarseError(
+            f"found {ye.size + yl.size} of the {p.k} zeros of P_k for k={p.k}, alpha={p.alpha}, beta={p.beta}"
+        )
     sy, sq, parts = sy[m:], sq[m:], tuple(a[m:] for a in parts)
     # both families' brackets in one array, y's first
     left = np.concatenate([yl, ql])
@@ -413,7 +419,8 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     Samples the signs of y and q on a theta-uniform grid of max(64, 12 (k+2))
     interior nodes (plus a denser pass over the oscillation band when the
     weight pushes all activity toward the center), verifies the root counts
-    against a 4x-density pass, and locates each 4x-grid bracket's root by
+    against a 4x-density pass and, on the full window, that y has all k
+    zeros, and locates each 4x-grid bracket's root by
     Newton steps (_locate).  A root of y is its Newton root; a root of q is
     exactly the one that bisecting q's computed sign function from its 4x-grid
     bracket to a width of 1e-13 gives (_refine), q's sign being the

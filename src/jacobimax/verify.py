@@ -8,6 +8,7 @@ rows instead of exceptions; any other exception propagates.  Reports sort by
 bytes.
 """
 
+import copy
 import csv
 import json
 import math
@@ -17,7 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
@@ -100,13 +101,8 @@ _HYP_THM4_EVEN = _hyp(
 )
 
 
-def _run_global_vs_bound(bid: _bounds.BoundId, window: str):
-    def runner(p: Params) -> tuple[float, float]:
-        w = Window.full() if window == "full" else delta_window(p)
-        gm = global_max(p, w)
-        return gm.M, _bounds.rhs_bound(bid, p)
-
-    return runner
+def _window(name: str, p: Params) -> Window:
+    return Window.full() if name == "full" else delta_window(p)
 
 
 def _run_thm4_even_value(p: Params) -> tuple[float, float]:
@@ -125,8 +121,7 @@ def _run_thm4_peak(p: Params) -> tuple[float, float]:
 def _structure_runner(window: str, claim: str):
     # one scan, and the (lhs, rhs) pair structure_checks computes for the claim
     def runner(p: Params) -> tuple[float, float]:
-        w = Window.full() if window == "full" else delta_window(p)
-        comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
+        comparison = getattr(structure_checks(scan_extrema(p, _window(window, p)), geometry(p)), claim)
         if comparison is None:
             raise UndefinedRowError(f"{claim} undefined: its landmark or its records are absent")
         return comparison
@@ -313,31 +308,24 @@ class _CheckDef(NamedTuple):
     description: str
 
 
+def _bound_check(bid: _bounds.BoundId, window: str, description: str) -> _CheckDef:
+    """The row comparing the window's global max of M with bound bid, on bid's hypotheses."""
+
+    def runner(p: Params) -> tuple[float, float]:
+        return global_max(p, _window(window, p)).M, _bounds.rhs_bound(bid, p)
+
+    return _CheckDef(_hyp_bound(bid), runner, description)
+
+
 _REGISTRY: dict[str, _CheckDef] = {
-    "chow_eq1": _CheckDef(
-        _hyp_bound(_bounds.BoundId.CHOW_EQ1),
-        _run_global_vs_bound(_bounds.BoundId.CHOW_EQ1, "full"),
-        "full-window global max below the small-exponent bound",
+    "chow_eq1": _bound_check(_bounds.BoundId.CHOW_EQ1, "full", "full-window global max below the small-exponent bound"),
+    "emn_eq2": _bound_check(_bounds.BoundId.EMN_EQ2, "full", "full-window global max below the linear-growth bound"),
+    "krasikov_eq3": _bound_check(
+        _bounds.BoundId.KRASIKOV_EQ3, "full", "full-window global max below the cube-root bound"
     ),
-    "emn_eq2": _CheckDef(
-        _hyp_bound(_bounds.BoundId.EMN_EQ2),
-        _run_global_vs_bound(_bounds.BoundId.EMN_EQ2, "full"),
-        "full-window global max below the linear-growth bound",
-    ),
-    "krasikov_eq3": _CheckDef(
-        _hyp_bound(_bounds.BoundId.KRASIKOV_EQ3),
-        _run_global_vs_bound(_bounds.BoundId.KRASIKOV_EQ3, "full"),
-        "full-window global max below the cube-root bound",
-    ),
-    "thm1": _CheckDef(
-        _hyp_bound(_bounds.BoundId.THM1),
-        _run_global_vs_bound(_bounds.BoundId.THM1, "full"),
-        "full-window global max below mu alpha^(1/3) (1+alpha/k)^(1/6)",
-    ),
-    "lemma_glav": _CheckDef(
-        _hyp_bound(_bounds.BoundId.LEMMA_GLAV),
-        _run_global_vs_bound(_bounds.BoundId.LEMMA_GLAV, "full"),
-        "full-window global max below the r tan(tau) cube-root bound",
+    "thm1": _bound_check(_bounds.BoundId.THM1, "full", "full-window global max below mu alpha^(1/3) (1+alpha/k)^(1/6)"),
+    "lemma_glav": _bound_check(
+        _bounds.BoundId.LEMMA_GLAV, "full", "full-window global max below the r tan(tau) cube-root bound"
     ),
     "thm1_ratio": _CheckDef(
         _hyp(
@@ -377,16 +365,8 @@ _REGISTRY: dict[str, _CheckDef] = {
         _structure_runner("delta", "nonneg_maxima_decreasing"),
         "delta-window maxima decrease with |x|",
     ),
-    "odd_230": _CheckDef(
-        _hyp_bound(_bounds.BoundId.ODD_230),
-        _run_global_vs_bound(_bounds.BoundId.ODD_230, "delta"),
-        "odd-degree delta-window global max below 230/pi",
-    ),
-    "odd_29": _CheckDef(
-        _hyp_bound(_bounds.BoundId.ODD_29),
-        _run_global_vs_bound(_bounds.BoundId.ODD_29, "delta"),
-        "odd-degree delta-window global max below 29/pi",
-    ),
+    "odd_230": _bound_check(_bounds.BoundId.ODD_230, "delta", "odd-degree delta-window global max below 230/pi"),
+    "odd_29": _bound_check(_bounds.BoundId.ODD_29, "delta", "odd-degree delta-window global max below 29/pi"),
     "identity_B1_delta": _CheckDef(
         _HYP_ULTRA_ABOVE_HALF,
         _identity_runner(("b1_at_delta",)),
@@ -446,15 +426,19 @@ def run_check(check_id: str, p: Params) -> VerificationResult:
     if check_id not in _REGISTRY:
         raise ConfigError(f"unknown check id: {check_id!r}")
     defn = _REGISTRY[check_id]
-    reason = defn.hypothesis(p)
-    if reason is not None:
-        return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, SKIPPED)
-    try:
-        lhs, rhs = defn.runner(p)
-    except _bounds.HypothesisError:
-        return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, SKIPPED)
-    except (ArithmeticError, GridTooCoarseError, OutsideOscillationRegionError, UndefinedRowError):
-        return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, NUMERIC_FAILURE)
+    status = SKIPPED
+    if defn.hypothesis(p) is None:
+        try:
+            lhs, rhs = defn.runner(p)
+        except _bounds.HypothesisError:
+            pass
+        except (ArithmeticError, GridTooCoarseError, OutsideOscillationRegionError, UndefinedRowError):
+            status = NUMERIC_FAILURE
+        else:
+            # a nan side compares nothing; an infinite rhs, the structural rows' "nothing to compare", is checked
+            status = NUMERIC_FAILURE if math.isnan(lhs) or math.isnan(rhs) else CHECKED
+    if status != CHECKED:
+        return VerificationResult(check_id, p.k, p.alpha, p.beta, _NAN, _NAN, _NAN, False, status)
     margin = rhs - lhs
     return VerificationResult(check_id, p.k, p.alpha, p.beta, float(lhs), float(rhs), float(margin), bool(margin > 0.0), CHECKED)
 
@@ -477,7 +461,7 @@ def _object(name: str, value, required: tuple = (), optional: tuple = ()) -> dic
     return value
 
 
-def _exponents(name: str, values: list) -> list[float]:
+def _exponents(name: str, values: list) -> tuple[float, ...]:
     """values as floats; each must be a JSON number (not a bool), finite and above -1."""
     for v in values:
         if not (_is_int(v) or isinstance(v, float)):
@@ -485,21 +469,78 @@ def _exponents(name: str, values: list) -> list[float]:
         # compared before float(v), which raises OverflowError on a huge int
         if not -1.0 < v <= sys.float_info.max:
             raise ConfigError(f"{name} value {v} must be finite and > -1")
-    return [float(v) for v in values]
+    return tuple(float(v) for v in values)
+
+
+def _k_range(spec) -> range:
+    spec = _object("k_spec", spec, ("min", "max"), ("step", "parity"))
+    lo, hi = spec["min"], spec["max"]
+    step = spec.get("step", 1)
+    parity = spec.get("parity", "any")
+    if not (_is_int(lo) and _is_int(hi) and _is_int(step)):
+        raise ConfigError("k_spec fields must be integers")
+    if lo < 0 or hi < lo or step < 1:
+        raise ConfigError("k_spec needs 0 <= min <= max and step >= 1")
+    if parity not in ("any", "even", "odd"):
+        raise ConfigError("k_spec parity must be any, even, or odd")
+    ks = range(lo, hi + 1, step)
+    if parity != "any":
+        want = int(parity == "odd")
+        if step % 2:
+            # an odd step alternates the parity from min on
+            ks = ks[(lo - want) % 2 :: 2]
+        elif lo % 2 != want:
+            # an even step keeps min's parity
+            ks = ks[:0]
+    if not ks:
+        raise ConfigError("k_spec selects no degrees")
+    return ks
+
+
+def _alpha_values(spec) -> tuple[float, ...]:
+    if isinstance(spec, list) and spec:
+        return _exponents("alpha", spec)
+    if isinstance(spec, dict):
+        _object("alpha_spec", spec, ("lo", "hi", "count"))
+        lo, hi = _exponents("alpha", [spec["lo"], spec["hi"]])
+        count = spec["count"]
+        if not (_is_int(count) and count >= 1):
+            raise ConfigError("alpha_spec count must be a positive integer")
+        if not 0.0 < lo <= hi:
+            raise ConfigError("alpha_spec log-range needs 0 < lo <= hi")
+        return tuple(float(v) for v in np.geomspace(lo, hi, count))
+    raise ConfigError("alpha_spec must be a nonempty list or {lo, hi, count}")
+
+
+def _beta_grid(mode) -> Optional[tuple[float, ...]]:
+    """The beta values of every alpha, or None when beta = alpha."""
+    if mode == "equal_alpha":
+        return None
+    grid = _object("beta_mode", mode, ("grid",))["grid"] if isinstance(mode, dict) else None
+    if isinstance(grid, list) and grid:
+        return _exponents("beta", grid)
+    raise ConfigError('beta_mode must be "equal_alpha" or {"grid": [...]}')
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative sweep: which checks over which (k, alpha, beta) grid."""
+    """Declarative sweep: which checks over which (k, alpha, beta) grid, validated once by from_dict."""
 
     checks: tuple[str, ...]
-    k_spec: dict
-    alpha_spec: object
-    beta_mode: object = "equal_alpha"
-    output: Optional[dict] = None
+    output: Optional[dict]
+    ks: range
+    alphas: tuple[float, ...]
+    # the beta values of every alpha, or None when beta = alpha
+    betas: Optional[tuple[float, ...]]
+    # k_spec, alpha_spec and beta_mode as given, for to_dict: JSON text, so every echo is a fresh copy
+    _grid_spec: str
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        """d, validated and copied: a later change to d does not reach the config.
+
+        A grid of over _MAX_GRID_POINTS points, counted from the specs, is refused before any alpha value is made.
+        """
         _object("config", d, optional=("checks", "k_spec", "alpha_spec", "beta_mode", "output"))
         checks = d.get("checks", ["all"])
         if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
@@ -509,8 +550,6 @@ class SweepConfig:
                 raise ConfigError(f"unknown check id: {cid!r}")
         if len(set(checks)) < len(checks) or ("all" in checks and len(checks) > 1):
             raise ConfigError("checks must name each check once, or be [\"all\"] alone")
-        if checks == ["all"]:
-            checks = check_ids()
         output = d.get("output")
         if output is not None:
             _object("output", output, ("path",), ("format",))
@@ -518,106 +557,48 @@ class SweepConfig:
                 raise ConfigError("output must be an object with a nonempty path string")
             if output.get("format", "csv") not in ("csv", "json"):
                 raise ConfigError("output format must be csv or json")
-        cfg = cls(
-            checks=tuple(checks),
-            k_spec=d.get("k_spec", {}),
-            alpha_spec=d.get("alpha_spec"),
-            beta_mode=d.get("beta_mode", "equal_alpha"),
-            output=output,
-        )
-        cfg._checked_specs()  # validate eagerly, without building the grid
-        return cfg
-
-    def _k_values(self) -> range:
-        spec = _object("k_spec", self.k_spec, ("min", "max"), ("step", "parity"))
-        lo, hi = spec["min"], spec["max"]
-        step = spec.get("step", 1)
-        parity = spec.get("parity", "any")
-        if not (_is_int(lo) and _is_int(hi) and _is_int(step)):
-            raise ConfigError("k_spec fields must be integers")
-        if lo < 0 or hi < lo or step < 1:
-            raise ConfigError("k_spec needs 0 <= min <= max and step >= 1")
-        if parity not in ("any", "even", "odd"):
-            raise ConfigError("k_spec parity must be any, even, or odd")
-        ks = range(lo, hi + 1, step)
-        if parity != "any":
-            want = int(parity == "odd")
-            if step % 2:
-                # an odd step alternates the parity from min on
-                ks = ks[(lo - want) % 2 :: 2]
-            elif lo % 2 != want:
-                # an even step keeps min's parity
-                ks = ks[:0]
-        if not ks:
-            raise ConfigError("k_spec selects no degrees")
-        return ks
-
-    def _alpha_values(self) -> list[float]:
-        spec = self.alpha_spec
-        if isinstance(spec, list) and spec:
-            return _exponents("alpha", spec)
-        if isinstance(spec, dict):
-            _object("alpha_spec", spec, ("lo", "hi", "count"))
-            lo, hi = _exponents("alpha", [spec["lo"], spec["hi"]])
-            count = spec["count"]
-            if not (_is_int(count) and count >= 1):
-                raise ConfigError("alpha_spec count must be a positive integer")
-            if not 0.0 < lo <= hi:
-                raise ConfigError("alpha_spec log-range needs 0 < lo <= hi")
-            return [float(v) for v in np.geomspace(lo, hi, count)]
-        raise ConfigError("alpha_spec must be a nonempty list or {lo, hi, count}")
-
-    def _beta_grid(self) -> Optional[list[float]]:
-        """The beta values of every alpha, or None when beta = alpha."""
-        mode = self.beta_mode
-        if mode == "equal_alpha":
-            return None
-        grid = _object("beta_mode", mode, ("grid",))["grid"] if isinstance(mode, dict) else None
-        if isinstance(grid, list) and grid:
-            return _exponents("beta", grid)
-        raise ConfigError('beta_mode must be "equal_alpha" or {"grid": [...]}')
-
-    def _checked_specs(self) -> tuple[range, list[float], Optional[list[float]]]:
-        """The k values, the alpha values and the beta grid, every spec validated.
-
-        The grid's size is counted from the specs (range length, list lengths
-        and the log range's count), so a grid of more than _MAX_GRID_POINTS
-        points is refused before any of it, or of its alpha values, is made.
-        """
-        ks = self._k_values()
-        betas = self._beta_grid()
-        spec = self.alpha_spec
+        spec = d.get("alpha_spec")
+        grid_spec = {"k_spec": d.get("k_spec", {}), "alpha_spec": spec, "beta_mode": d.get("beta_mode", "equal_alpha")}
+        ks, betas = _k_range(grid_spec["k_spec"]), _beta_grid(grid_spec["beta_mode"])
         count = spec.get("count") if isinstance(spec, dict) else len(spec) if isinstance(spec, list) else None
         if _is_int(count):
             # range arithmetic, not len(), which overflows past sys.maxsize
             size = ((ks.stop - ks.start - 1) // ks.step + 1) * count * (1 if betas is None else len(betas))
             if size > _MAX_GRID_POINTS:
                 raise ConfigError(f"the grid has {size} parameter points, more than the {_MAX_GRID_POINTS} allowed")
-        return ks, self._alpha_values(), betas
+        return cls(
+            checks=tuple(check_ids() if checks == ["all"] else checks),
+            output=copy.deepcopy(output),
+            ks=ks,
+            alphas=_alpha_values(spec),
+            betas=betas,
+            _grid_spec=json.dumps(grid_spec),
+        )
 
     def parameter_grid(self) -> list[Params]:
         """Every (k, alpha, beta) point: k outermost, then alpha, then beta."""
-        ks, alphas, betas = self._checked_specs()
-        pairs = [(a, a) for a in alphas] if betas is None else [(a, b) for a in alphas for b in betas]
-        return [Params(k, a, b) for k in ks for a, b in pairs]
+        pairs = [(a, b) for a in self.alphas for b in ((a,) if self.betas is None else self.betas)]
+        return [Params(k, a, b) for k in self.ks for a, b in pairs]
 
     def to_dict(self) -> dict:
-        return {
-            "checks": list(self.checks),
-            "k_spec": dict(self.k_spec),
-            "alpha_spec": self.alpha_spec if not isinstance(self.alpha_spec, list) else list(self.alpha_spec),
-            "beta_mode": self.beta_mode if not isinstance(self.beta_mode, dict) else dict(self.beta_mode),
-            "output": dict(self.output) if self.output else None,
-        }
+        return {"checks": list(self.checks), **json.loads(self._grid_spec), "output": copy.deepcopy(self.output)}
 
 
 @dataclass(frozen=True)
 class Report:
     rows: tuple[VerificationResult, ...]
     config_echo: dict
-    # per check id, the rows of each status plus the passed and failed checked rows (_count_rows)
-    counts: dict
-    tool_version: str = __version__
+
+    @cached_property
+    def counts(self) -> dict:
+        """Per check id, in id order: the rows of each status, then the passed and failed checked rows."""
+        counts: dict[str, Counter] = {}
+        for r in self.rows:
+            c = counts.setdefault(r.check_id, Counter())
+            c[r.status] += 1
+            if r.status == CHECKED:
+                c["passed" if r.passed else "failed"] += 1
+        return {cid: dict(c) for cid, c in sorted(counts.items())}
 
     def total(self, key: str) -> int:
         """Rows with status `key`, or checked rows that "passed" or "failed", over every check."""
@@ -639,16 +620,6 @@ class Report:
         return 0
 
 
-def _count_rows(rows) -> dict:
-    counts: dict[str, Counter] = {}
-    for r in rows:
-        c = counts.setdefault(r.check_id, Counter())
-        c[r.status] += 1
-        if r.status == CHECKED:
-            c["passed" if r.passed else "failed"] += 1
-    return {cid: dict(c) for cid, c in sorted(counts.items())}
-
-
 def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     """Run every configured check over the whole grid; rows come back sorted."""
     grid = config.parameter_grid()
@@ -664,27 +635,26 @@ def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     else:
         results = [run_check(cid, p) for cid, p in work]
     rows = tuple(sorted(results, key=lambda r: (r.check_id, r.k, r.alpha, r.beta)))
-    return Report(rows=rows, config_echo=config.to_dict(), counts=_count_rows(rows))
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+    return Report(rows=rows, config_echo=config.to_dict())
 
 
 # the CSV report's header, in column order
 _CSV_COLUMNS = ("check_id", "k", "alpha", "beta", "lhs", "rhs", "margin", "pass", "status")
 
 
+def _row_values(r: VerificationResult) -> tuple:
+    """r's values in _CSV_COLUMNS order."""
+    return (r.check_id, r.k, r.alpha, r.beta, r.lhs, r.rhs, r.margin, r.passed, r.status)
+
+
 def render_csv(report: Report, timestamp: Optional[str] = None) -> str:
     """CSV text: one timestamp comment line, fixed header, then sorted rows."""
     ts = timestamp or datetime.now(timezone.utc).isoformat()
-    lines = [f"# generated_at: {ts}"]
-    lines.append(",".join(_CSV_COLUMNS))
-    for r in report.rows:
-        lines.append(
-            f"{r.check_id},{r.k},{_fmt(r.alpha)},{_fmt(r.beta)},{_fmt(r.lhs)},"
-            f"{_fmt(r.rhs)},{_fmt(r.margin)},{'true' if r.passed else 'false'},{r.status}"
-        )
+    lines = [f"# generated_at: {ts}", ",".join(_CSV_COLUMNS)]
+    lines += [
+        f"{cid},{k},{a:.17g},{b:.17g},{lhs:.17g},{rhs:.17g},{margin:.17g},{'true' if ok else 'false'},{status}"
+        for cid, k, a, b, lhs, rhs, margin, ok, status in map(_row_values, report.rows)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -692,7 +662,7 @@ def render_json(report: Report, timestamp: Optional[str] = None) -> str:
     ts = timestamp or datetime.now(timezone.utc).isoformat()
     doc = {
         "metadata": {
-            "tool_version": report.tool_version,
+            "tool_version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "generated_at": ts,
@@ -700,17 +670,7 @@ def render_json(report: Report, timestamp: Optional[str] = None) -> str:
             "counts": report.counts,
         },
         "results": [
-            {
-                "check_id": r.check_id,
-                "k": r.k,
-                "alpha": r.alpha,
-                "beta": r.beta,
-                "lhs": None if math.isnan(r.lhs) else r.lhs,
-                "rhs": None if math.isnan(r.rhs) else r.rhs,
-                "margin": None if math.isnan(r.margin) else r.margin,
-                "pass": r.passed,
-                "status": r.status,
-            }
+            {c: None if isinstance(v, float) and math.isnan(v) else v for c, v in zip(_CSV_COLUMNS, _row_values(r))}
             for r in report.rows
         ],
     }

@@ -200,3 +200,7 @@ def test_pointwise_known_failure_regime_is_reported_not_hidden():
     p = Params(2, 1000.0, 1000.0)
     actual = weighted_M(p, 0.0, Window.full()).value
     assert actual > pointwise_bound(p, 0.0)
+
+
+def test_thm4_bound_for_odd_degree_is_230_over_pi():
+    assert rhs_bound("thm4", Params(7, 1.0, 1.0)) == 230.0 / math.pi

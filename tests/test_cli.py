@@ -315,3 +315,20 @@ def test_no_ansi_escapes_when_not_a_tty(capsys, tmp_path):
     code, out, err = run(capsys, ["verify", "--check", "pointwise", "--out", str(out_path)])
     assert not ANSI.search(out)
     assert not ANSI.search(err)
+
+
+def test_verify_survives_an_overflowing_containment_radius(capsys, tmp_path):
+    # the delta window's radius overflows at alpha = 1e300: those rows are
+    # numeric failures, and the sweep still reports the alpha = 1 rows
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({"k_spec": {"min": 3, "max": 3}, "alpha_spec": [1.0, 1e300]}))
+    assert main(["verify", "--check", "all", "--config", str(cfg_path)]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert "(16 checked, 0 failed, 16 skipped, 14 numeric failures)" in out.out
+
+
+def test_extrema_on_an_overflowing_delta_window_is_one_error_line(capsys):
+    assert main(["extrema", "--k", "3", "--alpha", "1e300", "--window", "delta"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err

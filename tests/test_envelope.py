@@ -310,3 +310,11 @@ def test_window_shape_guards():
         sonin_point(p, 0.0, Window(-0.3, 0.5))
     with pytest.raises(ValueError):
         sonin_point(Params(6, 1.0, 0.5), 0.0, Window.symmetric(0.5))
+
+
+def test_delta_squared_raises_where_its_denominator_overflows():
+    # from alpha ~ 6.7e153 on the quotient would read 0, a window of width 0
+    with pytest.raises(OverflowError):
+        delta_squared(3, 1e300)
+    with pytest.raises(OverflowError):
+        delta_window(Params(3, 1e300, 1e300))

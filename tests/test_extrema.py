@@ -604,3 +604,31 @@ def test_constant_M_has_no_interior_extrema():
     np.testing.assert_allclose(gm.M, 1.0 / math.pi, rtol=1e-14)
     # on a sub-window M is not constant and has its one interior maximum
     assert [r.kind for r in scan_extrema(p, Window(-0.5, 0.9))] == ["max"]
+
+
+@pytest.mark.parametrize("k, alpha, beta", [(1, 1e5, -0.3), (3, 1e5, 2.0), (7, 1e8, 1e8)])
+def test_full_window_scan_that_loses_zeros_of_p_k_raises(k, alpha, beta):
+    # every zero of P_k lies in (-1, 1) for alpha, beta > -1; here the grid
+    # finds fewer, and the scan returned too few records (none for the first two)
+    with pytest.raises(GridTooCoarseError, match=f"of the {k} zeros of P_k"):
+        scan_extrema(Params(k, alpha, beta), Window.full())
+
+
+def test_alternation_guard_raises_on_two_minima_in_a_row(monkeypatch):
+    # a root of q is a maximum iff y there has q's sign just left of it;
+    # flipping y's sign at the first root, a maximum, makes it a minimum
+    # next to the minimum at y's first root
+    p = Params(6, 1.0, 1.0)
+    assert scan_extrema(p, Window.full())[0].kind == "max"
+    plain = extrema.eval_orthonormal_parts
+
+    def flipped(p, x):
+        val, off = plain(p, x)
+        val = val.copy()
+        val[0] = -val[0]
+        return val, off
+
+    extrema._cached_scan.cache_clear()
+    monkeypatch.setattr(extrema, "eval_orthonormal_parts", flipped)
+    with pytest.raises(GridTooCoarseError, match="non-alternating"):
+        scan_extrema(p, Window.full())

@@ -121,7 +121,7 @@ def test_runner_numeric_error_becomes_numeric_failure(monkeypatch):
     monkeypatch.setitem(verify._REGISTRY, "thm1", defn._replace(runner=boom))
     r = run_check("thm1", Params(10, 1.0, 1.0))
     assert r.status == NUMERIC_FAILURE and not r.passed
-    rep = Report(rows=(r,), config_echo={}, counts=verify._count_rows((r,)))
+    rep = Report(rows=(r,), config_echo={})
     assert rep.exit_code() == 3
 
 
@@ -459,7 +459,7 @@ def test_sweep_config_grid_limit_is_inclusive():
     # 50,000 degrees times 2 alphas is exactly the limit; one degree more is over it
     assert verify._MAX_GRID_POINTS == 100_000
     cfg = SweepConfig.from_dict(_base_config(k_spec={"min": 0, "max": 49_999}))
-    assert len(cfg._k_values()) * len(cfg.alpha_spec) == verify._MAX_GRID_POINTS
+    assert len(cfg.ks) * len(cfg.alphas) == verify._MAX_GRID_POINTS
     with pytest.raises(ConfigError, match="100002 parameter points"):
         SweepConfig.from_dict(_base_config(k_spec={"min": 0, "max": 50_000}))
     # parity and step are counted too: 25,001 even degrees of 0..50,000 times 4 betas
@@ -527,7 +527,7 @@ def test_report_totals_match_its_rows():
     broken = VerificationResult("thm1", 3, 0.5, 0.5, math.nan, math.nan, math.nan, False, NUMERIC_FAILURE)
     failed = dataclasses.replace(rows[0], status=CHECKED, passed=False)
     rows += (broken, failed)
-    rep = Report(rows=rows, config_echo={}, counts=verify._count_rows(rows))
+    rep = Report(rows=rows, config_echo={})
     status = Counter(r.status for r in rows)
     assert status[SKIPPED] and status[CHECKED]
     for key in (CHECKED, SKIPPED, NUMERIC_FAILURE):
@@ -676,3 +676,44 @@ print(json.dumps({"statuses": {r.check_id: r.status for r in rows}, "rows": len(
     assert set(got["statuses"]) == EXPECTED_IDS
     assert got["statuses"]["deriv_fd"] == CHECKED and got["rows"] == 3 * len(EXPECTED_IDS)
     assert got["loaded"] == []
+
+
+def test_lost_zeros_make_a_bound_row_a_numeric_failure():
+    # the full-window scan finds one of the seven zeros of P_k here; the row
+    # read "checked, passed" with lhs 0 while the scan went unchecked
+    r = run_check("thm1", Params(7, 1e8, 1e8))
+    assert r.status == NUMERIC_FAILURE and not r.passed
+
+
+def test_nan_comparison_is_a_numeric_failure():
+    # theorem1_ratio is nan at alpha = 1e100: nothing was compared
+    r = run_check("thm1_ratio", Params(7, 1e100, 1e100))
+    assert r.status == NUMERIC_FAILURE and not r.passed
+
+
+def test_exponents_below_minus_half_sample_but_skip_the_bounds_that_need_more():
+    # pointwise's hypothesis fails, so the sampling rows' kernel calls carry no pointwise samples
+    verify._sampling_parts.cache_clear()
+    p = Params(5, -0.7, -0.7)
+    assert _hypothesis_failure(BoundId.EMN_EQ2, p) == "needs alpha >= -1/2 and beta >= -1/2"
+    for cid in ("ode_residual", "deriv_fd"):
+        r = run_check(cid, p)
+        assert r.status == CHECKED and r.passed, cid
+    for cid in ("pointwise", "emn_eq2"):
+        assert run_check(cid, p).status == SKIPPED, cid
+
+
+def test_sweep_config_keeps_no_dict_of_its_caller():
+    # from_dict parses and copies once; later edits to the dict it was given
+    # reach neither the grid nor the echo
+    d = _base_config(alpha_spec=[1.0, 2.0], beta_mode={"grid": [0.5]}, output={"path": "r.csv"})
+    cfg = SweepConfig.from_dict(d)
+    before = (cfg.parameter_grid(), cfg.to_dict())
+    d["k_spec"]["max"] = 40
+    d["alpha_spec"].append(3.0)
+    d["beta_mode"]["grid"][0] = 7.0
+    d["output"]["path"] = "elsewhere.csv"
+    assert (cfg.parameter_grid(), cfg.to_dict()) == before
+    echo = cfg.to_dict()
+    echo["k_spec"]["max"] = 40
+    assert cfg.to_dict() == before[1]
