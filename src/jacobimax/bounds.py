@@ -229,13 +229,18 @@ def theorem1_ratio(k: int, alpha: float) -> float:
 
     Equals ((2a+1)^2 r^2 / (4 a^2 (k+a)(k+2a+1)))^(1/6); the numerator satisfies
     r^2 - 4(k+a)(k+2a+1) = 1 - 4a^2 - 4ka <= 0 for a >= 1/2, and (2a+1)/a
-    decreases in a, so the ratio peaks at alpha = ALPHA_FLOOR.
+    decreases in a, so the ratio peaks at alpha = ALPHA_FLOOR.  Raises
+    OverflowError where (2a+1)^2 overflows, from alpha ~ 6.7e153 on.
     """
     if k < 1 or alpha <= 0.0:
         raise ValueError("ratio needs k >= 1 and alpha > 0")
     r = 2.0 * k + 2.0 * alpha + 1.0
-    inner = (2.0 * alpha + 1.0) ** 2 * r * r / (
-        4.0 * alpha * alpha * (k + alpha) * (k + 2.0 * alpha + 1.0)
+    # each factor times s = 2^-exponent(r) lies below 1, so no product
+    # overflows; numerator and denominator are the unscaled ones times s^4
+    # exactly, so the quotient has their quotient's bits
+    s = math.ldexp(1.0, -math.frexp(r)[1])
+    inner = (2.0 * alpha + 1.0) ** 2 * s * s * (r * s) * (r * s) / (
+        4.0 * (alpha * s) * (alpha * s) * ((k + alpha) * s) * ((k + 2.0 * alpha + 1.0) * s)
     )
     return inner ** (1.0 / 6.0)
 

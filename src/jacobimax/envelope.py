@@ -336,157 +336,105 @@ class IdentityCheck:
     ok: bool
 
 
-class _Exact:
-    """The exact rational n / (2^p G^q H^s) for two fixed positive ints G, H.
-
-    e = (p, q, s) holds nonnegative exponents.  A sum lifts both numerators
-    to the larger of each exponent and a product adds the exponents, so no
-    gcd is ever taken.  The denominator is positive, so the sign of the value
-    is the sign of n.
-    """
-
-    __slots__ = ("n", "e", "gh")
-
-    def __init__(self, n: int, e: tuple[int, int, int], gh: tuple[int, int]) -> None:
-        self.n, self.e, self.gh = n, e, gh
-
-    def _lift(self, n: int, e: tuple[int, int, int], to: tuple[int, int, int]) -> int:
-        # n over 2^p G^q H^s with exponents e, rewritten over exponents to >= e
-        (p, q, s), (tp, tq, ts), (g, h) = e, to, self.gh
-        return (n << (tp - p)) * g ** (tq - q) * h ** (ts - s)
-
-    def common(self, other) -> tuple[int, int, tuple[int, int, int]]:
-        """Both numerators over one denominator, and its exponents."""
-        if type(other) is int:
-            return self.n, self._lift(other, (0, 0, 0), self.e), self.e
-        if self.e == other.e:
-            return self.n, other.n, self.e
-        e = tuple(map(max, self.e, other.e))
-        return self._lift(self.n, self.e, e), self._lift(other.n, other.e, e), e
-
-    def __add__(self, other) -> "_Exact":
-        nx, ny, e = self.common(other)
-        return _Exact(nx + ny, e, self.gh)
-
-    def __sub__(self, other) -> "_Exact":
-        nx, ny, e = self.common(other)
-        return _Exact(nx - ny, e, self.gh)
-
-    def __rsub__(self, other) -> "_Exact":
-        nx, ny, e = self.common(other)
-        return _Exact(ny - nx, e, self.gh)
-
-    def __neg__(self) -> "_Exact":
-        return _Exact(-self.n, self.e, self.gh)
-
-    def __mul__(self, other) -> "_Exact":
-        if type(other) is int:
-            return _Exact(self.n * other, self.e, self.gh)
-        (p, q, s), (op, oq, os) = self.e, other.e
-        return _Exact(self.n * other.n, (p + op, q + oq, s + os), self.gh)
-
-    def __pow__(self, m: int) -> "_Exact":
-        p, q, s = self.e
-        return _Exact(self.n**m, (p * m, q * m, s * m), self.gh)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __float__(self) -> float:
-        # int true division rounds correctly, as Fraction.__float__ does
-        return self.n / self._lift(1, (0, 0, 0), self.e)
+def _ratio(n: int, d: int) -> float:
+    """n / d for d > 0, correctly rounded; +-inf, with the sign of n, where that overflows."""
+    try:
+        return n / d
+    except OverflowError:
+        # math.copysign(math.inf, n) would overflow converting n itself
+        return math.inf if n > 0 else -math.inf
 
 
 def identity_checks(k: int, alpha: float) -> list[IdentityCheck]:
     """Exact verification of the windowed-envelope polynomial algebra.
 
     Every polynomial below is even in x, so evaluations happen at rational
-    values of x^2.  With alpha = num / 2^m, they are exact rationals over
-    2^p G^q H^s, where G = 2^(2m) (r^2 - 4) and H = 3 * 2^(2m) (4 alpha^2 - 1)
-    are ints.  The arithmetic runs on Python ints with no gcd taken, and each
-    float it reports (values and rel_err) is the correctly rounded value of
-    the exact rational, to the bit the same as with reduced fractions.  A
-    reported rel_err of 0.0 means the identity holds to the last bit of the
-    inputs.  Float evaluation of the same expressions loses all significance
-    for k >> alpha, which is why this route exists.
+    values of x^2.  With alpha = num / den, den = 2^m, each value is a pair of
+    Python ints (n, d) with d > 0 over an explicit denominator built from
+    D2 = den^2, G = D2 (r^2 - 4) and H = 3 D2 (4 alpha^2 - 1); no gcd is taken.
+    Each float the table reports is the correctly rounded value of its exact
+    rational, to the bit the same as with reduced fractions, or +-inf where
+    that overflows.  rel_err is exact up to its final rounding, so a reported
+    0.0 means the identity holds to the last bit of the inputs, and ok never
+    reads an overflowed float.  Float evaluation of the same expressions loses
+    all significance for k >> alpha, which is why this route exists.
     """
     if k < 1:
         raise ValueError("identity checks need k >= 1")
     num, den = float(alpha).as_integer_ratio()
     if not 2 * num > den:
         raise ValueError("identity checks need alpha > 1/2")
-    m = den.bit_length() - 1
+    # r^2 = R/D2, 4 alpha^2 = A/D2, r^2 - 4 = G/D2, r^2 - 4 alpha^2 - 3 = N/D2 and
+    # 3 (4 alpha^2 - 1) = H/D2, so d2 = delta^2 = N/G and the D scale
+    # (r^2 - 4)^3 / (3 (4 alpha^2 - 1)) = G^3 / (D2^2 H); G, H > 0 on the domain
+    D2 = den * den
     R = (2 * k * den + 2 * num + den) ** 2
     A = 4 * num * num
-    G = R - 4 * den * den
-    gh = (G, 3 * (A - den * den))
-    a = _Exact(num, (m, 0, 0), gh)
-    r2 = _Exact(R, (2 * m, 0, 0), gh)
-    a2 = _Exact(A, (2 * m, 0, 0), gh)
-    # d2 = (r2 - a2 - 3) / (r2 - 4) and scale = (r2 - 4)^3 / (3 (a2 - 1))
-    d2 = _Exact(R - A - 3 * den * den, (0, 1, 0), gh)
-    scale = _Exact(G**3, (4 * m, 0, 1), gh)
+    G = R - 4 * D2
+    N = R - A - 3 * D2
+    H = 3 * (A - D2)
+    G2, NG = G * G, N * G
 
-    def b1(X: "_Exact | int") -> _Exact:
-        return (
-            -r2 * X**3
-            + ((1 + 2 * d2) * r2 + 4 * d2 - a2 - 3) * X * X
-            - ((d2 * d2 + 2 * d2) * r2 - d2 * d2 - 2 * a2 * d2 + 6 * d2 - 3) * X
-            + (d2 * r2 - a2 * d2 - d2 + 2) * d2
-        )
+    # b1(X) D2 G^2 = C3 X^3 + C2 X^2 + C1 X + C0
+    C3 = -R * G2
+    C2 = (G + 2 * N) * R * G + 4 * NG * D2 - A * G2 - 3 * D2 * G2
+    C1 = -((N * N + 2 * NG) * R - N * N * D2 - 2 * A * NG + 6 * NG * D2 - 3 * G2 * D2)
+    C0 = (N * R - A * N - N * D2 + 2 * G * D2) * N
+    b1_delta = (((C3 * N + C2 * G) * N + C1 * G2) * N + C0 * G2 * G, D2 * G2 * G2 * G)
+    b1_one = (C3 + C2 + C1 + C0, D2 * G2)
 
-    def d_quartic(X: "_Exact | int") -> _Exact:
-        return (
-            (a2 - (1 - d2) * r2) * (d2 - X) ** 2
-            + (3 - 4 * d2) * X * X
-            - 2 * (5 * d2 * d2 - 9 * d2 + 3) * X
-            - d2**3
-            + 9 * d2 * d2
-            - 9 * d2
-        )
+    # d_quartic(x/g) = Q / (D2 G^3 g^2); times the scale, G^3 cancels
+    P1 = A * G - (G - N) * R
+    Qx2 = (3 * G - 4 * N) * D2 * G2
+    Qxg = -2 * (5 * N * N - 9 * NG + 3 * G2) * D2 * G
+    Qg2 = (-N * N + 9 * NG - 9 * G2) * N * D2
 
-    def scaled_quadratic(X: "_Exact | int") -> _Exact:
-        return 2 * (r2 - 4) * (2 * r2 - 3 * a2 - 5) * X - (r2 - a2 - 3) * (4 * r2 - a2 - 15)
+    def d_quartic_num(x: int, g: int) -> int:
+        return P1 * (N * g - x * G) ** 2 + (Qx2 * x + Qxg * g) * x + Qg2 * g * g
+
+    def d_scaled(x: int, g: int) -> tuple[int, int]:
+        return d_quartic_num(x, g), D2 * D2 * D2 * H * g * g
+
+    def scaled_quadratic(x: int, g: int) -> tuple[int, int]:
+        return 2 * G * (2 * R - 3 * A - 5 * D2) * x - N * (4 * R - A - 15 * D2) * g, D2 * D2 * g
 
     rows: list[IdentityCheck] = []
 
-    def against(name: str, computed: _Exact, closed: _Exact, expect_match: bool = True) -> None:
-        nc, nf, _ = computed.common(closed)
-        rel = 0.0 if nc == nf else abs(nc - nf) / max(abs(nc), abs(nf))
+    def against(name: str, computed: tuple[int, int], closed: tuple[int, int], expect_match: bool = True) -> None:
+        (nc, dc), (nf, df) = computed, closed
+        c, f = nc * df, nf * dc
+        rel = 0.0 if c == f else abs(c - f) / max(abs(c), abs(f))
         ok = rel <= IDENTITY_REL if expect_match else rel > IDENTITY_REL
-        rows.append(IdentityCheck(name, float(computed), float(closed), rel, ok))
+        rows.append(IdentityCheck(name, _ratio(nc, dc), _ratio(nf, df), rel, ok))
 
-    def sign_row(name: str, value: _Exact, want_positive: bool) -> None:
-        ok = value.n > 0 if want_positive else value.n < 0
-        rows.append(IdentityCheck(name, float(value), None, None, ok))
+    def sign_row(name: str, value: tuple[int, int], want_positive: bool) -> None:
+        n = value[0]
+        rows.append(IdentityCheck(name, _ratio(*value), None, None, n > 0 if want_positive else n < 0))
 
-    b1_delta, b1_one = b1(d2), b1(1)
-    d_delta, d_zero_scaled = d_quartic(d2), d_quartic(0) * scale
-    against("b1_at_delta", b1_delta, 5 * (1 - d2) ** 2 * d2)
-    against("b1_at_one", b1_one, -a2 * (1 - d2) ** 2)
-    against("d_scaled_at_delta", d_delta * scale, -5 * (a2 - 1) * (r2 - a2 - 3))
-    against("d_scaled_quadratic_at_zero", d_zero_scaled, scaled_quadratic(0))
-    quarter = _Exact(d2.n, (2, 1, 0), gh)  # d2 / 4
-    against(
-        "d_scaled_quadratic_at_quarter_delta2",
-        d_quartic(quarter) * scale,
-        scaled_quadratic(quarter),
-    )
+    d_delta_num = d_quartic_num(N, G)
+    d_zero_scaled = d_scaled(0, 1)
+    against("b1_at_delta", b1_delta, (5 * (G - N) ** 2 * N, G2 * G))
+    against("b1_at_one", b1_one, (-A * (G - N) ** 2, D2 * G2))
+    against("d_scaled_at_delta", (d_delta_num, D2 * D2 * D2 * H * G2), (-5 * (A - D2) * N, D2 * D2))
+    against("d_scaled_quadratic_at_zero", d_zero_scaled, scaled_quadratic(0, 1))
+    # d2 / 4 = N / (4G)
+    against("d_scaled_quadratic_at_quarter_delta2", d_scaled(N, 4 * G), scaled_quadratic(N, 4 * G))
     # rejected reading of the constant term (r^4 in place of r^2); kept as a
     # record that the two readings genuinely differ
     against(
         "d_scaled_quadratic_at_zero_r4_variant_disagrees",
         d_zero_scaled,
-        -(r2 - a2 - 3) * (4 * r2 * r2 - a2 - 15),
+        (-N * (4 * R * R - A * D2 - 15 * D2 * D2), D2 * D2 * D2),
         expect_match=False,
     )
     sign_row("b1_at_delta_positive", b1_delta, True)
     sign_row("b1_at_one_negative", b1_one, False)
-    sign_row("d_quartic_at_delta_negative", d_delta, False)
+    sign_row("d_quartic_at_delta_negative", (d_delta_num, D2 * G2 * G2 * G), False)
     # the maxima-hull quadratic A0(x) = 4k(k+2a+1) - (r^2+4a+2)x^2 has its
     # positive zero at the hull radius; delta lies beyond the hull, so
     # A0(delta) < 0, with the exact scaled value proving the sign for all
-    # k >= 1, alpha > 1/2 (2r^2 >= 2(2a+3)^2 > 4a^2+4a+5)
-    a0_delta = 4 * k * (k + 2 * a + 1) - (r2 + 4 * a + 2) * d2
-    against("a0_at_delta_scaled", a0_delta * (r2 - 4), 2 * (2 * a + 1) * (a2 + 4 * a + 5 - 2 * r2))
-    sign_row("a0_at_delta_negative", a0_delta, False)
+    # k >= 1, alpha > 1/2 (2r^2 >= 2(2a+3)^2 > 4a^2+4a+5); A0(delta) = n0 / (D2 G)
+    n0 = 4 * k * (k * den + 2 * num + den) * den * G - (R + 4 * num * den + 2 * D2) * N
+    against("a0_at_delta_scaled", (n0, D2 * D2), (2 * (2 * num + den) * (A + 4 * num * den + 5 * D2 - 2 * R), den * D2))
+    sign_row("a0_at_delta_negative", (n0, D2 * G), False)
     return rows

@@ -319,13 +319,14 @@ def test_no_ansi_escapes_when_not_a_tty(capsys, tmp_path):
 
 def test_verify_survives_an_overflowing_containment_radius(capsys, tmp_path):
     # the delta window's radius overflows at alpha = 1e300: those rows are
-    # numeric failures, and the sweep still reports the alpha = 1 rows
+    # numeric failures, and the sweep still reports the alpha = 1 rows; the
+    # five exact identity rows are checked there too
     cfg_path = tmp_path / "huge.json"
     cfg_path.write_text(json.dumps({"k_spec": {"min": 3, "max": 3}, "alpha_spec": [1.0, 1e300]}))
     assert main(["verify", "--check", "all", "--config", str(cfg_path)]) == 3
     out = capsys.readouterr()
     assert out.err == ""
-    assert "(16 checked, 0 failed, 16 skipped, 14 numeric failures)" in out.out
+    assert "(21 checked, 0 failed, 16 skipped, 9 numeric failures)" in out.out
 
 
 def test_extrema_on_an_overflowing_delta_window_is_one_error_line(capsys):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobimax.envelope import (
     IdentityCheck,
@@ -169,6 +171,14 @@ def test_identity_checks_domain_guards():
         identity_checks(2, 0.5)
 
 
+def _float_or_inf(q):
+    # a Fraction as a float, or +-inf where it overflows, as identity_checks reports it
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _fraction_identity_checks(k, alpha, tol=1e-9):
     # reference: the same table in reduced Fraction arithmetic
     if k < 1:
@@ -210,11 +220,11 @@ def _fraction_identity_checks(k, alpha, tol=1e-9):
         else:
             rel = float(abs(computed - closed) / max(abs(computed), abs(closed)))
         ok = rel <= tol if expect_match else rel > tol
-        rows.append(IdentityCheck(name, float(computed), float(closed), rel, ok))
+        rows.append(IdentityCheck(name, _float_or_inf(computed), _float_or_inf(closed), rel, ok))
 
     def sign_row(name, value, want_positive):
         ok = value > 0 if want_positive else value < 0
-        rows.append(IdentityCheck(name, float(value), None, None, bool(ok)))
+        rows.append(IdentityCheck(name, _float_or_inf(value), None, None, bool(ok)))
 
     against("b1_at_delta", b1(d2), 5 * (1 - d2) ** 2 * d2)
     against("b1_at_one", b1(Fraction(1)), -a2 * (1 - d2) ** 2)
@@ -249,8 +259,29 @@ def test_identity_checks_match_fraction_reference_bitwise():
         assert repr(identity_checks(k, alpha)) == repr(_fraction_identity_checks(k, alpha)), (k, alpha)
 
 
+# alpha just above 1/2 on the 2^-52 lattice, and any float up to 1e300; both
+# reach denominators of 2^52 and more, beyond the seeded cases above
+_ALPHAS = st.one_of(
+    st.integers(1, 2**52).map(lambda j: 0.5 + j * 2.0**-52),
+    st.floats(min_value=0.5, max_value=1e300, exclude_min=True),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**6), _ALPHAS)
+def test_identity_checks_match_fraction_reference_on_drawn_inputs(k, alpha):
+    assert repr(identity_checks(k, alpha)) == repr(_fraction_identity_checks(k, alpha))
+
+
 @pytest.mark.parametrize("alpha", [1e300, math.inf, math.nan])
 def test_identity_checks_raise_like_fraction_reference(alpha):
+    if math.isfinite(alpha):
+        # only the reported floats overflow, and read +-inf; rel_err and ok stay exact
+        rows = identity_checks(3, alpha)
+        assert repr(rows) == repr(_fraction_identity_checks(3, alpha))
+        assert all(r.ok for r in rows)
+        assert {r.name: r for r in rows}["d_scaled_at_delta"].computed == -math.inf
+        return
     # the same exception class keeps these rows numeric_failure in verify
     with pytest.raises(Exception) as want:
         _fraction_identity_checks(3, alpha)

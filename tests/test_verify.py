@@ -685,10 +685,27 @@ def test_lost_zeros_make_a_bound_row_a_numeric_failure():
     assert r.status == NUMERIC_FAILURE and not r.passed
 
 
-def test_nan_comparison_is_a_numeric_failure():
-    # theorem1_ratio is nan at alpha = 1e100: nothing was compared
+def test_nan_comparison_is_a_numeric_failure(monkeypatch):
+    # a nan side compares nothing; no row computes one on its own, so a
+    # stand-in ratio returns it
+    monkeypatch.setattr(verify._bounds, "theorem1_ratio", lambda k, alpha: math.nan)
     r = run_check("thm1_ratio", Params(7, 1e100, 1e100))
     assert r.status == NUMERIC_FAILURE and not r.passed
+
+
+@pytest.mark.parametrize("alpha", [1e77, 1e100, 1e150])
+def test_theorem1_ratio_row_is_checked_at_huge_alpha(alpha):
+    # unscaled, (2a+1)^2 r^2 and the denominator both overflow from alpha ~ 1e77
+    r = run_check("thm1_ratio", Params(7, alpha, alpha))
+    assert r.status == CHECKED and r.passed
+    assert abs(r.lhs - 2.0 ** (1.0 / 6.0)) <= 1e-15
+
+
+def test_identity_rows_survive_float_overflow():
+    # one row's float (the r^4 variant, growing like alpha^6) overflows here;
+    # it reads -inf, and the exact comparisons of every row stand
+    r = run_check("identity_B1_delta", Params(3, 1e76, 1e76))
+    assert r.status == CHECKED and r.passed and r.lhs == 0.0
 
 
 def test_exponents_below_minus_half_sample_but_skip_the_bounds_that_need_more():
