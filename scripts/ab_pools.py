@@ -10,7 +10,10 @@ run through perfbench's own workload runners on both packages, with every
 cache of the package cleared first and the order of the two alternating from
 one repeat and one item to the next; each side's time for an item is the best
 of --repeats.  Timing both in one process, item by item, keeps a drift in CPU
-speed on a shared host out of the ratios.
+speed on a shared host out of the ratios.  The process pins itself to its
+fastest CPU first, as perfbench does, so the scheduler cannot move it between
+CPUs of different speed from one item's run on one side to its run on the
+other; the CPU goes to the JSON file as "cpu".
 
 Per pool it prints the ratios this / other of the summed item times, of the
 item-time medians and of the 90th percentiles, and the number of items whose
@@ -41,6 +44,7 @@ sys.path.insert(0, str(PERFBENCH))
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
+from run import pin_to_fastest_cpu  # noqa: E402
 
 
 def load_package(src: Path, name: str):
@@ -128,6 +132,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json", help="JSON results file")
     args = ap.parse_args(argv)
     other = args.other_src.resolve()
+    cpu, cpu_probe_ms = pin_to_fastest_cpu()
+    print(f"pinned to CPU {cpu} (probe ms per CPU: {cpu_probe_ms})", flush=True)
     if not (other / "jacobimax").is_dir():
         other = other / "src"
     with tempfile.TemporaryDirectory(prefix="ab_pools-") as tmp:
@@ -140,6 +146,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "repeats": args.repeats,
+            "cpu": cpu,
+            "cpu_probe_ms": cpu_probe_ms,
             "pools": {},
         }
         tol = json.loads((PERFBENCH / "tolerances.json").read_text(encoding="utf-8"))

@@ -8,9 +8,11 @@ unbounded-range arithmetic would produce while the power of two accumulates
 in a separate log offset.
 
 A step is five numpy calls on preallocated 1-D buffers, each coefficient
-passed as a 0-d array view, built once per call.  One growth bound per call,
-built at most once, tells which steps need the range test; a step that may
-leave the range examines only the points whose |P_m| left it.
+passed as a 0-d array view, built once per call; a centred family (every
+b[m] +0.0) skips the subtract, one call fewer.  One growth bound per call,
+built at most once, tells how many steps may pass before the next range
+test; a step that may leave the range examines only the points whose |P_m|
+left it.
 """
 
 import math
@@ -24,37 +26,26 @@ _HI = 1e150
 _LO = 1e-150
 _min = np.minimum.reduce
 _max = np.maximum.reduce
-# per-step log slack in the growth bounds, far above rounding in one step
+# per-step log slack in the growth bound, far above rounding in one step
 _SLACK = 1e-3
-# fewest remaining steps for which the growth bounds are worth computing
-_BOUND_STEPS = 16
 
 # there is no numba backend; the constant stays because benchmark results
 # record it in their environment stamp
 USING_NUMBA = False
 
 
-def _step_bounds(x, b, a, k):
-    """Running log bounds on how far max(|pc|, |pm|) can grow and shrink.
+def _log_growth(x, b, a, k):
+    """Log of one factor bounding how far max(|pc|, |pm|) can grow or shrink in a step.
 
     Step m maps (pm, pc) to (pc, ((x - b[m]) pc - a[m-1] pm) / a[m]), so the
     larger magnitude of the pair grows at most by (|x - b[m]| + a[m-1]) / a[m]
-    and shrinks at most by (|x - b[m]| + a[m]) / a[m-1].  Entry m of each
-    array sums the log factors of steps 1..m, padded for rounding.
+    and shrinks at most by (|x - b[m]| + a[m]) / a[m-1].  Over the call's
+    steps, (max|x| + max|b| + max a) / min a bounds both; its log is padded
+    for rounding.
     """
-    xb = float(_max(np.abs(x), None)) + np.abs(b[1:k])
-    grow = np.log(np.maximum(1.0, (xb + a[: k - 1]) / a[1:k])) + _SLACK
-    shrink = np.log(np.maximum(1.0, (xb + a[1:k]) / a[: k - 1])) + _SLACK
-    return np.concatenate([[0.0], np.cumsum(grow)]), np.concatenate([[0.0], np.cumsum(shrink)])
-
-
-def _next_check(bounds, m, top, low):
-    """First step after m at which an element of max(|pc|, |pm|), now within
-    [low, top] inside [_LO, _HI], could leave [_LO, _HI]."""
-    grow, shrink = bounds
-    j_hi = np.searchsorted(grow, grow[m] + math.log(_HI / top), "right")
-    j_lo = np.searchsorted(shrink, shrink[m] + math.log(low / _LO), "right")
-    return int(min(j_hi, j_lo))
+    ak = a[:k]
+    xb = _max(np.abs(x), None) + _max(np.abs(b[1:k]), None)
+    return math.log(xb + ak.max()) - math.log(ak.min()) + _SLACK
 
 
 def recurrence(x, b, a, ln_start, k):
@@ -74,38 +65,45 @@ def recurrence(x, b, a, ln_start, k):
         return (x - b[0]) / a[0], np.ones(n), off
     # each step's coefficients as 0-d arrays, the operands numpy applies fastest
     ac = [a[m, ...] for m in range(k)]
-    bc = [b[m, ...] for m in range(k)]
+    # x - (+0.0) is x bit for bit, -0.0 included; x - (-0.0) turns -0.0 into
+    # +0.0, so only an all-bits-zero diagonal skips the subtract
+    bc = [b[m, ...] for m in range(k)] if b[1:k].view(np.uint64).any() else None
     pm = np.ones(n)
-    pc = (x - bc[0]) / ac[0]
+    pc = (x - b[0]) / ac[0]
     t = np.empty(n)
-    bounds = None
+    growth = None
     check = 1
     for m in range(1, k):
         # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
         # needed afterwards and becomes the spare buffer
-        np.subtract(x, bc[m], t)
-        t *= pc
+        if bc is None:
+            np.multiply(x, pc, t)
+        else:
+            np.subtract(x, bc[m], t)
+            t *= pc
         pm *= ac[m - 1]
         t -= pm
         t /= ac[m]
         pm, pc, t = pc, t, pm
         if m >= check:
             check = m + 1
-            # |pm| <= _HI holds from the previous step, so |pc| inside
-            # [_LO, _HI] everywhere means no element needs rescaling
             np.abs(pc, t)
             low, top = _min(t, None), _max(t, None)
             if low >= _LO and top <= _HI:
-                if k - m > _BOUND_STEPS:
-                    # skip the test for as long as the growth bounds allow,
-                    # started from the pair's extremes
-                    if bounds is None:
-                        bounds = _step_bounds(x, b, a, k)
-                    check = _next_check(bounds, m, max(top, _max(np.abs(pm), None)), low)
+                # |pm| <= _HI holds from the previous step, except for step
+                # 1's pm, the untested (x - b[0]) / a[0]
+                top = max(top, _max(np.abs(pm), None))
+            if low >= _LO and top <= _HI:
+                # no element needs rescaling, and every pair magnitude lies
+                # in [low, top]: j more steps keep it in range while
+                # j * growth stays within the log distance to either end
+                if check < k:
+                    if growth is None:
+                        growth = _log_growth(x, b, a, k)
+                    check += int(min(math.log(_HI / top), math.log(low / _LO)) / growth)
             else:
-                # and so only a point with |pc| outside [_LO, _HI] can need
-                # it; step 1's pm is the untested (x - b[0]) / a[0], and is
-                # tested too
+                # only a point with |pc| outside [_LO, _HI] can need it, and
+                # at step 1 a point whose pm is above _HI
                 cand = (t < _LO) | (t > _HI)
                 if m == 1:
                     cand |= np.abs(pm) > _HI

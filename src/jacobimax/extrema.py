@@ -479,6 +479,7 @@ class StructureReport:
     claim's hypotheses hold for the parameters is the caller's job.
     """
 
+    # (maxima before x0, maxima after x0); a maximum at x0 counts in neither
     x0_split: Optional[tuple[int, int]]
     # (0, smallest fall of the maxima heights before x0 or rise after it, in M)
     unimodal_about_x0: Optional[Comparison]
@@ -505,7 +506,10 @@ def structure_checks(records: list[ExtremumRecord], geom: Geometry) -> Structure
     if geom.x0 is not None:
         left = [r for r in maxima if r.x < geom.x0]
         right = [r for r in maxima if r.x > geom.x0]
-        slacks = [a.M - b.M for a, b in zip(left, left[1:])] + [b.M - a.M for a, b in zip(right, right[1:])]
+        # a maximum at x0 itself ends the falls before x0 and starts the rises after it
+        at = [r for r in maxima if r.x == geom.x0]
+        falls, rises = left + at, at + right
+        slacks = [a.M - b.M for a, b in zip(falls, falls[1:])] + [b.M - a.M for a, b in zip(rises, rises[1:])]
         unimodal = Comparison(0.0, min(slacks) if slacks else math.inf)
         split = (len(left), len(right))
 

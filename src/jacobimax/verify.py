@@ -153,20 +153,24 @@ def _run_identity_a0(p: Params) -> tuple[float, float]:
     return rows["a0_at_delta_negative"].computed, 0.0
 
 
+# pointwise's samples: 64 angle-uniform points of (-1, 1), and 31 cosines
+# that scale the oscillation band's half-width turning_point(p)
+_PW_FIXED = np.array([math.cos(theta) for theta in np.linspace(0.0, math.pi, 66)[1:-1]])
+_PW_BAND = np.array([math.cos(phi) for phi in np.linspace(0.0, math.pi, 33)[1:-1]])
+_PW_FIXED.setflags(write=False)
+_PW_BAND.setflags(write=False)
+
+
 def _pointwise_points(p: Params) -> tuple[np.ndarray, float, np.ndarray]:
     """(x, numerator, denominator) of the pointwise bound at the samples where it is not vacuous.
 
     The bound's denominator is taken over all points at once; each has the
     bits of pointwise_bound's at its point.
     """
-    xs = [math.cos(theta) for theta in np.linspace(0.0, math.pi, 66)[1:-1]]
     # the oscillation band shrinks like 1/sqrt(alpha), so a fixed angular grid
     # eventually misses the central peak; band-scaled samples and x = 0 keep
     # the worst point visible at every parameter scale
-    x_t = turning_point(p)
-    xs.extend(x_t * math.cos(phi) for phi in np.linspace(0.0, math.pi, 33)[1:-1])
-    xs.append(0.0)
-    xs = np.array(xs)
+    xs = np.concatenate([_PW_FIXED, turning_point(p) * _PW_BAND, [0.0]])
     num, den = _bounds.pointwise_bound_parts(p, xs)
     kept = den > 0.0
     return xs[kept], num, den[kept]

@@ -186,6 +186,24 @@ def test_structure_checks_detects_broken_ordering():
     assert rep.unimodal_about_x0.holds is False
 
 
+def test_structure_checks_counts_a_maximum_at_x0_on_both_sides():
+    # alpha = beta puts x0 at 0.0, where a central maximum can sit: it ends
+    # the falls before x0 and starts the rises after it
+    valley = [_rec(0, -0.6, 0.9, "max"), _rec(1, -0.3, 0.1, "min"), _rec(2, 0.0, 0.3, "max"),
+              _rec(3, 0.3, 0.1, "min"), _rec(4, 0.6, 0.8, "max")]
+    rep = structure_checks(valley, _geom(x0=0.0))
+    assert rep.unimodal_about_x0 == (0.0, min(0.9 - 0.3, 0.8 - 0.3))
+    assert rep.x0_split == (1, 1)
+    # a central maximum above its neighbours breaks the valley
+    peak = valley[:2] + [_rec(2, 0.0, 0.95, "max")] + valley[3:]
+    rep = structure_checks(peak, _geom(x0=0.0))
+    assert rep.unimodal_about_x0 == (0.0, min(0.9 - 0.95, 0.8 - 0.95))
+    assert rep.unimodal_about_x0.holds is False
+    # alone, it compares with nothing
+    rep = structure_checks([_rec(0, 0.0, 0.4, "max")], _geom(x0=0.0))
+    assert rep.unimodal_about_x0 == (0.0, math.inf) and rep.x0_split == (0, 0)
+
+
 def test_structure_checks_skips_missing_landmarks():
     recs = [_rec(0, 0.2, 0.9, "max"), _rec(1, 0.6, 0.8, "max")]
     rep = structure_checks(recs, _geom())

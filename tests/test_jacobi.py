@@ -353,6 +353,86 @@ def test_row_rescaled_on_its_last_step_matches_plain_loop_bitwise():
     _assert_plain_bits([row])
 
 
+def _range_tests(monkeypatch, row):
+    # the kernel's range tests on one row: each takes one _kernels._min
+    calls = []
+    reduce_min = _kernels._min
+    monkeypatch.setattr(_kernels, "_min", lambda *args: calls.append(1) or reduce_min(*args))
+    _kernels.recurrence(*row)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_row_leaving_the_range_on_the_first_step_the_bound_allows(monkeypatch):
+    # one point whose pair (c, -c) after step 1 grows by exactly the growth
+    # factor (|x| + max|b| + max a) / min a = 8 on step 2, in exact powers of
+    # two, and c is the float just above 1e150 / 8: step 2 leaves the range
+    # by one ulp.  Unpadded, the log bound computes that step 2 stays in
+    # range; with the slack the kernel tests, and rescales, at step 2
+    c = float(np.nextafter(_kernels._HI / 8.0, np.inf))
+    row = (np.array([0.0]), np.array([-c, 4.0, -4.0]), np.array([1.0, 4.0, 1.0]), 0.0, 3)
+    steps = []
+    _plain_recurrence(*row, steps)
+    assert steps == [2]
+    unpadded = _kernels._log_growth(*row[:3], 3) - _kernels._SLACK
+    assert math.log(_kernels._HI / c) / unpadded >= 1.0
+    assert _range_tests(monkeypatch, row) == 2
+    _assert_plain_bits([row])
+
+
+def test_untested_first_pair_above_the_range_is_rescaled_on_step_one():
+    # step 1's pm, (x - b[0]) / a[0] = 5e159, is above 1e150 while every
+    # |pc| lies inside the range: the pair is rescaled on step 1, and step 2
+    # does not overflow
+    x = np.array([0.5])
+    for k in (3, 40):
+        row = (x, np.zeros(k), np.concatenate([[1e-160, 1e159], np.ones(k - 2)]), 0.0, k)
+        steps = []
+        _plain_recurrence(*row, steps)
+        assert steps[:1] == [1]
+        _assert_plain_bits([row])
+
+
+def test_centred_rows_keep_the_sign_of_zero():
+    # a diagonal of +0.0 (alpha = beta >= 0) skips the subtract, since
+    # x - (+0.0) is x bit for bit; x - (-0.0) turns x = -0.0 into +0.0, so a
+    # -0.0 diagonal (alpha = beta < 0), even in one entry, keeps it
+    x = np.array([-0.0, 0.0, 0.5, -0.25, 1e-200, -1e-200])
+    for k in (2, 3, 5, 14, 17):
+        a = _recurrence_coeffs(k, 2.5, 2.5)[1]
+        plus = np.zeros(k)
+        minus = np.concatenate([[0.0], np.full(k - 1, -0.0)])
+        last = np.concatenate([np.zeros(k - 1), [-0.0]])
+        rows = [(x, b, a, 0.0, k) for b in (plus, minus, last)]
+        rows += [(x, *_recurrence_coeffs(k, alpha, alpha), k) for alpha in (0.0, 2.5, -0.3, -0.499)]
+        _assert_plain_bits(rows)
+    # the sign of zero reaches the output: P_5(-0.0) is -0.0 on the +0.0
+    # diagonal and +0.0 on the -0.0 one
+    a = _recurrence_coeffs(5, 2.5, 2.5)[1]
+    signs = [np.signbit(_plain_recurrence(x[:1], b, a, 0.0, 5)[0][0]) for b in (np.zeros(5), minus[:5])]
+    assert signs == [True, False]
+
+
+def test_nan_point_tests_the_range_on_every_step(monkeypatch):
+    # a nan pair is never in range, so no growth bound skips a step; the
+    # finite points are rescaled as without it
+    b, a, ln_start = _recurrence_coeffs(60, 1e3, 1e3)
+    x = np.array([0.3, np.nan, -0.9])
+    assert _range_tests(monkeypatch, (x[::2], b, a, ln_start, 60)) < 59
+    assert _range_tests(monkeypatch, (x, b, a, ln_start, 60)) == 59
+    _assert_plain_bits([(x, b, a, ln_start, 60), (x[1:2], b, a, ln_start, 14)])
+
+
+def test_small_degree_grid_call_tests_the_range_once(monkeypatch):
+    # the 960-node scan grid of (14, 50, 50) (the 192 and 768 nodes of its
+    # two angle-uniform grids): the range test after step 1 passes, and the
+    # growth bound skips every later step
+    x = np.cos(np.concatenate([np.linspace(0.0, math.pi, 194)[1:-1], np.linspace(0.0, math.pi, 770)[1:-1]]))
+    row = (x, *_recurrence_coeffs(14, 50.0, 50.0), 14)
+    assert _range_tests(monkeypatch, row) == 1
+    _assert_plain_bits([row])
+
+
 def _batch_invariance_cases():
     rng = np.random.default_rng(61)
     cases = [(500, 1e5, 1e5), (500, 1e7, 1e7), (400, 0.0, 0.0), (300, 1e7, -0.9), (120, 3.0, 1e6), (2, -0.5, -0.5)]
