@@ -8,7 +8,7 @@ the constants are only claimed on their stated domains.
 import math
 from enum import Enum
 
-from .envelope import delta_squared
+from .envelope import _xi0_squared, delta_squared
 from .gammafn import log_gamma
 from .jacobi import ALPHA_FLOOR, Params
 
@@ -102,16 +102,15 @@ def rhs_bound(bid: "BoundId | str", p: Params) -> float:
     if bid is BoundId.THM1:
         mu = 10.0 / 7.0 if k % 2 == 0 else 22.0
         return mu * a ** (1.0 / 3.0) * (1.0 + a / k) ** (1.0 / 6.0)
-    if bid is BoundId.THM4:
-        if k % 2 == 0:
-            return (2.0 / math.pi) * (1.0 + 1.0 / (8.0 * (k + a) ** 2))
-        return 230.0 / math.pi
+    if bid is BoundId.THM4 and k % 2 == 0:
+        return (2.0 / math.pi) * (1.0 + 1.0 / (8.0 * (k + a) ** 2))
     if bid is BoundId.LEMMA_GLAV:
         c = 12.0 / 13.0 if k % 2 == 0 else 14.0
         r = 2.0 * k + 2.0 * a + 1.0
         tan_tau = (2.0 * a + 1.0) / (2.0 * math.sqrt(k * (k + 2.0 * a + 1.0)))
         return c * (r * tan_tau) ** (1.0 / 3.0)
-    if bid is BoundId.ODD_230:
+    if bid in (BoundId.THM4, BoundId.ODD_230):
+        # THM4 at odd k and ODD_230 share one constant
         return 230.0 / math.pi
     return 29.0 / math.pi
 
@@ -208,7 +207,7 @@ def v_factors(k: int, alpha: float) -> tuple[float, float]:
         raise HypothesisError(f"v factors need odd k >= 3, got k={k}")
     if alpha < 0.5:
         raise HypothesisError(f"v factors need alpha >= 1/2, got alpha={alpha}")
-    xi2 = 21.0 / (2.0 * k * k + 4.0 * alpha * k + 2.0 * alpha + 1.0)
+    xi2 = _xi0_squared(k, alpha)
     d_k = delta_squared(k, alpha)
     d_k1 = delta_squared(k - 1, alpha + 1.0)
     if xi2 >= d_k or xi2 >= d_k1:
@@ -244,10 +243,3 @@ def theorem1_ratio(k: int, alpha: float) -> float:
     )
     return inner ** (1.0 / 6.0)
 
-
-def _epsilon(k: int, alpha: float) -> float:
-    # correction scale in the envelope-peak expansion; stays below 1/31 on
-    # k >= 6, alpha >= ALPHA_FLOOR
-    r = 2.0 * k + 2.0 * alpha + 1.0
-    tan_tau = (2.0 * alpha + 1.0) / (2.0 * math.sqrt(k * (k + 2.0 * alpha + 1.0)))
-    return (2.0 ** (-1.0 / 3.0) / 3.0) * r ** (-2.0 / 3.0) * tan_tau ** (4.0 / 3.0)

@@ -12,7 +12,7 @@ import sys
 
 from . import verify as _verify
 from ._version import __version__
-from .envelope import delta_window, sonin_S
+from .envelope import sonin_S
 from .extrema import GridTooCoarseError, global_max, scan_extrema
 from .jacobi import ALPHA_FLOOR, Params, Window, _exp_saturating, eval_orthonormal, weighted_M
 
@@ -39,16 +39,14 @@ def _params(args) -> Params:
 
 
 def _parse_window(text: str, p: Params) -> Window:
-    if text == "full":
-        return Window.full()
-    if text == "delta":
-        return delta_window(p)
     if text.startswith("custom:"):
         parts = text[len("custom:"):].split(",")
         if len(parts) != 2:
             raise ValueError("custom window must be custom:DM,DMX")
         return Window(float(parts[0]), float(parts[1]))
-    raise ValueError(f"unknown window {text!r} (expected full, delta, or custom:DM,DMX)")
+    if text not in _verify._WINDOWS:
+        raise ValueError(f"unknown window {text!r} (expected full, delta, or custom:DM,DMX)")
+    return _verify._window(text, p)
 
 
 def _cmd_eval(args) -> int:

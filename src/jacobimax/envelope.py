@@ -19,7 +19,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .jacobi import Params, Window, _exp_saturating, eval_orthonormal, eval_orthonormal_deriv
+from .jacobi import (
+    Params,
+    Window,
+    _dln_window_factor,
+    _exp_saturating,
+    _ln_window_factor,
+    eval_orthonormal,
+    eval_orthonormal_deriv,
+)
 from .scaled import ScaledReal
 
 __all__ = [
@@ -109,6 +117,12 @@ def delta_window(p: Params) -> Window:
     return Window.symmetric(math.sqrt(delta_squared(p.k, p.alpha)))
 
 
+def _xi0_squared(k: int, alpha: float) -> float:
+    # xi0^2, the landmark of the odd-degree reduction; its denominator is at
+    # least 2 for k >= 0, alpha >= 1/2
+    return 21.0 / (2.0 * k * k + 4.0 * alpha * k + 2.0 * alpha + 1.0)
+
+
 def turning_point(p: Params) -> float:
     """cos(max(tau - |omega|, 0)), the outer edge of the oscillation band.
 
@@ -158,9 +172,7 @@ def geometry(p: Params) -> Geometry:
     xi0 = None
     if p.is_ultraspherical and p.alpha >= 0.5:
         delta = math.sqrt(delta_squared(p.k, p.alpha))
-        xi_den = 2.0 * p.k * p.k + 4.0 * p.alpha * p.k + 2.0 * p.alpha + 1.0
-        if xi_den > 0.0:
-            xi0 = math.sqrt(21.0 / xi_den)
+        xi0 = math.sqrt(_xi0_squared(p.k, p.alpha))
 
     x0 = None
     if p.beta > 0.5 and p.alpha >= p.beta:
@@ -183,6 +195,16 @@ def geometry(p: Params) -> Geometry:
     )
 
 
+def _full_terms(p: Params, x: float):
+    # (a^2, b^2, s, 1 - x^2, N) of the full window, B = N / (4 (1 - x^2)^2)
+    a2 = p.alpha * p.alpha
+    b2 = p.beta * p.beta
+    s = 2.0 * p.k + p.alpha + p.beta + 1.0
+    one_m = 1.0 - x * x
+    N = s * s * one_m - 2.0 * (1.0 + x) * a2 - 2.0 * (1.0 - x) * b2 + 1.0
+    return a2, b2, s, one_m, N
+
+
 def coeffs_full(p: Params, x: float) -> SoninPoint:
     """Envelope coefficients for the full window (-1, 1).
 
@@ -191,25 +213,32 @@ def coeffs_full(p: Params, x: float) -> SoninPoint:
     x = float(x)
     if not -1.0 < x < 1.0:
         raise ValueError("full-window coefficients need -1 < x < 1")
-    a2 = p.alpha * p.alpha
-    b2 = p.beta * p.beta
-    s = 2.0 * p.k + p.alpha + p.beta + 1.0
-    one_m = 1.0 - x * x
+    a2, b2, _, one_m, N = _full_terms(p, x)
     A = x / (2.0 * one_m)
-    N = s * s * one_m - 2.0 * (1.0 + x) * a2 - 2.0 * (1.0 - x) * b2 + 1.0
     B = N / (4.0 * one_m * one_m)
     D = (a2 - b2) * (x * x + 1.0) + (2.0 * a2 + 2.0 * b2 - 1.0) * x
     return SoninPoint(x=x, A=A, B=B, D=D)
 
 
 def b_prime_full(p: Params, x: float) -> float:
-    a2 = p.alpha * p.alpha
-    b2 = p.beta * p.beta
-    s = 2.0 * p.k + p.alpha + p.beta + 1.0
-    one_m = 1.0 - x * x
-    N = s * s * one_m - 2.0 * (1.0 + x) * a2 - 2.0 * (1.0 - x) * b2 + 1.0
+    a2, b2, s, one_m, N = _full_terms(p, x)
     Np = -2.0 * s * s * x - 2.0 * a2 + 2.0 * b2
     return (Np * one_m + 4.0 * x * N) / (4.0 * one_m**3)
+
+
+def _window_terms(k: int, alpha: float, d: float, x: float):
+    # (a^2, r^2, d^2, x^2, 1 - x^2, d^2 - x^2, Na, Nb) of the window (-d, d),
+    # B = Na / (4 (1 - x^2)^2) + Nb / (4 (1 - x^2) (d^2 - x^2)^2)
+    a2 = alpha * alpha
+    r = 2.0 * k + 2.0 * alpha + 1.0
+    r2 = r * r
+    d2 = d * d
+    x2 = x * x
+    one_m = 1.0 - x2
+    win = d2 - x2
+    Na = r2 * one_m - 4.0 * a2
+    Nb = 2.0 * d2 - d2 * d2 + (3.0 - 4.0 * d2) * x2
+    return a2, r2, d2, x2, one_m, win, Na, Nb
 
 
 def coeffs_window(k: int, alpha: float, d: float, x: float) -> SoninPoint:
@@ -223,17 +252,9 @@ def coeffs_window(k: int, alpha: float, d: float, x: float) -> SoninPoint:
         raise ValueError("window half-width must satisfy 0 < d <= 1")
     if not (-d < x < d and -1.0 < x < 1.0):
         raise ValueError("windowed coefficients need |x| < d and |x| < 1")
-    a2 = alpha * alpha
-    r = 2.0 * k + 2.0 * alpha + 1.0
-    r2 = r * r
-    d2 = d * d
-    x2 = x * x
-    one_m = 1.0 - x2
-    win = d2 - x2
+    a2, r2, d2, x2, one_m, win, Na, Nb = _window_terms(k, alpha, d, x)
     A = x * (2.0 * d2 - 1.0 - x2) / (2.0 * win * one_m)
-    B = (r2 * one_m - 4.0 * a2) / (4.0 * one_m * one_m) + (
-        2.0 * d2 - d2 * d2 + (3.0 - 4.0 * d2) * x2
-    ) / (4.0 * one_m * win * win)
+    B = Na / (4.0 * one_m * one_m) + Nb / (4.0 * one_m * win * win)
     D = (
         (4.0 * a2 - (1.0 - d2) * r2) * win * win
         + (3.0 - 4.0 * d2) * x2 * x2
@@ -246,48 +267,14 @@ def coeffs_window(k: int, alpha: float, d: float, x: float) -> SoninPoint:
 
 
 def b_prime_window(k: int, alpha: float, d: float, x: float) -> float:
-    a2 = alpha * alpha
-    r2 = (2.0 * k + 2.0 * alpha + 1.0) ** 2
-    d2 = d * d
-    x2 = x * x
-    one_m = 1.0 - x2
-    win = d2 - x2
-    Na = r2 * one_m - 4.0 * a2
+    _, r2, d2, _, one_m, win, Na, Nb = _window_terms(k, alpha, d, x)
     Nap = -2.0 * r2 * x
     part_a = (Nap * one_m + 4.0 * x * Na) / (4.0 * one_m**3)
-    Nb = 2.0 * d2 - d2 * d2 + (3.0 - 4.0 * d2) * x2
     Nbp = 2.0 * (3.0 - 4.0 * d2) * x
     part_b = (Nbp * one_m * win + 2.0 * x * Nb * win + 4.0 * x * Nb * one_m) / (
         4.0 * one_m * one_m * win**3
     )
     return part_a + part_b
-
-
-def _ln_window_factor(p: Params, x: float, w: Window) -> float:
-    return (
-        0.25 * (math.log(x - w.d_m) + math.log(w.d_M - x))
-        + 0.5 * p.alpha * math.log1p(-x)
-        + 0.5 * p.beta * math.log1p(x)
-    )
-
-
-def _dln_window_factor(p: Params, x: float, w: Window) -> float:
-    return (
-        0.25 * (1.0 / (x - w.d_m) - 1.0 / (w.d_M - x))
-        - 0.5 * p.alpha / (1.0 - x)
-        + 0.5 * p.beta / (1.0 + x)
-    )
-
-
-def transformed_parts(p: Params, x: float, w: Window) -> tuple[ScaledReal, ScaledReal]:
-    """(f, f') for f = u y, so that f^2 = M and f'' - 2A f' + B f = 0."""
-    x = float(x)
-    if not (w.d_m < x < w.d_M and -1.0 < x < 1.0):
-        raise ValueError("transformed value needs a strictly interior point")
-    u = ScaledReal(1, _ln_window_factor(p, x, w))
-    y = eval_orthonormal(p, x)
-    q = eval_orthonormal_deriv(p, x) + y * _dln_window_factor(p, x, w)
-    return u * y, u * q
 
 
 def _coeffs_for(p: Params, x: float, w: Window) -> SoninPoint:
@@ -308,7 +295,13 @@ def sonin_point(p: Params, x: float, w: Window) -> SoninPoint:
     pt = _coeffs_for(p, x, w)
     if not pt.B > 0.0:
         raise OutsideOscillationRegionError(f"B({x}) = {pt.B:.6g} is not positive")
-    f, fp = transformed_parts(p, x, w)
+    # f = u y and f' = u q, q = y' + y (ln u)', so that f^2 = M and
+    # f'' - 2 A f' + B f = 0; _coeffs_for has checked that x is interior
+    x = float(x)
+    u = ScaledReal(1, float(_ln_window_factor(p, x, w)))
+    y = eval_orthonormal(p, x)
+    f = u * y
+    fp = u * (eval_orthonormal_deriv(p, x) + y * _dln_window_factor(p, x, w))
     s_sc = f * f + (fp * fp) * (1.0 / pt.B)
     if s_sc.is_zero():
         return replace(pt, S=0.0, ln_S=-math.inf)

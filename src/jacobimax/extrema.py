@@ -31,10 +31,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .envelope import Geometry, _dln_window_factor, turning_point
+from .envelope import Geometry, turning_point
 from .jacobi import (
     Params,
     Window,
+    _dln_window_factor,
     _endpoint_ln_M,
     _exp_saturating,
     _weighted_ln,

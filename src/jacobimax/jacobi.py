@@ -138,7 +138,7 @@ def _recurrence_coeffs(k: int, alpha: float, beta: float):
                 * (n + 1.0 + s)
                 / ((t + 1.0) * (t + 3.0))
             )
-    ln_p0 = -0.5 * ((s + 1.0) * _LN2 + log_beta(alpha + 1.0, beta + 1.0))
+    ln_p0 = -0.5 * log_norm(Params(0, alpha, beta))
     b.setflags(write=False)
     a.setflags(write=False)
     return b, a, ln_p0
@@ -335,17 +335,30 @@ def weighted_ln_parts(p: Params, x, w: Window) -> np.ndarray:
     return _weighted_ln(p, xs, w, *eval_orthonormal_parts(p, xs))
 
 
+def _ln_window_factor(p: Params, x, w: Window):
+    """ln u at interior x, a float or an array: M = u^2 P_k^2 with u = ((x - d_m)(d_M - x))^(1/4) w(x)^(1/2)."""
+    return (
+        0.25 * (np.log(x - w.d_m) + np.log(w.d_M - x))
+        + 0.5 * p.alpha * np.log1p(-x)
+        + 0.5 * p.beta * np.log1p(x)
+    )
+
+
+def _dln_window_factor(p: Params, x, w: Window):
+    """(ln u)' at interior x, a float or an array."""
+    return (
+        0.25 * (1.0 / (x - w.d_m) - 1.0 / (w.d_M - x))
+        - 0.5 * p.alpha / (1.0 - x)
+        + 0.5 * p.beta / (1.0 + x)
+    )
+
+
 def _weighted_ln(p: Params, xs: np.ndarray, w: Window, val: np.ndarray, off: np.ndarray) -> np.ndarray:
-    # ln M at xs from P_k = val * exp(off) there; extrema's records pass the
-    # parts they also read y's sign from
+    # ln M = 2 (ln u + ln |P_k|) at xs from P_k = val * exp(off) there;
+    # extrema's records pass the parts they also read y's sign from
     with np.errstate(divide="ignore"):
         ln_p = np.log(np.abs(val)) + off
-    return (
-        0.5 * (np.log(xs - w.d_m) + np.log(w.d_M - xs))
-        + p.alpha * np.log1p(-xs)
-        + p.beta * np.log1p(xs)
-        + 2.0 * ln_p
-    )
+    return 2.0 * (_ln_window_factor(p, xs, w) + ln_p)
 
 
 def ode_residual(p: Params, x: float) -> float:

@@ -95,14 +95,19 @@ _HYP_NONE = _hyp(lambda p: True, "")
 _HYP_ULTRA_ABOVE_HALF = _hyp(
     lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 1, "needs alpha = beta > 1/2 and k >= 1"
 )
-_HYP_THM4_EVEN = _hyp(
-    lambda p: p.is_ultraspherical and p.alpha >= 0.5 and p.k >= 2 and p.k % 2 == 0,
-    "needs alpha = beta >= 1/2 and even k >= 2",
-)
+
+
+def _hyp_thm4_even(p: Params) -> Optional[str]:
+    # THM4's hypothesis at even degrees
+    return _bounds._hypothesis_failure(_bounds.BoundId.THM4, p) or (None if p.k % 2 == 0 else "needs even k")
+
+
+# the named windows, for the checks and the CLI's --window
+_WINDOWS: dict[str, Callable[[Params], Window]] = {"full": lambda p: Window.full(), "delta": delta_window}
 
 
 def _window(name: str, p: Params) -> Window:
-    return Window.full() if name == "full" else delta_window(p)
+    return _WINDOWS[name](p)
 
 
 def _run_thm4_even_value(p: Params) -> tuple[float, float]:
@@ -340,12 +345,12 @@ _REGISTRY: dict[str, _CheckDef] = {
         "cube-root bound reduction ratio stays below its proven ceiling",
     ),
     "thm4_even_value": _CheckDef(
-        _HYP_THM4_EVEN,
+        _hyp_thm4_even,
         _run_thm4_even_value,
         "closed-form M(0) on the delta window below the even-degree bound",
     ),
     "thm4_delta_peak_at_zero": _CheckDef(
-        _HYP_THM4_EVEN,
+        _hyp_thm4_even,
         _run_thm4_peak,
         "delta-window global max located at the origin",
     ),

@@ -9,7 +9,6 @@ from jacobimax.bounds import (
     SHARP_RATIO,
     BoundId,
     HypothesisError,
-    _epsilon,
     gamma_ratio_check,
     gamma_ratio_log,
     gamma_ratio_log_gap,
@@ -18,6 +17,7 @@ from jacobimax.bounds import (
     theorem1_ratio,
     v_factors,
 )
+from jacobimax.envelope import geometry
 from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, weighted_M
 
 
@@ -130,8 +130,15 @@ def test_v_factor_ordering_and_decrease():
         assert all(a > b for a, b in zip(seq, seq[1:])), alpha
 
 
+def _epsilon(k: int, alpha: float) -> float:
+    # the correction in the envelope-peak expansion, eta_sym = cos(tau) (1 - epsilon)
+    g = geometry(Params(k, alpha, alpha))
+    return 1.0 - g.eta_sym / math.cos(g.tau)
+
+
 def test_epsilon_stays_below_cap():
-    np.testing.assert_allclose(_epsilon(6, ALPHA_FLOOR), 0.0038284991937153675, rtol=1e-12)
+    # the paper's epsilon < 1/31 on k >= 6, alpha >= ALPHA_FLOOR, read from geometry's eta_sym
+    np.testing.assert_allclose(_epsilon(6, ALPHA_FLOOR), 0.0038284991937153675, rtol=1e-10)
     worst = max(
         _epsilon(k, float(a))
         for k in range(6, 200, 7)
