@@ -10,7 +10,7 @@ from enum import Enum
 
 from .envelope import _xi0_squared, delta_squared
 from .gammafn import log_gamma
-from .jacobi import ALPHA_FLOOR, Params
+from .jacobi import _LN2, ALPHA_FLOOR, Params
 
 __all__ = [
     "BoundId",
@@ -23,8 +23,6 @@ __all__ = [
     "v_factors",
     "theorem1_ratio",
 ]
-
-_LN2 = math.log(2.0)
 
 # cube root of (4 sqrt(2) - 2): proven ceiling of theorem1_ratio for
 # alpha >= ALPHA_FLOOR, where (2 alpha + 1) / alpha is largest

@@ -46,7 +46,7 @@ def _parse_window(text: str, p: Params) -> Window:
         return Window(float(parts[0]), float(parts[1]))
     if text not in _verify._WINDOWS:
         raise ValueError(f"unknown window {text!r} (expected full, delta, or custom:DM,DMX)")
-    return _verify._window(text, p)
+    return _verify._WINDOWS[text](p)
 
 
 def _cmd_eval(args) -> int:

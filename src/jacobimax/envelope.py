@@ -7,7 +7,8 @@ orthonormal polynomial and u the window factor
 
     u(x) = ((x - d_m) (d_M - x))^(1/4) (1-x)^(alpha/2) (1+x)^(beta/2),
 
-gives f^2 = M and closed-form A, B whose combination
+which jacobi owns (_ln_window_factor, _dln_window_factor), gives f^2 = M
+and closed-form A, B whose combination
 
     D = c(x) (4 A B - B')    with c > 0 on the relevant range
 
@@ -19,15 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .jacobi import (
-    Params,
-    Window,
-    _dln_window_factor,
-    _exp_saturating,
-    _ln_window_factor,
-    eval_orthonormal,
-    eval_orthonormal_deriv,
-)
+from .jacobi import Params, Window, _dln_window_factor, _exp_saturating, _ln_window_factor
+from .jacobi import eval_orthonormal, eval_orthonormal_deriv
 from .scaled import ScaledReal
 
 __all__ = [

@@ -1,8 +1,9 @@
 """Locate every local extremum of the weighted square M over a window.
 
 Interior maxima of M = f^2 are zeros of f' and interior minima are zeros of
-f, where f = u y is the transformed solution from the envelope frame.  The
-signs of y and of q, whose zeros are those of f', are sampled on an
+f, where f = u y is the transformed solution from the envelope frame and u
+the window factor that jacobi owns, so that f' = u q with q = y' + y (ln u)'
+(jacobi._dln_window_factor).  The signs of y and of q are sampled on an
 angle-uniform grid, cross-checked at four times the density, and bracketed;
 both families' brackets then form one array.  Each bracket's root is located
 by a cubic Hermite fit to the grid values and Newton steps on fresh values.
@@ -21,7 +22,8 @@ point whose q is too close to 0 for the two routes to be sure to agree is
 re-evaluated by that route.  Kinds come from signs the scan already has: M = 0
 at a root of y, a minimum, and at a root of q, where M' = 2 u^2 y q, M has a
 maximum iff y there has q's sign just left of it.  An endpoint's record holds
-ln M's one-sided limit there (jacobi._endpoint_ln_M).
+ln M's one-sided limit there (jacobi._endpoint_ln_M); global_max raises
+rather than report M = 0.
 """
 
 import math
@@ -76,7 +78,8 @@ class GridTooCoarseError(RuntimeError):
     or q, or the full window's 4x grid finds other than k zeros of y (every
     zero of P_k lies in (-1, 1) for alpha, beta > -1: Szego, Thm 3.3.1), or
     two consecutive extrema, with kinds read from signs, are of the same kind
-    (not alternating).
+    (not alternating), or global_max's best candidate has M = 0: M vanishes
+    at both ends then, and M > 0 inside forces an interior maximum.
     """
 
 
@@ -428,8 +431,9 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     shifted-family route's everywhere (_signs).  A root of y is a minimum; a
     root of q is a maximum iff y has q's left sign there.
     With k = 0 and alpha = beta = -1/2 on the full window M is the constant
-    1/pi, and the list is empty.  Results are memoized per (k, alpha, beta,
-    window); each call returns a fresh list.
+    1/pi, and the list is empty.  A list with no maximum where M vanishes at
+    both ends is returned; global_max raises on it.  Results are memoized per
+    (k, alpha, beta, window); each call returns a fresh list.
     """
     return list(_cached_scan(p.k, p.alpha, p.beta, w.d_m, w.d_M))
 
@@ -448,13 +452,18 @@ def global_max(p: Params, w: Window) -> ExtremumRecord:
     window, the two mirror-image maxima agree only up to rounding, and the
     rounding decides which of them is returned.  Endpoint candidates carry
     index -1 and their one-sided limit value (0, finite, or inf per the
-    weight exponents).
+    weight exponents).  A best candidate with M = 0 raises
+    GridTooCoarseError: the scan lost the interior maximum.
     """
     records = scan_extrema(p, w)
     cands = [r for r in records if r.kind == "max"]
     cands.append(_endpoint_record(p, w, "left"))
     cands.append(_endpoint_record(p, w, "right"))
-    return max(cands, key=lambda r: (r.ln_M, -abs(r.x), r.x))
+    best = max(cands, key=lambda r: (r.ln_M, -abs(r.x), r.x))
+    if best.ln_M == -math.inf:
+        where = f"[{w.d_m}, {w.d_M}], where M vanishes at both ends, for k={p.k}, alpha={p.alpha}, beta={p.beta}"
+        raise GridTooCoarseError(f"found no maximum of M inside {where}")
+    return best
 
 
 class Comparison(NamedTuple):

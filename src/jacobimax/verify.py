@@ -102,12 +102,8 @@ def _hyp_thm4_even(p: Params) -> Optional[str]:
     return _bounds._hypothesis_failure(_bounds.BoundId.THM4, p) or (None if p.k % 2 == 0 else "needs even k")
 
 
-# the named windows, for the checks and the CLI's --window
+# the named windows of the checks and of the CLI's --window
 _WINDOWS: dict[str, Callable[[Params], Window]] = {"full": lambda p: Window.full(), "delta": delta_window}
-
-
-def _window(name: str, p: Params) -> Window:
-    return _WINDOWS[name](p)
 
 
 def _run_thm4_even_value(p: Params) -> tuple[float, float]:
@@ -126,7 +122,7 @@ def _run_thm4_peak(p: Params) -> tuple[float, float]:
 def _structure_runner(window: str, claim: str):
     # one scan, and the (lhs, rhs) pair structure_checks computes for the claim
     def runner(p: Params) -> tuple[float, float]:
-        comparison = getattr(structure_checks(scan_extrema(p, _window(window, p)), geometry(p)), claim)
+        comparison = getattr(structure_checks(scan_extrema(p, _WINDOWS[window](p)), geometry(p)), claim)
         if comparison is None:
             raise UndefinedRowError(f"{claim} undefined: its landmark or its records are absent")
         return comparison
@@ -321,7 +317,7 @@ def _bound_check(bid: _bounds.BoundId, window: str, description: str) -> _CheckD
     """The row comparing the window's global max of M with bound bid, on bid's hypotheses."""
 
     def runner(p: Params) -> tuple[float, float]:
-        return global_max(p, _window(window, p)).M, _bounds.rhs_bound(bid, p)
+        return global_max(p, _WINDOWS[window](p)).M, _bounds.rhs_bound(bid, p)
 
     return _CheckDef(_hyp_bound(bid), runner, description)
 

@@ -94,6 +94,15 @@ def test_extrema_constant_M_reports_endpoint_maximum(capsys):
     assert abs(float(m.group(2))) == 1.0
 
 
+def test_extrema_with_no_maximum_where_M_vanishes_at_both_ends_is_an_error(capsys):
+    code, out, err = run(
+        capsys, ["extrema", "--k", "2", "--alpha", "9202.07", "--beta", "8.02157", "--window", "custom:-0.8069,0.7608"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: found no maximum of M inside")
+
+
 def test_extrema_csv_file(capsys, tmp_path):
     path = tmp_path / "ext.csv"
     code, out, err = run(capsys, ["extrema", "--k", "5", "--alpha", "1", "--csv", str(path)])

@@ -624,6 +624,15 @@ def test_constant_M_has_no_interior_extrema():
     assert [r.kind for r in scan_extrema(p, Window(-0.5, 0.9))] == ["max"]
 
 
+def test_global_max_with_no_maximum_where_M_vanishes_at_both_ends_raises():
+    # an extrema-cli pool item: the scan finds no zero of q inside the window,
+    # and global_max returned the endpoint with M = 0
+    p, w = Params(2, 9202.07, 8.02157), Window(-0.8069, 0.7608)
+    assert scan_extrema(p, w) == []
+    with pytest.raises(GridTooCoarseError, match="found no maximum of M inside"):
+        global_max(p, w)
+
+
 @pytest.mark.parametrize("k, alpha, beta", [(1, 1e5, -0.3), (3, 1e5, 2.0), (7, 1e8, 1e8)])
 def test_full_window_scan_that_loses_zeros_of_p_k_raises(k, alpha, beta):
     # every zero of P_k lies in (-1, 1) for alpha, beta > -1; here the grid
