@@ -108,7 +108,7 @@ def rhs_bound(bid: "BoundId | str", p: Params) -> float:
         tan_tau = (2.0 * a + 1.0) / (2.0 * math.sqrt(k * (k + 2.0 * a + 1.0)))
         return c * (r * tan_tau) ** (1.0 / 3.0)
     if bid in (BoundId.THM4, BoundId.ODD_230):
-        # THM4 at odd k and ODD_230 share one constant
+        # THM4 gets here at odd k only
         return 230.0 / math.pi
     return 29.0 / math.pi
 

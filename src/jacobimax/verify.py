@@ -98,7 +98,6 @@ _HYP_ULTRA_ABOVE_HALF = _hyp(
 
 
 def _hyp_thm4_even(p: Params) -> Optional[str]:
-    # THM4's hypothesis at even degrees
     return _bounds._hypothesis_failure(_bounds.BoundId.THM4, p) or (None if p.k % 2 == 0 else "needs even k")
 
 

@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_every_demo_is_collected():
-    assert len(DEMOS) == 5
+def test_the_demos_are_found():
+    assert len(DEMOS) >= 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
