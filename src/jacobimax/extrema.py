@@ -19,11 +19,19 @@ grids, every Newton step and every refinement round.  It takes y and y' from
 the recurrence's last pair, and q's sign is defined by the shifted-family
 route, y' = c Q_{k-1}^{(alpha+1, beta+1)} (eval_orthonormal_deriv_parts): a
 point whose q is too close to 0 for the two routes to be sure to agree is
-re-evaluated by that route.  Kinds come from signs the scan already has: M = 0
+re-evaluated by that route.  P_k at a root is read where the scan already
+evaluates: the grid's pair values at a node-exact root, and the refine
+round's pair call, which takes the round's roots alongside its asked
+midpoints, at the others.  Kinds come from signs the scan already has: M = 0
 at a root of y, a minimum, and at a root of q, where M' = 2 u^2 y q, M has a
 maximum iff y there has q's sign just left of it.  An endpoint's record holds
 ln M's one-sided limit there (jacobi._endpoint_ln_M); global_max raises
 rather than report M = 0.
+
+The memo is per (k, alpha, beta), with an entry per window, errors included.
+Windows asked for together are scanned in one pass (_scan): they share every
+kernel call and every numpy pass, and the stages whose tests span a call run
+per window, so each window keeps the bits of a scan of it alone.
 """
 
 import math
@@ -124,7 +132,19 @@ def _scan_points(p: Params, w: Window, n: int) -> np.ndarray:
     return xs[(xs > w.d_m) & (xs < w.d_M)]
 
 
-def _signs(p: Params, w: Window, xs: np.ndarray):
+class _Ends(NamedTuple):
+    """The window ends of a joint scan, one row per point; read elementwise where a Window's are."""
+
+    d_m: np.ndarray
+    d_M: np.ndarray
+
+
+def _at(w, rows):
+    """The window ends at `rows` of w: a Window holds for every row as it is."""
+    return w if isinstance(w, Window) else _Ends(w.d_m[rows], w.d_M[rows])
+
+
+def _signs(p: Params, w, xs: np.ndarray, n=None):
     """Signs of y and q at xs, and the parts (yv, yo, dv, do): the scan's one evaluator.
 
     y and y' come from the recurrence's last pair, in one kernel call for all
@@ -133,7 +153,10 @@ def _signs(p: Params, w: Window, xs: np.ndarray):
     agree to a few 1e-12 * cond relative, cond being the pair's cancellation
     factor, so a point where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|)
     takes y' and q's sign from the shifted family instead, in one more call
-    for all such points; elsewhere the two routes give the same sign.
+    for all such points; elsewhere the two routes give the same sign.  Only
+    the first n points (all by default) are guarded: the others are asked
+    for y's parts alone.  w is a Window, or the window ends per point of a
+    joint scan (_Ends).
     """
     yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
     yg = yv * _dln_window_factor(p, xs, w)
@@ -141,7 +164,7 @@ def _signs(p: Params, w: Window, xs: np.ndarray):
     sq = np.sign(q)
     bound = _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv) + np.abs(yg))
     # not |q| > bound, so that a nan q or bound is re-evaluated too
-    near = np.flatnonzero(~(np.abs(q) > bound))
+    near = np.flatnonzero(~(np.abs(q[:n]) > bound[:n]))
     do = yo.copy()
     if near.size:
         dv[near], do[near] = eval_orthonormal_deriv_parts(p, xs[near])
@@ -168,7 +191,7 @@ def _count_roots(s: np.ndarray) -> int:
     return exact.size + left.size
 
 
-def _slopes(p: Params, w: Window, xs, yv, yo, dv, do):
+def _slopes(p: Params, w, xs, yv, yo, dv, do):
     """(om, y, y', F, F') at xs, each value scaled by exp(-om) at its point.
 
     F = phi q with phi = (x - d_m)(d_M - x)(1 - x^2) > 0 inside the window, so
@@ -222,14 +245,16 @@ def _hermite_root(x0, x1, f0, d0, f1, d1):
     return x0 + t * h
 
 
-def _locate(p: Params, w: Window, ends, parts, is_y):
+def _locate(p: Params, w, ends, parts, is_y, cuts):
     """Model roots of the brackets and their trust radii.
 
     `ends` holds every bracket's left node, then every right node, `parts`
-    the grid's (yv, yo, dv, do) there, and is_y marks y's brackets.  A cubic
-    Hermite fit to the grid values, of y for y's brackets and of F for q's,
-    gives a first guess; Newton steps on y or F, evaluated by _signs at all
-    brackets' points together, land it within a few ulps of the computed
+    the grid's (yv, yo, dv, do) there, and is_y marks y's brackets; `w` is
+    the brackets' window, one Window or one row per bracket (_Ends), and
+    cuts the slices of the brackets of each window.  A cubic Hermite fit to
+    the grid values, of y for y's brackets and of F for q's, gives a first
+    guess, one fit per window; Newton steps on y or F, evaluated by _signs at
+    all brackets' points together, land it within a few ulps of the computed
     sign change.  The radius grows with the square of the last step, the size
     of the error Newton leaves; a bracket whose radius is above twice its
     floor takes another step, up to _NEWTON_STEPS.  A bracket without a
@@ -237,18 +262,22 @@ def _locate(p: Params, w: Window, ends, parts, is_y):
     """
     n = is_y.size
     lo, hi = ends[:n], ends[n:]
-    om, y, d, f, df = _slopes(p, w, ends, *parts)
+    w2 = w if isinstance(w, Window) else _Ends(np.tile(w.d_m, 2), np.tile(w.d_M, 2))
+    om, y, d, f, df = _slopes(p, w2, ends, *parts)
     both = np.concatenate([is_y, is_y])
     v = np.where(both, y, f)
     dv = np.where(both, d, df)
     # one scale per bracket: rescale the right node to the left node's
     rs = np.exp(om[n:] - om[:n])
-    x = _hermite_root(lo, hi, v[:n], dv[:n], v[n:] * rs, dv[n:] * rs)
+    v0, d0, v1, d1 = v[:n], dv[:n], v[n:] * rs, dv[n:] * rs
+    # the fit's stopping test spans its call, so each window fits on its own
+    x = np.concatenate([_hermite_root(lo[c], hi[c], v0[c], d0[c], v1[c], d1[c]) for c in cuts])
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
     eps = np.full(x.size, math.inf)
     todo = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
-        _, y, d, f, df = _slopes(p, w, x[todo], *_signs(p, w, x[todo])[2])
+        wt = _at(w, todo)
+        _, y, d, f, df = _slopes(p, wt, x[todo], *_signs(p, wt, x[todo])[2])
         step = np.where(is_y[todo], -y / d, -f / df)
         new = x[todo] + step
         ok = np.isfinite(new) & (new > lo[todo]) & (new < hi[todo])
@@ -311,19 +340,21 @@ def _replay(lo, hi, s_lo, root, known, tol: float):
     return (lo + hi) * 0.5, mids[:j]
 
 
-def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, fam: int, tol: float):
-    """Bracket roots, bit-identical to bisecting one computed sign function.
+def _refine(lo, hi, s_lo, root, eps, tol: float):
+    """Bracket roots, bit-identical to bisecting one computed sign function: a generator of rounds.
 
-    fam picks the function from _signs: 0 for y, 1 for q.  Bracket i is
-    [lo[i], hi[i]], with sign s_lo[i] at lo[i], model root root[i] and trust
-    radius eps[i].  Each round replays the bisection against the model roots
-    and evaluates, in one _signs call, every sign the replay took from the
-    model within eps of a root; the points join one sorted known set.  The
-    first round also evaluates root -/+ eps; where either is not on its model
-    side, the bracket's model is trusted nowhere.  Rounds repeat until every
-    evaluated sign agrees with the sign the replay used.  Outside eps the
-    model is trusted: the computed sign function changes sign once per
-    bracket.
+    Bracket i is [lo[i], hi[i]], with sign s_lo[i] at lo[i], model root
+    root[i] and trust radius eps[i].  Each round replays the bisection
+    against the model roots and yields (roots, asked): the replay's roots,
+    and every sign the replay took from the model within eps of a root and
+    that is not evaluated yet, as sorted points.  The first round also asks
+    root -/+ eps; where either is not on its model side, the bracket's model
+    is trusted nowhere.  The caller sends back the signs at the asked
+    points, which join one sorted known set.  The generator ends when every
+    evaluated sign agrees with the sign the replay used; a round that asks
+    nothing is final and is not resumed.  Either way that round's roots are
+    the answer.  Outside eps the model is trusted: the computed sign function
+    changes sign once per bracket.
     """
     known = (np.empty(0), np.empty(0))
     gl, gr = root - eps, root + eps
@@ -335,11 +366,10 @@ def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, fam: int, tol: float)
         # each asked midpoint and the bracket it belongs to
         pts, at = mids[ask], np.nonzero(ask)[1]
         new = _sorted_distinct(np.concatenate([pts, gl[gl > lo], gr[gr < hi]]) if first else pts)
-        if not new.size:
-            return out
+        signs = yield out, new
         kx = np.concatenate([known[0], new])
         order = np.argsort(kx, kind="stable")
-        known = kx[order], np.concatenate([known[1], _signs(p, w, new)[fam]])[order]
+        known = kx[order], np.concatenate([known[1], signs])[order]
         got = _lookup(known, pts)[1]
         agree = not (((got == s_lo[at]) != (pts < root[at])) | (got == 0.0)).any()
         if first:
@@ -347,62 +377,73 @@ def _refine(p: Params, w: Window, lo, hi, s_lo, root, eps, fam: int, tol: float)
             agree &= bool(trusted.all())
             eps = np.where(trusted, eps, math.inf)
         if agree:
-            return out
+            return
         first = False
 
 
-@lru_cache(maxsize=1024)
-def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> tuple[ExtremumRecord, ...]:
-    p = Params(k, alpha, beta)
-    w = Window(d_m, d_M)
-    if k == 0 and w.is_full and alpha == beta == -0.5:
-        # M = P_0^2 = 1/pi is constant: q vanishes identically, and its
-        # computed signs are rounding noise
-        return ()
-    n = max(64, _NODES_PER_DEGREE * (p.k + 2))
-    xs = _scan_points(p, w, n)
-    xs4 = _scan_points(p, w, 4 * n)
-    # both grids together, in one recurrence call
-    sy, sq, parts = _signs(p, w, np.concatenate([xs, xs4]))
-    m = xs.size
-    (ye, yl), (qe, ql) = _root_structure(sy[m:]), _root_structure(sq[m:])
-    if _count_roots(sy[:m]) != ye.size + yl.size or _count_roots(sq[:m]) != qe.size + ql.size:
-        raise GridTooCoarseError(
-            f"sign-change count changed under 4x refinement for k={p.k}, "
-            f"alpha={p.alpha}, beta={p.beta}"
-        )
-    if w.is_full and ye.size + yl.size != p.k:
-        raise GridTooCoarseError(
-            f"found {ye.size + yl.size} of the {p.k} zeros of P_k for k={p.k}, alpha={p.alpha}, beta={p.beta}"
-        )
-    sy, sq, parts = sy[m:], sq[m:], tuple(a[m:] for a in parts)
-    # both families' brackets in one array, y's first
-    left = np.concatenate([yl, ql])
-    is_y = np.arange(left.size) < yl.size
-    lo, hi, s_lo = xs4[left], xs4[left + 1], np.concatenate([sy[yl], sq[ql]])
-    found = np.empty(0)
-    if left.size:
-        ends = np.concatenate([left, left + 1])
-        with np.errstate(all="ignore"):
-            found, eps = _locate(p, w, xs4[ends], tuple(a[ends] for a in parts), is_y)
-        # y's converged Newton roots are its roots; q's brackets, and y's that
-        # Newton left unconverged, bisect on their own sign function
-        for fam, sel in ((0, is_y & ~(eps <= 2.0 * _TRUST_FLOOR)), (1, ~is_y)):
-            if sel.any():
-                found[sel] = _refine(p, w, lo[sel], hi[sel], s_lo[sel], found[sel], eps[sel], fam, _REFINE_TOL)
-    # every root, whether it is y's, and q's sign just left of it: s_lo for a
-    # bracket, the node before for a node-exact root (0 at the first node)
-    roots = np.concatenate([xs4[ye], xs4[qe], found])
-    if roots.size == 0:
-        return ()
-    of_y = np.concatenate([np.ones(ye.size, dtype=bool), np.zeros(qe.size, dtype=bool), is_y])
-    q_left = np.concatenate([np.zeros(ye.size), sq[np.maximum(qe - 1, 0)], s_lo])
+def _settle(p: Params, w, lo, hi, s_lo, root, eps, groups):
+    """Every bracket's final root, and P_k there as (val, off).
+
+    groups lists the (bracket indices, family) pairs that bisect (_refine),
+    one per window and family, since a replay's stopping test spans its
+    call; family 0 reads y's signs, 1 q's.  The other brackets keep their
+    model roots, and the first round reads P_k at them.  Each round replays
+    every live group and makes one _signs call for the points they ask, with
+    the round's roots appended for their pair values alone, so P_k at a final
+    root comes from the pair call of the round that fixed it; a round that
+    asks nothing reads its roots from one eval_orthonormal_parts call.
+    """
+    x = root.copy()
+    val, off = np.empty(x.size), np.empty(x.size)
+    # (bracket indices, family, rounds, the round's roots, its asked points)
+    live = []
+    fixed = np.ones(x.size, dtype=bool)
+    for idx, fam in groups:
+        fixed[idx] = False
+        rounds = _refine(lo[idx], hi[idx], s_lo[idx], root[idx], eps[idx], _REFINE_TOL)
+        live.append((idx, fam, rounds, *next(rounds)))
+    # the model roots are final from the start, and read in the first round
+    idx = np.flatnonzero(fixed)
+    if idx.size:
+        live.append((idx, 0, None, root[idx], np.empty(0)))
+    while live:
+        at = np.concatenate([g[0] for g in live])
+        roots = np.concatenate([g[3] for g in live])
+        asked = np.concatenate([g[4] for g in live])
+        if asked.size:
+            wr = w
+            if not isinstance(w, Window):
+                # each point's bracket, for its window
+                wr = _at(w, np.concatenate([np.full(g[4].size, g[0][0]) for g in live] + [at]))
+            sy, sq, (yv, yo, _, _) = _signs(p, wr, np.concatenate([asked, roots]), asked.size)
+            val[at], off[at] = yv[asked.size :], yo[asked.size :]
+        else:
+            val[at], off[at] = eval_orthonormal_parts(p, roots)
+        x[at] = roots
+        nxt, start = [], 0
+        for idx, fam, rounds, _, new in live:
+            if new.size:
+                signs = (sy, sq)[fam][start : start + new.size]
+                start += new.size
+                try:
+                    nxt.append((idx, fam, rounds, *rounds.send(signs)))
+                except StopIteration:
+                    pass
+        live = nxt
+    return x, val, off
+
+
+def _records(p: Params, w: Window, roots, of_y, q_left, val, off) -> tuple[ExtremumRecord, ...]:
+    """The window's records, sorted by x, from its roots and P_k = val * exp(off) there.
+
+    of_y marks y's roots and q_left holds q's sign just left of each root.
+    M = 0 at a root of y, a minimum; at a root of q, M' = 2 u^2 y q, so M
+    rises into it, and it is a maximum, iff y there has q's sign just left of
+    it.  Two neighbours of one kind raise GridTooCoarseError.
+    """
     order = np.argsort(roots, kind="stable")
-    roots, of_y, q_left = roots[order], of_y[order], q_left[order]
-    val, off = eval_orthonormal_parts(p, roots)
+    roots, of_y, q_left, val, off = roots[order], of_y[order], q_left[order], val[order], off[order]
     ln_M = _weighted_ln(p, roots, w, val, off)
-    # M = 0 at a root of y; at a root of q, M' = 2 u^2 y q, so M rises into
-    # it, and it is a maximum, iff y there has q's sign just left of it
     is_max = ~of_y & (np.sign(val) == q_left)
     records = [
         ExtremumRecord(index=i, x=float(x), M=_exp_saturating(float(ln)), ln_M=float(ln), kind="max" if top else "min")
@@ -415,6 +456,117 @@ def _cached_scan(k: int, alpha: float, beta: float, d_m: float, d_M: float) -> t
                 f"k={p.k}, alpha={p.alpha}, beta={p.beta}"
             )
     return tuple(records)
+
+
+def _scan(p: Params, windows: list[Window]) -> list:
+    """Each window's records, or the GridTooCoarseError it raised, from one pass over all of them.
+
+    The windows' points share every _signs call, and so every kernel call,
+    and every numpy pass of _slopes and the Newton steps, with the window
+    ends per point (_Ends) where there is more than one window.  The stages
+    whose tests span their call run per window: the count checks, the Hermite
+    fits and the replays.  Kernel outputs at a point do not depend on the
+    points that share its call, so each window's records have the bits of a
+    scan of it alone.
+    """
+    out = [()] * len(windows)
+    # M = P_0^2 = 1/pi is constant at k = 0 with alpha = beta = -1/2 on the
+    # full window: q vanishes identically, and its computed signs are
+    # rounding noise
+    live = [i for i, w in enumerate(windows) if not (p.k == 0 and w.is_full and p.alpha == p.beta == -0.5)]
+    if not live:
+        return out
+    n = max(64, _NODES_PER_DEGREE * (p.k + 2))
+    grids = [(_scan_points(p, windows[i], n), _scan_points(p, windows[i], 4 * n)) for i in live]
+    xs = np.concatenate([g for pair in grids for g in pair])
+    if len(live) == 1:
+        wx = windows[live[0]]
+    else:
+        sizes = [g1.size + g4.size for g1, g4 in grids]
+        wx = _Ends(*(np.repeat([getattr(windows[i], e) for i in live], sizes) for e in ("d_m", "d_M")))
+    # every window's two grids, in one recurrence call
+    sy, sq, parts = _signs(p, wx, xs)
+    # per window that passes the count checks: (its index, start of its 4x
+    # grid in xs, node-exact roots of y and q)
+    kept, lefts, is_y, s_lo, cuts = [], [], [], [], []
+    end = nb = 0
+    for i, (g1, g4) in zip(live, grids):
+        c, m = end, end + g1.size
+        end = m + g4.size
+        (ye, yl), (qe, ql) = _root_structure(sy[m:end]), _root_structure(sq[m:end])
+        if _count_roots(sy[c:m]) != ye.size + yl.size or _count_roots(sq[c:m]) != qe.size + ql.size:
+            out[i] = GridTooCoarseError(
+                f"sign-change count changed under 4x refinement for k={p.k}, alpha={p.alpha}, beta={p.beta}"
+            )
+        elif windows[i].is_full and ye.size + yl.size != p.k:
+            out[i] = GridTooCoarseError(
+                f"found {ye.size + yl.size} of the {p.k} zeros of P_k for k={p.k}, alpha={p.alpha}, beta={p.beta}"
+            )
+        else:
+            # both families' brackets in one array, y's first, window by window
+            cuts.append(slice(nb, nb + yl.size + ql.size))
+            nb += yl.size + ql.size
+            kept.append((i, m, ye, qe))
+            lefts += [m + yl, m + ql]
+            is_y += [np.ones(yl.size, dtype=bool), np.zeros(ql.size, dtype=bool)]
+            s_lo += [sy[m + yl], sq[m + ql]]
+    if not kept:
+        return out
+    left, is_y, s_lo = np.concatenate(lefts), np.concatenate(is_y), np.concatenate(s_lo)
+    found, val, off = np.empty(0), np.empty(0), np.empty(0)
+    if left.size:
+        lo, hi, wb = xs[left], xs[left + 1], _at(wx, left)
+        ends = np.concatenate([left, left + 1])
+        with np.errstate(all="ignore"):
+            found, eps = _locate(p, wb, xs[ends], tuple(a[ends] for a in parts), is_y, cuts)
+        # y's converged Newton roots are its roots; q's brackets, and y's that
+        # Newton left unconverged, bisect on their own sign function
+        groups = []
+        for c in cuts:
+            yc = is_y[c]
+            for fam, sel in ((0, yc & ~(eps[c] <= 2.0 * _TRUST_FLOOR)), (1, ~yc)):
+                if sel.any():
+                    groups.append((np.flatnonzero(sel) + c.start, fam))
+        found, val, off = _settle(p, wb, lo, hi, s_lo, found, eps, groups)
+    yv, yo = parts[0], parts[1]
+    for (i, m, ye, qe), c in zip(kept, cuts):
+        # every root, whether it is y's, q's sign just left of it (s_lo for a
+        # bracket, the node before for a node-exact root, 0 at the first
+        # node) and P_k there: node-exact roots read the grid's pair values
+        ex = np.concatenate([m + ye, m + qe])
+        try:
+            out[i] = _records(
+                p,
+                windows[i],
+                np.concatenate([xs[ex], found[c]]),
+                np.concatenate([np.ones(ye.size, dtype=bool), np.zeros(qe.size, dtype=bool), is_y[c]]),
+                np.concatenate([np.zeros(ye.size), sq[m + np.maximum(qe - 1, 0)], s_lo[c]]),
+                np.concatenate([yv[ex], val[c]]),
+                np.concatenate([yo[ex], off[c]]),
+            )
+        except GridTooCoarseError as exc:
+            out[i] = exc
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _cached_scan(k: int, alpha: float, beta: float) -> dict:
+    """The scan memo of one triple: (d_m, d_M) to the window's records, or the GridTooCoarseError it raised."""
+    return {}
+
+
+def _scan_windows(p: Params, windows) -> dict:
+    """The triple's scan memo, after one joint scan (_scan) of every window of `windows` not in it yet.
+
+    Two threads that scan one window at once both scan it and store the same
+    records: a scan's result depends on its inputs alone.
+    """
+    memo = _cached_scan(p.k, p.alpha, p.beta)
+    # each window once: at alpha = beta = 1/2 the delta window is the full one
+    todo = {(w.d_m, w.d_M): w for w in windows if (w.d_m, w.d_M) not in memo}
+    if todo:
+        memo.update(zip(todo, _scan(p, list(todo.values()))))
+    return memo
 
 
 def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
@@ -432,10 +584,16 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     root of q is a maximum iff y has q's left sign there.
     With k = 0 and alpha = beta = -1/2 on the full window M is the constant
     1/pi, and the list is empty.  A list with no maximum where M vanishes at
-    both ends is returned; global_max raises on it.  Results are memoized per
-    (k, alpha, beta, window); each call returns a fresh list.
+    both ends is returned; global_max raises on it.  Results, and the
+    GridTooCoarseError a window raises, are memoized per (k, alpha, beta),
+    with one entry per window; windows asked for together (verify's sweep
+    asks for every window its checks read) are scanned in one pass.  Each
+    call returns a fresh list.
     """
-    return list(_cached_scan(p.k, p.alpha, p.beta, w.d_m, w.d_M))
+    found = _scan_windows(p, (w,))[(w.d_m, w.d_M)]
+    if isinstance(found, GridTooCoarseError):
+        raise GridTooCoarseError(*found.args)
+    return list(found)
 
 
 def _endpoint_record(p: Params, w: Window, side: str) -> ExtremumRecord:

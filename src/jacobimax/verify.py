@@ -3,9 +3,11 @@
 Every check maps a parameter triple to one result row (lhs, rhs, margin,
 status); rows outside a check's hypotheses are recorded as skipped rather
 than evaluated, and the library's numeric errors surface as numeric_failure
-rows instead of exceptions; any other exception propagates.  Reports sort by
-(check_id, k, alpha, beta) so concurrent and serial sweeps emit identical
-bytes.
+rows instead of exceptions; any other exception propagates.  A sweep runs
+triple by triple: it scans, in one joint pass, every window the triple's
+scanning rows read, then runs the rows, which read the scan memo.  Reports
+sort by (check_id, k, alpha, beta) so concurrent and serial sweeps emit
+identical bytes.
 """
 
 import copy
@@ -18,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
@@ -27,7 +29,7 @@ import numpy as np
 from . import bounds as _bounds
 from ._version import __version__
 from .envelope import IDENTITY_REL, OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
-from .extrema import GridTooCoarseError, global_max, scan_extrema, structure_checks
+from .extrema import GridTooCoarseError, _scan_windows, global_max, scan_extrema, structure_checks
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
 from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
 
@@ -113,20 +115,19 @@ def _run_thm4_even_value(p: Params) -> tuple[float, float]:
     return lhs, _bounds.rhs_bound(_bounds.BoundId.THM4, p)
 
 
-def _run_thm4_peak(p: Params) -> tuple[float, float]:
-    gm = global_max(p, delta_window(p))
-    return abs(gm.x), 1e-9
+def _run_thm4_peak(p: Params, w: Window) -> tuple[float, float]:
+    return abs(global_max(p, w).x), 1e-9
 
 
-def _structure_runner(window: str, claim: str):
-    # one scan, and the (lhs, rhs) pair structure_checks computes for the claim
-    def runner(p: Params) -> tuple[float, float]:
-        comparison = getattr(structure_checks(scan_extrema(p, _WINDOWS[window](p)), geometry(p)), claim)
+def _structure_runner(claim: str):
+    # the (lhs, rhs) pair structure_checks computes for the claim on the window's scan
+    def compare(p: Params, w: Window) -> tuple[float, float]:
+        comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
         if comparison is None:
             raise UndefinedRowError(f"{claim} undefined: its landmark or its records are absent")
         return comparison
 
-    return runner
+    return compare
 
 
 @lru_cache(maxsize=1024)
@@ -310,15 +311,20 @@ class _CheckDef(NamedTuple):
     hypothesis: Callable[[Params], Optional[str]]
     runner: Callable[[Params], tuple[float, float]]
     description: str
+    # the _WINDOWS name of the window the runner scans; None for a row that scans none
+    window: Optional[str] = None
+
+
+def _scan_check(hypothesis, window: str, compare, description: str) -> _CheckDef:
+    """The row whose (lhs, rhs) is compare(p, w) on the window named `window`, built inside the row."""
+    return _CheckDef(hypothesis, lambda p: compare(p, _WINDOWS[window](p)), description, window)
 
 
 def _bound_check(bid: _bounds.BoundId, window: str, description: str) -> _CheckDef:
     """The row comparing the window's global max of M with bound bid, on bid's hypotheses."""
-
-    def runner(p: Params) -> tuple[float, float]:
-        return global_max(p, _WINDOWS[window](p)).M, _bounds.rhs_bound(bid, p)
-
-    return _CheckDef(_hyp_bound(bid), runner, description)
+    return _scan_check(
+        _hyp_bound(bid), window, lambda p, w: (global_max(p, w).M, _bounds.rhs_bound(bid, p)), description
+    )
 
 
 _REGISTRY: dict[str, _CheckDef] = {
@@ -344,29 +350,34 @@ _REGISTRY: dict[str, _CheckDef] = {
         _run_thm4_even_value,
         "closed-form M(0) on the delta window below the even-degree bound",
     ),
-    "thm4_delta_peak_at_zero": _CheckDef(
+    "thm4_delta_peak_at_zero": _scan_check(
         _hyp_thm4_even,
+        "delta",
         _run_thm4_peak,
         "delta-window global max located at the origin",
     ),
-    "thm4_containment": _CheckDef(
+    "thm4_containment": _scan_check(
         _HYP_ULTRA_ABOVE_HALF,
-        _structure_runner("full", "delta_containment"),
+        "full",
+        _structure_runner("delta_containment"),
         "all full-window maxima inside (-delta, delta)",
     ),
-    "thm3_containment": _CheckDef(
+    "thm3_containment": _scan_check(
         _hyp_bound(_bounds.BoundId.KRASIKOV_EQ3),
-        _structure_runner("full", "eta_containment"),
+        "full",
+        _structure_runner("eta_containment"),
         "all extrema inside the (eta_minus, eta_plus) band",
     ),
-    "thm5_unimodal": _CheckDef(
+    "thm5_unimodal": _scan_check(
         _hyp(lambda p: p.alpha >= p.beta > 0.5 and p.k >= 2, "needs alpha >= beta > 1/2 and k >= 2"),
-        _structure_runner("full", "unimodal_about_x0"),
+        "full",
+        _structure_runner("unimodal_about_x0"),
         "maxima heights fall before x0 and rise after it",
     ),
-    "lmonult_decreasing": _CheckDef(
+    "lmonult_decreasing": _scan_check(
         _hyp(lambda p: p.is_ultraspherical and p.alpha > 0.5 and p.k >= 2, "needs alpha = beta > 1/2 and k >= 2"),
-        _structure_runner("delta", "nonneg_maxima_decreasing"),
+        "delta",
+        _structure_runner("nonneg_maxima_decreasing"),
         "delta-window maxima decrease with |x|",
     ),
     "odd_230": _bound_check(_bounds.BoundId.ODD_230, "delta", "odd-degree delta-window global max below 230/pi"),
@@ -624,20 +635,44 @@ class Report:
         return 0
 
 
+def _triple_rows(checks: tuple[str, ...], p: Params) -> list[VerificationResult]:
+    """The rows of `checks` at p, after one joint scan of every window their rows scan.
+
+    A window is scanned when the hypothesis of a check that reads it holds.
+    A window that cannot be built, or a joint scan that raises a numeric
+    error, is left to the rows, which fail as a row does.
+    """
+    defs = [_REGISTRY[cid] for cid in checks]
+    windows = []
+    for name in dict.fromkeys(d.window for d in defs if d.window and d.hypothesis(p) is None):
+        try:
+            windows.append(_WINDOWS[name](p))
+        except (ValueError, OverflowError):
+            pass
+    if windows:
+        try:
+            _scan_windows(p, windows)
+        except ArithmeticError:
+            # each row scans its window again, alone, and fails as it would
+            pass
+    return [run_check(cid, p) for cid in checks]
+
+
 def sweep(config: SweepConfig, jobs: int = 1) -> Report:
     """Run every configured check over the whole grid; rows come back sorted."""
     grid = config.parameter_grid()
     # triple by triple, so that the checks of a triple meet its memos while they are fresh
-    work = [(cid, p) for p in grid for cid in config.checks]
+    rows_at = partial(_triple_rows, config.checks)
     if jobs > 1:
         # imported here, so that a serial sweep loads no thread-pool module
         from concurrent.futures import ThreadPoolExecutor
 
         # never more threads than CPUs, whatever --jobs asks for
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda t: run_check(*t), work))
+            per_triple = list(pool.map(rows_at, grid))
     else:
-        results = [run_check(cid, p) for cid, p in work]
+        per_triple = list(map(rows_at, grid))
+    results = [r for rows in per_triple for r in rows]
     rows = tuple(sorted(results, key=lambda r: (r.check_id, r.k, r.alpha, r.beta)))
     return Report(rows=rows, config_echo=config.to_dict())
 

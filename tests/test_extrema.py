@@ -1,6 +1,8 @@
 """Extremum scanning: counts, locations, refinement stability, structure verdicts."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,8 +331,8 @@ def test_refined_roots_match_plain_bisection_bitwise(p, window, monkeypatch):
     if window == "lookup":
         locate = extrema._locate
 
-        def shifted(p, w, ends, parts, is_y):
-            root, eps = locate(p, w, ends, parts, is_y)
+        def shifted(p, w, ends, parts, is_y, cuts):
+            root, eps = locate(p, w, ends, parts, is_y, cuts)
             return np.where(is_y, root, root + 3.0 * eps), eps
 
         monkeypatch.setattr(extrema, "_locate", shifted)
@@ -365,10 +367,12 @@ def test_unconverged_newton_bisects_y_bitwise(p, window, monkeypatch):
     assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
 
 
-@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 6, 1)), (Params(300, 1e5, 1e5), (3, 7, 2))])
+@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 5, 1)), (Params(300, 1e5, 1e5), (3, 7, 2))])
 def test_scan_call_counts(p, counts, monkeypatch):
     # one full-window scan's _signs calls, kernel calls and bisection
-    # replays; a refine round replays both families in one call
+    # replays; a refine round evaluates its asked points and the roots in
+    # one _signs call, and a last round that asks nothing reads its roots
+    # from one more kernel call
     calls = {"_signs": 0, "recurrence": 0, "_replay": 0}
 
     def counted(mod, name):
@@ -647,15 +651,74 @@ def test_alternation_guard_raises_on_two_minima_in_a_row(monkeypatch):
     # next to the minimum at y's first root
     p = Params(6, 1.0, 1.0)
     assert scan_extrema(p, Window.full())[0].kind == "max"
-    plain = extrema.eval_orthonormal_parts
+    plain = extrema._records
 
-    def flipped(p, x):
-        val, off = plain(p, x)
+    def flipped(p, w, roots, of_y, q_left, val, off):
         val = val.copy()
-        val[0] = -val[0]
-        return val, off
+        first = np.argmin(roots)
+        val[first] = -val[first]
+        return plain(p, w, roots, of_y, q_left, val, off)
 
+    # the memo keeps the error it raises, so the scan starts and ends fresh
     extrema._cached_scan.cache_clear()
-    monkeypatch.setattr(extrema, "eval_orthonormal_parts", flipped)
-    with pytest.raises(GridTooCoarseError, match="non-alternating"):
-        scan_extrema(p, Window.full())
+    monkeypatch.setattr(extrema, "_records", flipped)
+    try:
+        with pytest.raises(GridTooCoarseError, match="non-alternating"):
+            scan_extrema(p, Window.full())
+    finally:
+        extrema._cached_scan.cache_clear()
+
+
+def _diagonal_pool_triples():
+    """Every alpha = beta > 1/2 triple of perfbench's verify-sweep pool (read for its inputs only)."""
+    doc = json.loads((Path(__file__).parents[1] / "perfbench" / "reference" / "verify-sweep.json").read_text())
+    triples = set()
+    for item in (item for stratum in doc["pool"] for item in stratum):
+        for a in item["alphas"]:
+            for b in [a] if item["betas"] is None else item["betas"]:
+                if a == b > 0.5:
+                    triples.add((item["k"], a, b))
+    return sorted(triples)
+
+
+def _outcome(fn, p, w):
+    # repr of the answer, or the class and message of the GridTooCoarseError
+    try:
+        return repr(fn(p, w))
+    except GridTooCoarseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_joint_scans_equal_single_window_scans(monkeypatch):
+    # the full and delta windows scanned together give each window the bits,
+    # and the errors, of a fresh scan of it alone
+    triples = _diagonal_pool_triples()
+    assert len(triples) > 100
+    calls = []
+    scan = extrema._scan
+
+    def counting(p, windows):
+        calls.append(len(windows))
+        return scan(p, windows)
+
+    monkeypatch.setattr(extrema, "_scan", counting)
+    try:
+        for k, a, b in triples + [(6, 1e5, 1e5)]:
+            p = Params(k, a, b)
+            windows = [Window.full(), delta_window(p)]
+            extrema._cached_scan.cache_clear()
+            calls.clear()
+            extrema._scan_windows(p, windows)
+            joint = [(_outcome(scan_extrema, p, w), _outcome(global_max, p, w)) for w in windows]
+            assert calls == [2], (p, calls)
+            single = []
+            for w in windows:
+                extrema._cached_scan.cache_clear()
+                single.append((_outcome(scan_extrema, p, w), _outcome(global_max, p, w)))
+            assert joint == single, p
+    finally:
+        extrema._cached_scan.cache_clear()
+    # the last triple: the full window raises, the delta window answers
+    (full, _), (delta, _) = joint
+    assert full.startswith("GridTooCoarseError: ")
+    assert delta.count("ExtremumRecord(") == 13

@@ -734,3 +734,117 @@ def test_sweep_config_keeps_no_dict_of_its_caller():
     echo = cfg.to_dict()
     echo["k_spec"]["max"] = 40
     assert cfg.to_dict() == before[1]
+
+
+def _scanned_windows(monkeypatch):
+    """Every window the extrema scan takes from now on, as (k, alpha, beta, d_m, d_M); the scan memo starts empty."""
+    scanned = []
+    scan = extrema._scan
+
+    def counting(p, windows):
+        scanned.extend((p.k, p.alpha, p.beta, w.d_m, w.d_M) for w in windows)
+        return scan(p, windows)
+
+    monkeypatch.setattr(extrema, "_scan", counting)
+    extrema._cached_scan.cache_clear()
+    return scanned
+
+
+def _config(checks, k_spec, alphas):
+    return SweepConfig.from_dict({"checks": checks, "k_spec": k_spec, "alpha_spec": alphas})
+
+
+def test_sweep_scans_only_the_windows_its_checks_read(monkeypatch):
+    scanned = _scanned_windows(monkeypatch)
+    try:
+        # odd k and alpha = beta > 1/2: odd_230 reads the delta window alone
+        verify.sweep(_config(["odd_230"], {"min": 3, "max": 9, "step": 2}, [0.8, 3.0, 40.0]))
+        assert len(scanned) == 12 and all((d_m, d_M) != (-1.0, 1.0) for *_, d_m, d_M in scanned)
+        assert len(set(scanned)) == len(scanned)
+        scanned.clear()
+        extrema._cached_scan.cache_clear()
+        # emn_eq2 reads the full window alone
+        verify.sweep(_config(["emn_eq2"], {"min": 2, "max": 5}, [0.8, 3.0, 40.0]))
+        assert len(scanned) == 12 and all((d_m, d_M) == (-1.0, 1.0) for *_, d_m, d_M in scanned)
+        assert len(set(scanned)) == len(scanned)
+        scanned.clear()
+        extrema._cached_scan.cache_clear()
+        # at alpha = beta = 1/2 the delta window is the full window: one scan
+        verify.sweep(_config(["emn_eq2", "thm4_delta_peak_at_zero"], {"min": 2, "max": 2}, [0.5]))
+        assert scanned == [(2, 0.5, 0.5, -1.0, 1.0)]
+    finally:
+        extrema._cached_scan.cache_clear()
+
+
+def test_sweep_scans_a_raising_window_once(monkeypatch):
+    # at (6, 1e5, 1e5) the full window raises GridTooCoarseError; its seven
+    # rows read the memoized error, and the two delta rows the delta scan
+    scanned = _scanned_windows(monkeypatch)
+    p = Params(6, 1e5, 1e5)
+    try:
+        rep = verify.sweep(_config(["all"], {"min": 6, "max": 6}, [1e5]))
+    finally:
+        extrema._cached_scan.cache_clear()
+    delta = delta_window(p)
+    assert sorted(scanned) == sorted([(6, 1e5, 1e5, -1.0, 1.0), (6, 1e5, 1e5, delta.d_m, delta.d_M)])
+    status = {r.check_id: r.status for r in rep.rows}
+    full_rows = ["emn_eq2", "krasikov_eq3", "thm1", "lemma_glav", "thm4_containment", "thm3_containment", "thm5_unimodal"]
+    assert all(status[cid] == NUMERIC_FAILURE for cid in full_rows), status
+    assert status["thm4_delta_peak_at_zero"] == status["lmonult_decreasing"] == CHECKED
+    # a row alone scans its window as the sweep did, and fails as it did
+    for cid in full_rows:
+        assert run_check(cid, p).status == NUMERIC_FAILURE
+
+
+def _package_caches():
+    # every functools cache of the package, found by attribute as perfbench finds them
+    seen = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "jacobimax" or name.startswith("jacobimax."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)) and callable(getattr(obj, "cache_info", None)):
+                    seen[id(obj)] = obj
+    return list(seen.values())
+
+
+def test_cleared_caches_repeat_every_kernel_call(monkeypatch, tmp_path):
+    # perfbench and ab_pools start every item as in a fresh process by
+    # clearing the package's functools caches; a memo kept elsewhere would
+    # let a second run of one verify-sweep pool item skip kernel calls
+    from jacobimax import cli
+
+    doc = json.loads((Path(__file__).parents[1] / "perfbench" / "reference" / "verify-sweep.json").read_text())
+    item = next(
+        item for stratum in doc["pool"] for item in stratum if item["betas"] is None and len(item["alphas"]) == 2 and min(item["alphas"]) > 0.5
+    )
+    cfg = {"k_spec": {"min": item["k"], "max": item["k"]}, "alpha_spec": item["alphas"], "beta_mode": "equal_alpha"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    calls = []
+    recurrence = _kernels.recurrence
+
+    def counting(x, b, a, ln_start, k):
+        calls.append((k, len(x)))
+        return recurrence(x, b, a, ln_start, k)
+
+    monkeypatch.setattr(_kernels, "recurrence", counting)
+    runs = []
+    for _ in range(2):
+        for fn in _package_caches():
+            fn.cache_clear()
+        calls.clear()
+        argv = ["verify", "--check", "all", "--config", str(cfg_path), "--out", str(tmp_path / "report.csv")]
+        assert cli.main(argv) in (0, 1, 3)
+        runs.append(list(calls))
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_sweep_where_windows_overflow_gives_the_rows_of_run_check():
+    # at alpha = beta = 1e200 the delta window cannot be built and the
+    # full-window scan overflows; the sweep leaves both to the rows, which
+    # are the numeric_failure rows run_check gives alone
+    rep = verify.sweep(_config(["all"], {"min": 2, "max": 3}, [1e200]))
+    extrema._cached_scan.cache_clear()
+    assert all(run_check(r.check_id, Params(r.k, r.alpha, r.beta)) == r for r in rep.rows)
+    status = {(r.check_id, r.k): r.status for r in rep.rows}
+    assert status["thm4_containment", 2] == status["lmonult_decreasing", 3] == NUMERIC_FAILURE
