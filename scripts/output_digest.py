@@ -1,8 +1,9 @@
 """SHA-256 digests of jacobimax's outputs, for showing that a change keeps them.
 
-    python3 scripts/output_digest.py [--dump DIR]
+    python3 scripts/output_digest.py [--only NAME[,NAME...]] [--dump DIR]
 
-Prints seven lines, each a digest and what it covers:
+Prints seven lines, each a digest and what it covers (--only computes just
+the named ones, in this order):
 
 - extrema: exit code, stdout and stderr of cli.main(["extrema", ...]) for
   every item of the extrema-cli pool in perfbench/reference/extrema-cli.json
@@ -202,6 +203,7 @@ def extrema_random() -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dump", type=Path, help="also write each raw output to DIR/<name>.txt")
+    ap.add_argument("--only", metavar="NAME[,NAME...]", help="compute only the named digests")
     args = ap.parse_args(argv)
     outputs = {
         "extrema": extrema_outputs,
@@ -212,6 +214,12 @@ def main(argv=None) -> int:
         "extrema-random": extrema_random,
         "reports": report_outputs,
     }
+    if args.only is not None:
+        wanted = args.only.split(",")
+        unknown = [name for name in wanted if name not in outputs]
+        if unknown:
+            ap.error(f"unknown digest {', '.join(unknown)}; the digests are {', '.join(outputs)}")
+        outputs = {name: make for name, make in outputs.items() if name in wanted}
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
     for name, make in outputs.items():

@@ -42,4 +42,5 @@ def log_gamma(x: float) -> float:
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    ln_a = log_gamma(a)
+    return ln_a + (ln_a if b == a else log_gamma(b)) - log_gamma(a + b)

@@ -121,47 +121,54 @@ class WeightedValue(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _recurrence_coeffs(k: int, alpha: float, beta: float):
+    """Read-only recurrence arrays b, a (length max(k, 1)) and ln P_0 = -ln h_0 / 2 for plain (k, alpha, beta)."""
     s = alpha + beta
     b = np.zeros(max(k, 1))
-    a = np.ones(max(k, 1))
+    a = np.empty(k) if k else np.ones(1)  # every a[m] is set below when k > 0
     if k > 0:
         b[0] = (beta - alpha) / (s + 2.0)
         a[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((s + 2.0) ** 2 * (s + 3.0)))
         if k > 1:
             n = np.arange(1.0, k)
+            n1 = n + 1.0
             t = 2.0 * n + s
-            b[1:] = (beta - alpha) * (beta + alpha) / (t * (t + 2.0))
-            a[1:] = (2.0 / (t + 2.0)) * np.sqrt(
-                (n + 1.0)
-                * (n + 1.0 + alpha)
-                * (n + 1.0 + beta)
-                * (n + 1.0 + s)
-                / ((t + 1.0) * (t + 3.0))
-            )
-    ln_p0 = -0.5 * log_norm(Params(0, alpha, beta))
+            t2 = t + 2.0
+            b[1:] = (beta - alpha) * (beta + alpha) / (t * t2)
+            na = n1 + alpha
+            nb = na if beta == alpha else n1 + beta
+            a[1:] = (2.0 / t2) * np.sqrt(n1 * na * nb * (n1 + s) / ((t + 1.0) * (t + 3.0)))
+    ln_p0 = -0.5 * _log_norm(0, alpha, beta)
     b.setflags(write=False)
     a.setflags(write=False)
     return b, a, ln_p0
 
 
 def log_norm(p: Params) -> float:
-    """ln h_k, the log of the squared weighted L2 norm of the classical polynomial."""
-    s = p.alpha + p.beta
-    if p.k == 0:
-        return (s + 1.0) * _LN2 + log_beta(p.alpha + 1.0, p.beta + 1.0)
+    """ln h_k, the log of the squared weighted L2 norm of the classical polynomial, from the norm memo."""
+    return _log_norm(p.k, p.alpha, p.beta)
+
+
+@lru_cache(maxsize=4096)
+def _log_norm(k: int, alpha: float, beta: float) -> float:
+    # the norm memo: log_norm on plain numbers, so each family's ln h is computed once
+    s = alpha + beta
+    if k == 0:
+        return (s + 1.0) * _LN2 + log_beta(alpha + 1.0, beta + 1.0)
+    ln_a = log_gamma(k + alpha + 1.0)
     return (
         (s + 1.0) * _LN2
-        - math.log(2.0 * p.k + s + 1.0)
-        + log_gamma(p.k + p.alpha + 1.0)
-        + log_gamma(p.k + p.beta + 1.0)
-        - log_gamma(p.k + s + 1.0)
-        - log_gamma(p.k + 1.0)
+        - math.log(2.0 * k + s + 1.0)
+        + ln_a
+        + (ln_a if beta == alpha else log_gamma(k + beta + 1.0))
+        - log_gamma(k + s + 1.0)
+        - log_gamma(k + 1.0)
     )
 
 
 def _points(x) -> np.ndarray:
     xs = np.ascontiguousarray(x, dtype=float).ravel()
-    if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0 or not np.all(np.isfinite(xs))):
+    # min and max carry nan and +-inf through, so one test of each rejects them too
+    if xs.size and not (xs.min() >= -1.0 and xs.max() <= 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     return xs
 
@@ -185,11 +192,11 @@ def eval_orthonormal(p: Params, x: float) -> ScaledReal:
 
 
 @lru_cache(maxsize=4096)
-def _deriv_ln_prefactor(p: Params) -> float:
+def _deriv_ln_prefactor(k: int, alpha: float, beta: float) -> float:
     # P_k' = c * Q_{k-1} with Q orthonormal for (alpha+1, beta+1); memoized
-    # per (k, alpha, beta), since each call takes eight log_gamma calls
-    inner = Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0)
-    return math.log(0.5 * (p.k + p.alpha + p.beta + 1.0)) + 0.5 * (log_norm(inner) - log_norm(p))
+    # per (k, alpha, beta), with both norms from the norm memo
+    ln_ratio = _log_norm(k - 1, alpha + 1.0, beta + 1.0) - _log_norm(k, alpha, beta)
+    return math.log(0.5 * (k + alpha + beta + 1.0)) + 0.5 * ln_ratio
 
 
 def eval_orthonormal_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +215,18 @@ def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarr
     point.
     """
     pts = [_points(x) for x in points]
-    fams = [p] + [Params(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]
+    fams = [(p.k, p.alpha, p.beta)] + [(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]
     out = []
     ln_c = 0.0
     for j, (xs, q) in enumerate(zip(pts, fams)):
         if j:
-            step = _deriv_ln_prefactor(fams[j - 1])
+            step = _deriv_ln_prefactor(*fams[j - 1])
             ln_c = step if j == 1 else ln_c + step
         if not xs.size:
             out.append((np.empty(0), np.empty(0)))
             continue
-        b, a, ln_p0 = _recurrence_coeffs(q.k, q.alpha, q.beta)
-        val, _, off = _kernels.recurrence(xs, b, a, ln_p0, q.k)
+        b, a, ln_p0 = _recurrence_coeffs(*q)
+        val, _, off = _kernels.recurrence(xs, b, a, ln_p0, q[0])
         out.append((val, off + ln_c if j else off))
     out += [(np.zeros(xs.size), np.zeros(xs.size)) for xs in pts[len(fams) :]]
     return out
@@ -244,7 +251,7 @@ def eval_value_and_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray, np
     shifted-family route, costs a second recurrence but has no such loss.
     """
     xs = np.ascontiguousarray(x, dtype=float).ravel()
-    if xs.size and not (np.min(xs) > -1.0 and np.max(xs) < 1.0):
+    if xs.size and not (xs.min() > -1.0 and xs.max() < 1.0):
         raise ValueError("the value and derivative pair needs points strictly inside (-1, 1)")
     b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
     yv, prev, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)

@@ -187,7 +187,8 @@ def _pointwise_samples(p: Params) -> list[tuple[float, float, float]]:
     if not xs.size:
         raise _bounds.HypothesisError("pointwise bound vacuous at every sampled point")
     ln_m = _weighted_ln(p, xs, Window.full(), val, off)
-    return [(x, _exp_saturating(ln), num / d) for x, ln, d in zip(xs.tolist(), ln_m.tolist(), den.tolist())]
+    bounds = (num / den).tolist()
+    return [(x, _exp_saturating(ln), bound) for x, ln, bound in zip(xs.tolist(), ln_m.tolist(), bounds)]
 
 
 def _run_pointwise(p: Params) -> tuple[float, float]:
@@ -195,7 +196,9 @@ def _run_pointwise(p: Params) -> tuple[float, float]:
 
     P_k at the ~95 sample points comes from the triple's one P_k kernel call.
     """
-    _, lhs, rhs = min(_pointwise_samples(p), key=lambda sample: sample[2] - sample[1])
+    samples = _pointwise_samples(p)
+    margins = [bound - m for _, m, bound in samples]
+    _, lhs, rhs = samples[margins.index(min(margins))]
     return lhs, rhs
 
 

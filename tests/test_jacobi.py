@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from jacobimax import _kernels
+from jacobimax.gammafn import log_gamma
 from jacobimax.jacobi import (
     ALPHA_FLOOR,
     Params,
@@ -591,7 +592,7 @@ def _scaled_ode_residual(p, x):
     y, yp = eval_orthonormal(p, x), eval_orthonormal_deriv(p, x)
     ypp = ScaledReal.zero()
     if p.k >= 2:
-        chain = _deriv_ln_prefactor(p) + _deriv_ln_prefactor(Params(p.k - 1, p.alpha + 1.0, p.beta + 1.0))
+        chain = _deriv_ln_prefactor(p.k, p.alpha, p.beta) + _deriv_ln_prefactor(p.k - 1, p.alpha + 1.0, p.beta + 1.0)
         ypp = eval_orthonormal(Params(p.k - 2, p.alpha + 2.0, p.beta + 2.0), x) * ScaledReal(1, chain)
     t3 = y * (p.k * (p.k + s + 1.0))
     num = (ypp * (1.0 - x * x) + yp * (-((s + 2.0) * x + (p.alpha - p.beta)))) + t3
@@ -611,3 +612,128 @@ def test_ode_residuals_match_scaled_real_reference():
         p = Params(k, alpha, beta)
         for xi, r in zip(x.tolist(), ode_residuals(p, x)):
             assert abs(r - _scaled_ode_residual(p, xi)) <= 1e-12, (p, xi)
+
+
+# The per-triple set-up as it was written before it moved to plain numbers
+# and a norm memo; the tests below hold the package's set-up to these bits.
+_LN2 = math.log(2.0)
+
+
+def _ref_log_norm(k, alpha, beta):
+    s = alpha + beta
+    if k == 0:
+        a, b = alpha + 1.0, beta + 1.0
+        return (s + 1.0) * _LN2 + (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    return (
+        (s + 1.0) * _LN2
+        - math.log(2.0 * k + s + 1.0)
+        + log_gamma(k + alpha + 1.0)
+        + log_gamma(k + beta + 1.0)
+        - log_gamma(k + s + 1.0)
+        - log_gamma(k + 1.0)
+    )
+
+
+def _ref_coeffs(k, alpha, beta):
+    s = alpha + beta
+    b = np.zeros(max(k, 1))
+    a = np.ones(max(k, 1))
+    if k > 0:
+        b[0] = (beta - alpha) / (s + 2.0)
+        a[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((s + 2.0) ** 2 * (s + 3.0)))
+        if k > 1:
+            n = np.arange(1.0, k)
+            t = 2.0 * n + s
+            b[1:] = (beta - alpha) * (beta + alpha) / (t * (t + 2.0))
+            a[1:] = (2.0 / (t + 2.0)) * np.sqrt(
+                (n + 1.0) * (n + 1.0 + alpha) * (n + 1.0 + beta) * (n + 1.0 + s) / ((t + 1.0) * (t + 3.0))
+            )
+    return b, a, -0.5 * _ref_log_norm(0, alpha, beta)
+
+
+def _ref_prefactor(k, alpha, beta):
+    return math.log(0.5 * (k + alpha + beta + 1.0)) + 0.5 * (
+        _ref_log_norm(k - 1, alpha + 1.0, beta + 1.0) - _ref_log_norm(k, alpha, beta)
+    )
+
+
+def _ref_ln_value_at_zero(k, alpha):
+    half = k // 2
+    ln_classical = log_gamma(k + alpha + 1.0) - k * _LN2 - log_gamma(half + 1.0) - log_gamma(half + alpha + 1.0)
+    return ln_classical - 0.5 * _ref_log_norm(k, alpha, alpha)
+
+
+# the order-2 prefactor reads the norm at (alpha + 1) + 1, the kernel family
+# at alpha + 2; for this alpha the two differ in the last bit
+_CHAIN_ALPHA = 0.4111419715388867
+
+
+def _setup_triples(n, seed):
+    rng = np.random.default_rng(seed)
+
+    def exponent():
+        return float(rng.uniform(-0.999, 1.0)) if rng.random() < 0.4 else float(10.0 ** rng.uniform(0.0, 9.0))
+
+    out = [(k, _CHAIN_ALPHA, _CHAIN_ALPHA) for k in (0, 1, 2, 3, 8, 41)] + [(5, _CHAIN_ALPHA, 2.5), (600, 1e9, 1e9)]
+    for _ in range(n):
+        k, alpha = int(rng.integers(0, 601)), exponent()
+        out.append((k, alpha, alpha if rng.random() < 0.5 else exponent()))
+    return out
+
+
+def test_setup_keeps_the_bits_of_its_formulas():
+    # coefficients, ln P_0, norms, derivative prefactors and value_at_zero_even's
+    # norm against the formulas above, on k 0-600 and exponents -0.999 to 1e9
+    assert (_CHAIN_ALPHA + 1.0) + 1.0 != _CHAIN_ALPHA + 2.0
+    for k, alpha, beta in _setup_triples(2000, 23):
+        got, want = _recurrence_coeffs(k, alpha, beta), _ref_coeffs(k, alpha, beta)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (k, alpha, beta)
+        assert got[2].hex() == want[2].hex(), (k, alpha, beta)
+        assert log_norm(Params(k, alpha, beta)).hex() == _ref_log_norm(k, alpha, beta).hex(), (k, alpha, beta)
+        if k:
+            assert _deriv_ln_prefactor(k, alpha, beta).hex() == _ref_prefactor(k, alpha, beta).hex(), (k, alpha, beta)
+        if k % 2 == 0:
+            assert value_at_zero_even(k, alpha).ln_mag.hex() == _ref_ln_value_at_zero(k, alpha).hex(), (k, alpha)
+
+
+def test_derivative_chain_keeps_its_own_floats():
+    # order j is the kernel on family (k - j, alpha + j, beta + j) plus the
+    # prefactor chain p, (k - 1, alpha + 1.0, beta + 1.0); the chain's second
+    # step reads its norm at (alpha + 1.0) + 1.0, not at alpha + 2
+    x = np.linspace(-0.95, 0.95, 7)
+    for k, alpha, beta in [(2, _CHAIN_ALPHA, _CHAIN_ALPHA), (9, _CHAIN_ALPHA, _CHAIN_ALPHA), (30, _CHAIN_ALPHA, 3.75)]:
+        got = eval_derivatives_parts(Params(k, alpha, beta), [x, x, x])
+        ln_c = 0.0
+        for j in range(3):
+            if j:
+                ln_c += _ref_prefactor(k - j + 1, alpha + (j - 1), beta + (j - 1))
+            val, _, off = _kernels.recurrence(x, *_ref_coeffs(k - j, alpha + j, beta + j), k - j)
+            assert got[j][0].tobytes() == val.tobytes(), (k, alpha, beta, j)
+            assert got[j][1].tobytes() == (off + ln_c if j else off).tobytes(), (k, alpha, beta, j)
+
+
+def test_public_evaluators_reject_nan_inf_and_points_outside_their_range():
+    p = Params(5, 1.5, 0.5)
+    nan, inf = math.nan, math.inf
+    above, below = np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)
+    inside_hi, inside_lo = np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)
+    # evaluators on [-1, 1], then those on (-1, 1)
+    closed = [
+        lambda x: eval_orthonormal_parts(p, x),
+        lambda x: eval_derivatives_parts(p, [x])[0],
+        lambda x: eval_derivatives_parts(p, [[], x])[1],
+    ]
+    interior = [
+        lambda x: eval_value_and_deriv_parts(p, x),
+        lambda x: (weighted_ln_parts(p, x, Window.full()),),
+    ]
+    for evaluators, bad, good in [
+        (closed, [nan, inf, -inf, above, below], [-1.0, 0.0, 1.0]),
+        (interior, [nan, inf, -inf, above, below, 1.0, -1.0], [inside_lo, 0.0, inside_hi]),
+    ]:
+        for f in evaluators:
+            for b in bad:
+                for x in ([b], [0.25, b, -0.5]):
+                    with pytest.raises(ValueError):
+                        f(x)
+            assert all(part.size == len(good) for part in f(good))

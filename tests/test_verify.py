@@ -840,6 +840,35 @@ def test_cleared_caches_repeat_every_kernel_call(monkeypatch, tmp_path):
     assert runs[0] and runs[0] == runs[1]
 
 
+def test_cleared_caches_repeat_every_log_gamma_call(monkeypatch):
+    # the norm memo is a functools cache like the others: once every cache
+    # of the package is cleared, a second run of one scalar-checks pool item
+    # makes the first run's log_gamma calls again
+    from jacobimax import bounds, gammafn, jacobi
+
+    doc = json.loads((Path(__file__).parents[1] / "perfbench" / "reference" / "scalar-checks.json").read_text())
+    item = next(i for stratum in doc["pool"] for i in stratum if i["k"] % 2 == 0 and i["k"] >= 4)
+    p = Params(item["k"], item["alpha"], item["alpha"])
+    calls = []
+    log_gamma = gammafn.log_gamma
+
+    def counting(x):
+        calls.append(x)
+        return log_gamma(x)
+
+    for mod in (gammafn, jacobi, bounds):
+        monkeypatch.setattr(mod, "log_gamma", counting)
+    scalar = [cid for cid in check_ids() if verify._REGISTRY[cid].window is None]
+    runs = []
+    for _ in range(2):
+        for fn in _package_caches():
+            fn.cache_clear()
+        calls.clear()
+        assert all(run_check(cid, p).status == "checked" for cid in scalar)
+        runs.append(list(calls))
+    assert len(scalar) == 11 and runs[0] and runs[0] == runs[1]
+
+
 def test_sweep_where_windows_overflow_gives_the_rows_of_run_check():
     # at alpha = beta = 1e200 the delta window cannot be built and the
     # full-window scan overflows; the sweep leaves both to the rows, which
