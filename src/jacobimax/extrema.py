@@ -19,9 +19,17 @@ grids, every Newton step and every refinement round.  It takes y and y' from
 the recurrence's last pair, and q's sign is defined by the shifted-family
 route, y' = c Q_{k-1}^{(alpha+1, beta+1)} (eval_orthonormal_deriv_parts): a
 point whose q is too close to 0 for the two routes to be sure to agree is
-re-evaluated by that route.  P_k at a root is read where the scan already
-evaluates: the grid's pair values at a node-exact root, and the refine
-round's pair call, which takes the round's roots alongside its asked
+re-evaluated by that route.  The grids, the largest kernel rows, take the
+pair from the division-free monic recurrence; a node where y is too close to
+0 for the two normalizations to be sure to agree is re-evaluated on the
+orthonormal one, so every grid sign, and with them the brackets, the count
+checks and every q root, is the orthonormal pipeline's.  Otherwise the grid's
+values only seed the Hermite fits, so a minimum, a Newton root of y, can move
+by ulps with them; Newton steps and refinement rounds use the orthonormal
+kernel, which fixes every maximum's bits.  P_k at a root is read where the
+scan already evaluates: the grid's pair values at a node-exact root (the
+orthonormal kernel's at a root of y, which the guard re-evaluates), and the
+refine round's pair call, which takes the round's roots alongside its asked
 midpoints, at the others.  Kinds come from signs the scan already has: M = 0
 at a root of y, a minimum, and at a root of q, where M' = 2 u^2 y q, M has a
 maximum iff y there has q's sign just left of it.  An endpoint's record holds
@@ -51,6 +59,7 @@ from .jacobi import (
     _weighted_ln,
     eval_orthonormal_deriv_parts,
     eval_orthonormal_parts,
+    eval_value_and_deriv_monic,
     eval_value_and_deriv_parts,
 )
 
@@ -144,7 +153,7 @@ def _at(w, rows):
     return w if isinstance(w, Window) else _Ends(w.d_m[rows], w.d_M[rows])
 
 
-def _signs(p: Params, w, xs: np.ndarray, n=None):
+def _signs(p: Params, w, xs: np.ndarray, n=None, grid=False):
     """Signs of y and q at xs, and the parts (yv, yo, dv, do): the scan's one evaluator.
 
     y and y' come from the recurrence's last pair, in one kernel call for all
@@ -157,8 +166,19 @@ def _signs(p: Params, w, xs: np.ndarray, n=None):
     the first n points (all by default) are guarded: the others are asked
     for y's parts alone.  w is a Window, or the window ends per point of a
     joint scan (_Ends).
+
+    The scan grids (grid=True) take the pair from the division-free monic
+    recurrence instead (eval_value_and_deriv_monic), whose values differ
+    from the orthonormal kernel's by rounding; a point where |y| <=
+    _PAIR_GUARD * max(|y|, |P_{k-1}|) takes the orthonormal pair's bits, so
+    y's sign is the orthonormal kernel's everywhere, and q's sign is too:
+    where it is not decided by a margin far above that rounding, the guard
+    above takes it from the shifted family.
     """
-    yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
+    if grid:
+        yv, dv, yo, cond = eval_value_and_deriv_monic(p, xs, _PAIR_GUARD)
+    else:
+        yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
     yg = yv * _dln_window_factor(p, xs, w)
     q = dv + yg
     sq = np.sign(q)
@@ -484,8 +504,8 @@ def _scan(p: Params, windows: list[Window]) -> list:
     else:
         sizes = [g1.size + g4.size for g1, g4 in grids]
         wx = _Ends(*(np.repeat([getattr(windows[i], e) for i in live], sizes) for e in ("d_m", "d_M")))
-    # every window's two grids, in one recurrence call
-    sy, sq, parts = _signs(p, wx, xs)
+    # every window's two grids, in one monic recurrence call
+    sy, sq, parts = _signs(p, wx, xs, grid=True)
     # per window that passes the count checks: (its index, start of its 4x
     # grid in xs, node-exact roots of y and q)
     kept, lefts, is_y, s_lo, cuts = [], [], [], [], []
@@ -574,7 +594,8 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
 
     Samples the signs of y and q on a theta-uniform grid of max(64, 12 (k+2))
     interior nodes (plus a denser pass over the oscillation band when the
-    weight pushes all activity toward the center), verifies the root counts
+    weight pushes all activity toward the center), from the monic recurrence
+    with the orthonormal kernel's signs (_signs), verifies the root counts
     against a 4x-density pass and, on the full window, that y has all k
     zeros, and locates each 4x-grid bracket's root by
     Newton steps (_locate).  A root of y is its Newton root; a root of q is

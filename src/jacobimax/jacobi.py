@@ -36,6 +36,7 @@ __all__ = [
     "eval_orthonormal_deriv",
     "eval_orthonormal_deriv_parts",
     "eval_value_and_deriv_parts",
+    "eval_value_and_deriv_monic",
     "eval_derivatives_parts",
     "value_at_zero_even",
     "weighted_M",
@@ -64,8 +65,10 @@ class Params:
         object.__setattr__(self, "k", int(self.k))
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        # + 0.0 turns -0.0 into +0.0: the set-up memos key floats by value,
+        # so the two zeros would share one entry and its bits
+        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
+        object.__setattr__(self, "beta", float(self.beta) + 0.0)
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not v > -1.0 or math.isinf(v):
@@ -250,16 +253,55 @@ def eval_value_and_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray, np
     like 1 / (1 - x^2) toward +-1.  eval_orthonormal_deriv_parts, the
     shifted-family route, costs a second recurrence but has no such loss.
     """
+    xs = _interior_points(x)
+    b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
+    yv, prev, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
+    return _value_and_deriv(p, xs, yv, prev, off, a[p.k - 1])
+
+
+def eval_value_and_deriv_monic(p: Params, x, guard: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """eval_value_and_deriv_parts' (yv, dv, off, cond), from the division-free monic recurrence.
+
+    The kernel's monic pair (p_k, p_{k-1}) under the offset ln P_0 - sum of
+    ln a[m], m < k, gives P_k = p_k and P_{k-1} = a_k p_{k-1}, so (4.5.7)'s
+    t2 is (2k + s + 1) a_k^2 p_{k-1}.  The values agree with the orthonormal
+    kernel's to a few ulps of the pair's magnitude, and far less than that
+    relative to P_k only where P_k is much smaller than P_{k-1}: a point where
+    |P_k| <= guard * max(|P_k|, |P_{k-1}|) is evaluated again by
+    eval_value_and_deriv_parts and carries its bits, so y's sign there is the
+    orthonormal kernel's.  The other points carry the monic values.
+    """
+    xs = _interior_points(x)
+    b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
+    c = a * a
+    yv, prev, off = _kernels.monic_recurrence(xs, b, c, ln_p0 - float(np.log(a[: p.k]).sum()), p.k)
+    # guard < 1, so |P_k| > guard * |P_k| wherever P_k != 0, and the test
+    # reduces to |P_k| against guard * |P_{k-1}|; nan is evaluated again too
+    near = np.flatnonzero(~(np.abs(yv) > (guard * a[p.k - 1]) * np.abs(prev)))
+    out = _value_and_deriv(p, xs, yv, prev, off, c[p.k - 1])
+    if near.size:
+        for part, ortho in zip(out, eval_value_and_deriv_parts(p, xs[near])):
+            part[near] = ortho
+    return out
+
+
+def _interior_points(x) -> np.ndarray:
     xs = np.ascontiguousarray(x, dtype=float).ravel()
     if xs.size and not (xs.min() > -1.0 and xs.max() < 1.0):
         raise ValueError("the value and derivative pair needs points strictly inside (-1, 1)")
-    b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
-    yv, prev, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
+    return xs
+
+
+def _value_and_deriv(p: Params, xs, yv, prev, off, coef):
+    # (yv, dv, off, cond) of eval_value_and_deriv_parts from the kernel's
+    # last pair, P_k = yv * exp(off) and a_k P_{k-1} = coef * prev * exp(off):
+    # coef is a_k for the orthonormal pair, a_k^2 for the monic one, and
+    # unused at k = 0
     if p.k == 0:
         return yv, np.zeros(xs.size), off, np.ones(xs.size)
     s = p.alpha + p.beta
     t1 = (p.k * ((p.alpha - p.beta) / (2.0 * p.k + s) - xs)) * yv
-    t2 = ((2.0 * p.k + s + 1.0) * a[p.k - 1]) * prev
+    t2 = ((2.0 * p.k + s + 1.0) * coef) * prev
     t = t1 + t2
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = (np.abs(t1) + np.abs(t2)) / np.abs(t)

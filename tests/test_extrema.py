@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from jacobimax import _kernels, extrema
+from jacobimax import _kernels, extrema, jacobi
 from jacobimax.envelope import Geometry, _dln_window_factor, delta_squared, delta_window, geometry, sonin_S
 from jacobimax.extrema import (
     ExtremumRecord,
@@ -367,24 +367,25 @@ def test_unconverged_newton_bisects_y_bitwise(p, window, monkeypatch):
     assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
 
 
-@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 5, 1)), (Params(300, 1e5, 1e5), (3, 7, 2))])
+@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 1, 4, 1)), (Params(300, 1e5, 1e5), (3, 1, 6, 2))])
 def test_scan_call_counts(p, counts, monkeypatch):
-    # one full-window scan's _signs calls, kernel calls and bisection
-    # replays; a refine round evaluates its asked points and the roots in
-    # one _signs call, and a last round that asks nothing reads its roots
-    # from one more kernel call
-    calls = {"_signs": 0, "recurrence": 0, "_replay": 0}
+    # one full-window scan's _signs calls, monic and orthonormal kernel calls
+    # and bisection replays; the grids make the one monic call, a refine
+    # round evaluates its asked points and the roots in one _signs call, and
+    # a last round that asks nothing reads its roots from one more kernel call
+    calls = {"_signs": 0, "monic_recurrence": 0, "recurrence": 0, "_replay": 0}
 
     def counted(mod, name):
         fn = getattr(mod, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, wrapper)
 
     counted(extrema, "_signs")
+    counted(_kernels, "monic_recurrence")
     counted(_kernels, "recurrence")
     counted(extrema, "_replay")
     extrema._cached_scan.cache_clear()
@@ -392,7 +393,7 @@ def test_scan_call_counts(p, counts, monkeypatch):
         scan_extrema(p, Window.full())
     finally:
         extrema._cached_scan.cache_clear()
-    assert (calls["_signs"], calls["recurrence"], calls["_replay"]) == counts
+    assert tuple(calls.values()) == counts
 
 
 @pytest.mark.parametrize("k, alpha, beta", [(10, 0.5, 1.5), (33, -0.3, 4.0), (60, 2.0, 2.0), (120, 0.0, 0.0)])
@@ -456,18 +457,36 @@ _GRID_CASES = [
 ]
 
 
+def _guarded_nodes(monkeypatch):
+    # the points the grid's monic pair hands to the orthonormal pair
+    seen = []
+    pair = jacobi.eval_value_and_deriv_parts
+
+    def recording(p, x):
+        seen.append(np.array(x))
+        return pair(p, x)
+
+    monkeypatch.setattr(jacobi, "eval_value_and_deriv_parts", recording)
+    return seen
+
+
 @pytest.mark.parametrize("p, window", _GRID_CASES)
-def test_grid_signs_match_shifted_family(p, window):
-    # the grid takes y' from the recurrence's last pair; every y and q sign
-    # must still be the shifted-family route's, node for node
+def test_grid_signs_match_shifted_family(p, window, monkeypatch):
+    # the grid takes y and y' from the monic recurrence's last pair; every y
+    # and q sign must still be the shifted-family route's, node for node
     w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
     xs = _scan_grid(p, w)
-    sy, sq, (yv, yo, _, _) = _signs(p, w, xs)
+    guarded = _guarded_nodes(monkeypatch)
+    sy, sq, (yv, yo, _, _) = _signs(p, w, xs, grid=True)
     ref_y, ref_q = _shifted_family_signs(p, w, xs)
     ref_v, ref_o = eval_orthonormal_parts(p, xs)
     assert sy.tobytes() == ref_y.tobytes()
-    assert yv.tobytes() == ref_v.tobytes() and yo.tobytes() == ref_o.tobytes()
     assert np.array_equal(sq, ref_q)
+    # guarded nodes carry the orthonormal kernel's bits, the others its
+    # values to within 1e-8 relative
+    g = np.isin(xs, np.concatenate([np.empty(0)] + guarded))
+    assert yv[g].tobytes() == ref_v[g].tobytes() and yo[g].tobytes() == ref_o[g].tobytes()
+    np.testing.assert_allclose(yv[~g] * np.exp(yo[~g] - ref_o[~g]), ref_v[~g], rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -488,24 +507,72 @@ def test_grid_guard_takes_sign_at_refined_roots_from_shifted_family(p, w, monkey
         assert np.count_nonzero(_signs(p, w, xs)[1] != ref) > 10
 
 
+def _answers(p, w):
+    # (records, global max) of a fresh scan, or the GridTooCoarseError's message
+    extrema._cached_scan.cache_clear()
+    try:
+        return scan_extrema(p, w), global_max(p, w)
+    except GridTooCoarseError as exc:
+        return str(exc)
+    finally:
+        extrema._cached_scan.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "p, window",
+    [
+        (Params(400, 1e5, 1e5), "full"), (Params(400, 1e5, 1e5), "delta"), (Params(300, 1e5, 1e5), "delta"),
+        (Params(400, 0.0, 0.0), "full"), (Params(150, 0.7, 30.0), "full"), (Params(77, 15184.16, 2.156), "full"),
+        (Params(120, 3.0, 1e6), "full"), (Params(267, -0.897, 0.224), "full"), (Params(60, -0.9, -0.7), "full"),
+        (Params(200, -0.99, 2.0), Window(0.5, 1.0)), (Params(30, 0.0, 0.0), Window(-0.3, 0.9)),
+        (Params(150, 1e3, 10.0), Window(0.001, 0.99)), (Params(60, -0.49, -0.3), Window(-0.999999, 0.5)),
+        (Params(4, 2.08874, 10306.6), "full"), (Params(6, 1e5, 1e5), "full"), (Params(0, 1.0, 2.0), "full"),
+    ],
+)
+def test_monic_grid_keeps_the_orthonormal_grid_answers(p, window, monkeypatch):
+    # the grid's monic values move only the Hermite seeds: every error,
+    # count, kind, maximum and global maximum is the orthonormal grid's bit
+    # for bit, and minima, Newton roots from those seeds, move by ulps
+    w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
+    monic = _answers(p, w)
+    monkeypatch.setattr(extrema, "eval_value_and_deriv_monic", lambda p, x, guard: extrema.eval_value_and_deriv_parts(p, x))
+    ortho = _answers(p, w)
+    if isinstance(ortho, str):
+        assert monic == ortho
+        return
+    (recs, gm), (orecs, ogm) = monic, ortho
+    assert [r.kind for r in recs] == [r.kind for r in orecs]
+    # repr shows each float's exact value
+    assert repr([r for r in recs if r.kind == "max"]) == repr([r for r in orecs if r.kind == "max"])
+    assert repr(gm) == repr(ogm)
+    shift = [abs(a.x - b.x) for a, b in zip(recs, orecs) if a.kind == "min"]
+    assert max(shift, default=0.0) <= 1e-15
+
+
 def test_grid_makes_one_kernel_call(monkeypatch):
     calls = []
-    recurrence = _kernels.recurrence
 
-    def counting(x, b, a, ln_start, k):
-        calls.append(len(x))
-        return recurrence(x, b, a, ln_start, k)
+    def counting(name):
+        kernel = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "recurrence", counting)
+        def wrapper(x, b, a, ln_start, k):
+            calls.append((name, len(x)))
+            return kernel(x, b, a, ln_start, k)
+
+        monkeypatch.setattr(_kernels, name, wrapper)
+
+    counting("monic_recurrence")
+    counting("recurrence")
     for p in (Params(400, 0.0, 0.0), Params(400, 1e5, 1e5), Params(300, 1e7, -0.9)):
         w = Window.full()
         xs = _scan_grid(p, w)
         calls.clear()
-        _signs(p, w, xs)
-        # one pair call for the whole grid, then at most one, for the guarded
-        # nodes' shifted family; no call is made for an empty point set
-        assert calls[:1] == [xs.size] and len(calls) <= 2, (p, calls)
-        assert all(calls) and sum(calls[1:]) <= xs.size // 100, (p, calls)
+        _signs(p, w, xs, grid=True)
+        # one monic call for the whole grid, then at most one orthonormal
+        # call for the nodes the y guard hands over and one for the guarded
+        # q nodes' shifted family; no call is made for an empty point set
+        assert calls[:1] == [("monic_recurrence", xs.size)] and len(calls) <= 3, (p, calls)
+        assert all(n for _, n in calls) and sum(n for _, n in calls[1:]) <= xs.size // 100, (p, calls)
 
 
 def test_sorted_distinct_keeps_np_unique_values_and_order(monkeypatch):

@@ -19,6 +19,7 @@ from jacobimax.jacobi import (
     eval_orthonormal_deriv,
     eval_orthonormal_deriv_parts,
     eval_orthonormal_parts,
+    eval_value_and_deriv_monic,
     eval_value_and_deriv_parts,
     log_norm,
     ode_residual,
@@ -434,6 +435,126 @@ def test_small_degree_grid_call_tests_the_range_once(monkeypatch):
     _assert_plain_bits([row])
 
 
+def _plain_monic(x, b, c, ln_start, k, rescaled=None):
+    # the per-step loop the kernel's division-free form must reproduce bit
+    # for bit, as _plain_recurrence is for the orthonormal form
+    off = np.full(x.shape[0], ln_start)
+    if k == 0:
+        return np.ones(x.shape[0]), np.zeros(x.shape[0]), off
+    pm = np.ones(x.shape[0])
+    pc = x - b[0]
+    for m in range(1, k):
+        pm, pc = pc, (x - b[m]) * pc - c[m - 1] * pm
+        mag = np.maximum(np.abs(pc), np.abs(pm))
+        bad = (mag > _kernels._HI) | ((mag > 0.0) & (mag < _kernels._LO))
+        if bad.any():
+            if rescaled is not None:
+                rescaled.append(m)
+            e = np.floor(np.log2(mag[bad])).astype(np.int64)
+            sc = np.ldexp(1.0, -e)
+            pc[bad] *= sc
+            pm[bad] *= sc
+            off[bad] += e * math.log(2.0)
+    return pc, pm, off
+
+
+def _monic_row(x, k, alpha, beta):
+    # the monic kernel's row for a family: c = a^2 and ln P_0 - sum ln a[m]
+    b, a, ln_p0 = _recurrence_coeffs(k, alpha, beta)
+    return x, b, a * a, ln_p0 - float(np.log(a[:k]).sum()), k
+
+
+_MONIC_CASES = [
+    (0, 1.0, 1.0), (1, 0.0, 0.0), (2, -0.5, -0.5), (37, 5.0, 1e3), (150, 3e4, 3e4), (250, 2.5, 2.5),
+    (300, -0.999, -0.999), (400, -0.99999, 0.5), (267, -0.897, 0.224), (400, 0.0, 0.0), (400, 1e5, 1e5),
+    (500, 1e7, 1e7), (50, 1e5, -0.9), (120, 3.0, 1e6), (41, -0.3, -0.3),
+]
+
+
+def test_monic_kernel_matches_plain_monic_loop_bitwise():
+    rng = np.random.default_rng(70)
+    edge = np.array([-1.0, 0.0, -0.0, 1.0, 1e-17, -1e-17, 1e-200])
+    x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-16, 0.1, 12), np.geomspace(1e-16, 0.1, 12) - 1.0])
+    for k, alpha, beta in _MONIC_CASES:
+        for xs in (x, edge[:1], edge[:0]):
+            row = _monic_row(xs, k, alpha, beta)
+            got = _kernels.monic_recurrence(*row)
+            ref = _plain_monic(*row)
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
+
+
+def test_monic_kernel_agrees_with_orthonormal_kernel():
+    # P_k = val * exp(off) and P_{k-1} = a[k-1] * prev * exp(off) against the
+    # orthonormal kernel, relative to the pair's magnitude: within the
+    # rounding of the log offset (of size |ln P_0|, 3.5e5 at beta = 1e6)
+    # inside [-0.99, 0.99], and within 1e-7 nearer to +-1, where both forms
+    # lose digits for exponents near -1 (a few 1e-9 against mpmath at
+    # (300, -0.999, -0.999), x = 1 - 1e-16)
+    rng = np.random.default_rng(71)
+    x = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-16, 0.1, 40), np.geomspace(1e-16, 0.1, 40) - 1.0])
+    for k, alpha, beta in _MONIC_CASES:
+        b, a, ln_p0 = _recurrence_coeffs(k, alpha, beta)
+        val, prev, off = _kernels.recurrence(x, b, a, ln_p0, k)
+        row = _monic_row(x, k, alpha, beta)
+        mval, mprev, moff = _kernels.monic_recurrence(*row)
+        if (k, alpha) == (500, 1e7):
+            # the monic row rescales too
+            steps = []
+            _plain_monic(*row, steps)
+            assert steps, (k, alpha, beta)
+        scale = np.exp(moff - off)
+        top = np.maximum(np.abs(val), np.abs(prev))
+        err = np.maximum(np.abs(mval * scale - val), np.abs((a[k - 1] if k else 0.0) * mprev * scale - prev)) / top
+        inner = np.abs(x) <= 0.99
+        assert err[inner].max() <= 1e-12 + 1e-15 * abs(ln_p0), (k, alpha, beta, err[inner].max())
+        assert err.max() <= 1e-7, (k, alpha, beta, err.max())
+
+
+def test_monic_row_leaving_the_range_on_the_first_step_the_bound_allows(monkeypatch):
+    # the monic bound's analogue of the orthonormal test above: after step 1
+    # the pair is (c, -c), and step 2 maps it to (-c, (x - b[2]) (-c) -
+    # c[1] c) = (-c, -8c), growth by exactly X + B + max c = 0 + 4 + 4, with
+    # c the float just above 1e150 / 8.  The shrink bound (X + B + 1) /
+    # min c = 5 is smaller.  Unpadded, the log bound computes that step 2
+    # stays in range; with the slack the kernel tests, and rescales, at step 2
+    c = float(np.nextafter(_kernels._HI / 8.0, np.inf))
+    row = (np.array([0.0]), np.array([-c, 1.0, -4.0]), np.array([1.0, 4.0, 1.0]), 0.0, 3)
+    steps = []
+    _plain_monic(*row, steps)
+    assert steps == [2]
+    unpadded = _kernels._log_growth_monic(*row[:3], 3) - _kernels._SLACK
+    assert math.log(_kernels._HI / c) / unpadded >= 1.0
+    calls = []
+    reduce_min = _kernels._min
+    monkeypatch.setattr(_kernels, "_min", lambda *args: calls.append(1) or reduce_min(*args))
+    got = _kernels.monic_recurrence(*row)
+    assert len(calls) == 2
+    assert [g.tobytes() for g in got] == [r.tobytes() for r in _plain_monic(*row)]
+
+
+def test_monic_pair_guard_gives_zeros_of_p_k_the_orthonormal_bits():
+    # at the Gauss-Jacobi nodes and their neighbouring floats P_k is at
+    # rounding level, where the two forms' values differ relatively by far
+    # more than elsewhere; every such point is evaluated again on the
+    # orthonormal kernel, and all four outputs carry its bits
+    for k, alpha, beta in [(40, 3.0, 3.0), (267, -0.897, 0.224), (200, 1e3, 1e3), (120, 3.0, 1e6), (1, 0.5, 2.0)]:
+        p = Params(k, alpha, beta)
+        with np.errstate(over="ignore"):
+            nodes = scipy.special.roots_jacobi(k, alpha, beta)[0]
+        zeros = np.concatenate([np.nextafter(nodes, -2.0), nodes, np.nextafter(nodes, 2.0)])
+        x = np.concatenate([zeros, np.linspace(-0.95, 0.95, 9)])
+        got = eval_value_and_deriv_monic(p, x, 1e-6)
+        ref = eval_value_and_deriv_parts(p, x)
+        for g, r in zip(got, ref):
+            assert g[: zeros.size].tobytes() == r[: zeros.size].tobytes(), p
+        # the points away from the zeros keep the monic values
+        assert not np.array_equal(got[0][zeros.size :], ref[0][zeros.size :]) or k == 1, p
+        np.testing.assert_allclose(got[0] * np.exp(got[2] - ref[2]), ref[0], rtol=1e-8, atol=0.0)
+        # without the guard some zero takes other bits
+        bare = eval_value_and_deriv_monic(p, zeros, 0.0)
+        assert bare[0].tobytes() != ref[0][: zeros.size].tobytes(), p
+
+
 def _batch_invariance_cases():
     rng = np.random.default_rng(61)
     cases = [(500, 1e5, 1e5), (500, 1e7, 1e7), (400, 0.0, 0.0), (300, 1e7, -0.9), (120, 3.0, 1e6), (2, -0.5, -0.5)]
@@ -737,3 +858,21 @@ def test_public_evaluators_reject_nan_inf_and_points_outside_their_range():
                     with pytest.raises(ValueError):
                         f(x)
             assert all(part.size == len(good) for part in f(good))
+
+
+def test_signed_zero_exponents_give_one_family_in_either_call_order():
+    # the set-up memos key floats by value, so -0.0 and +0.0 would share an
+    # entry whose bits (b holds -0.0 for the -0.0 family) depend on which
+    # came first; Params stores alpha + 0.0 and beta + 0.0
+    from jacobimax import jacobi
+
+    x = [-0.0, 0.0, 0.3]
+    runs = []
+    for order in ((0.0, -0.0), (-0.0, 0.0)):
+        for memo in (jacobi._recurrence_coeffs, jacobi._log_norm, jacobi._deriv_ln_prefactor):
+            memo.cache_clear()
+        got = {z: eval_orthonormal_parts(Params(5, z, z), x) for z in order}
+        runs.append([part.tobytes() for z in (0.0, -0.0) for part in got[z]])
+    assert runs[0] == runs[1]
+    p = Params(5, -0.0, -0.0)
+    assert not (math.copysign(1.0, p.alpha) < 0.0 or math.copysign(1.0, p.beta) < 0.0)

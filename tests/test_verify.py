@@ -822,13 +822,19 @@ def test_cleared_caches_repeat_every_kernel_call(monkeypatch, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     calls = []
-    recurrence = _kernels.recurrence
 
-    def counting(x, b, a, ln_start, k):
-        calls.append((k, len(x)))
-        return recurrence(x, b, a, ln_start, k)
+    def counting(name):
+        kernel = getattr(_kernels, name)
 
-    monkeypatch.setattr(_kernels, "recurrence", counting)
+        def wrapper(x, b, a, ln_start, k):
+            calls.append((name, k, len(x)))
+            return kernel(x, b, a, ln_start, k)
+
+        monkeypatch.setattr(_kernels, name, wrapper)
+
+    # the scan grids' monic calls and every orthonormal call
+    counting("monic_recurrence")
+    counting("recurrence")
     runs = []
     for _ in range(2):
         for fn in _package_caches():
@@ -838,6 +844,7 @@ def test_cleared_caches_repeat_every_kernel_call(monkeypatch, tmp_path):
         assert cli.main(argv) in (0, 1, 3)
         runs.append(list(calls))
     assert runs[0] and runs[0] == runs[1]
+    assert {name for name, _, _ in runs[0]} == {"monic_recurrence", "recurrence"}
 
 
 def test_cleared_caches_repeat_every_log_gamma_call(monkeypatch):
