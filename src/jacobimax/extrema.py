@@ -20,21 +20,21 @@ the recurrence's last pair, and q's sign is defined by the shifted-family
 route, y' = c Q_{k-1}^{(alpha+1, beta+1)} (eval_orthonormal_deriv_parts): a
 point whose q is too close to 0 for the two routes to be sure to agree is
 re-evaluated by that route.  The grids, the largest kernel rows, take the
-pair from the division-free monic recurrence; a node where y is too close to
-0 for the two normalizations to be sure to agree is re-evaluated on the
-orthonormal one, so every grid sign, and with them the brackets, the count
-checks and every q root, is the orthonormal pipeline's.  Otherwise the grid's
-values only seed the Hermite fits, so a minimum, a Newton root of y, can move
-by ulps with them; Newton steps and refinement rounds use the orthonormal
-kernel, which fixes every maximum's bits.  P_k at a root is read where the
-scan already evaluates: the grid's pair values at a node-exact root (the
-orthonormal kernel's at a root of y, which the guard re-evaluates), and the
-refine round's pair call, which takes the round's roots alongside its asked
-midpoints, at the others.  Kinds come from signs the scan already has: M = 0
-at a root of y, a minimum, and at a root of q, where M' = 2 u^2 y q, M has a
-maximum iff y there has q's sign just left of it.  An endpoint's record holds
-ln M's one-sided limit there (jacobi._endpoint_ln_M); global_max raises
-rather than report M = 0.
+pair from the division-free monic recurrence; a node where y or q is too
+close to 0 for the two normalizations to be sure to agree is re-evaluated on
+the orthonormal one and carries the orthonormal pipeline's bits, so every grid
+sign, and with them the brackets, the count checks and every q root, is the
+orthonormal pipeline's, and so are the values at a node-exact root.
+Otherwise the grid's values only seed the Hermite fits, so a minimum, a Newton
+root of y, can move by ulps with them; Newton steps and refinement rounds use
+the orthonormal kernel, which fixes every maximum's bits.  P_k at a root is
+read where the scan already evaluates: the grid's pair values at a node-exact
+root, and the refine round's pair call, which takes the round's roots
+alongside its asked midpoints, at the others.  Kinds come from signs the scan
+already has: M = 0 at a root of y, a minimum, and at a root of q, where M' =
+2 u^2 y q, M has a maximum iff y there has q's sign just left of it.  An
+endpoint's record holds ln M's one-sided limit there (jacobi._endpoint_ln_M);
+global_max raises rather than report M = 0.
 
 The memo is per (k, alpha, beta), with an entry per window, errors included.
 Windows asked for together are scanned in one pass (_scan): they share every
@@ -51,6 +51,7 @@ import numpy as np
 
 from .envelope import Geometry, turning_point
 from .jacobi import (
+    _PAIR_GUARD,
     Params,
     Window,
     _dln_window_factor,
@@ -82,10 +83,6 @@ _NODES_PER_DEGREE = 12
 _REFINE_TOL = 1e-13
 # most Newton steps taken from the Hermite guess of a root
 _NEWTON_STEPS = 3
-# relative distance of q from 0, per unit of the pair's cancellation factor,
-# within which a point's q sign is taken from the shifted family; the two
-# routes' y' differ by at most a few 1e-12 per unit in the tests
-_PAIR_GUARD = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
@@ -167,24 +164,34 @@ def _signs(p: Params, w, xs: np.ndarray, n=None, grid=False):
     for y's parts alone.  w is a Window, or the window ends per point of a
     joint scan (_Ends).
 
-    The scan grids (grid=True) take the pair from the division-free monic
-    recurrence instead (eval_value_and_deriv_monic), whose values differ
-    from the orthonormal kernel's by rounding; a point where |y| <=
-    _PAIR_GUARD * max(|y|, |P_{k-1}|) takes the orthonormal pair's bits, so
-    y's sign is the orthonormal kernel's everywhere, and q's sign is too:
-    where it is not decided by a margin far above that rounding, the guard
-    above takes it from the shifted family.
+    The scan grids (grid=True, every point guarded) take the pair from the
+    division-free monic recurrence instead (eval_value_and_deriv_monic),
+    whose values differ from the orthonormal kernel's by rounding.  Every
+    point where y or q is too close to 0 for that rounding to be sure to
+    keep its sign, |y| <= _PAIR_GUARD * max(|y|, |P_{k-1}|) or q guarded as
+    above, takes the orthonormal pair's bits, in one call for all of them,
+    and is guarded again on them: there every output is the default path's
+    bit for bit, node-exact roots of y and q included.  Elsewhere the monic
+    values carry the default path's signs, and differ only in bits that seed
+    the Hermite fits.
     """
     if grid:
-        yv, dv, yo, cond = eval_value_and_deriv_monic(p, xs, _PAIR_GUARD)
+        yv, dv, yo, cond, redo = eval_value_and_deriv_monic(p, xs)
     else:
         yv, dv, yo, cond = eval_value_and_deriv_parts(p, xs)
-    yg = yv * _dln_window_factor(p, xs, w)
+    g = _dln_window_factor(p, xs, w)
+    yg = yv * g
     q = dv + yg
+    near = np.flatnonzero(_q_unsure(q[:n], dv[:n], yg[:n], cond[:n]))
+    if grid:
+        redo = _sorted_distinct(np.concatenate([redo, near]))
+        if redo.size:
+            for part, ortho in zip((yv, dv, yo, cond), eval_value_and_deriv_parts(p, xs[redo])):
+                part[redo] = ortho
+            yg[redo] = yv[redo] * g[redo]
+            q[redo] = dv[redo] + yg[redo]
+            near = redo[_q_unsure(q[redo], dv[redo], yg[redo], cond[redo])]
     sq = np.sign(q)
-    bound = _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv) + np.abs(yg))
-    # not |q| > bound, so that a nan q or bound is re-evaluated too
-    near = np.flatnonzero(~(np.abs(q[:n]) > bound[:n]))
     do = yo.copy()
     if near.size:
         dv[near], do[near] = eval_orthonormal_deriv_parts(p, xs[near])
@@ -192,6 +199,12 @@ def _signs(p: Params, w, xs: np.ndarray, n=None, grid=False):
         om = np.maximum(do[near], yo[near])
         sq[near] = np.sign(dv[near] * np.exp(do[near] - om) + yg[near] * np.exp(yo[near] - om))
     return np.sign(yv), sq, (yv, yo, dv, do)
+
+
+def _q_unsure(q, dv, yg, cond):
+    # where |q| <= _PAIR_GUARD * max(1, cond) * (|y'| + |y g|): not |q| > bound,
+    # so that a nan q or bound counts too
+    return ~(np.abs(q) > _PAIR_GUARD * np.maximum(1.0, cond) * (np.abs(dv) + np.abs(yg)))
 
 
 def _root_structure(s: np.ndarray):

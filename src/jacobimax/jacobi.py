@@ -47,6 +47,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# relative distance from 0 within which a computed sign is not trusted to
+# match another route's: P_k's against P_{k-1} for the monic pair
+# (eval_value_and_deriv_monic), and extrema's q per unit of the pair's
+# cancellation factor, where the two routes' y' differ by at most a few
+# 1e-12 per unit in the tests
+_PAIR_GUARD = 1e-6
+
 # smallest alpha for which the cube-root bounds below are claimed
 ALPHA_FLOOR = (1.0 + math.sqrt(2.0)) / 4.0
 
@@ -259,30 +266,27 @@ def eval_value_and_deriv_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray, np
     return _value_and_deriv(p, xs, yv, prev, off, a[p.k - 1])
 
 
-def eval_value_and_deriv_monic(p: Params, x, guard: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """eval_value_and_deriv_parts' (yv, dv, off, cond), from the division-free monic recurrence.
+def eval_value_and_deriv_monic(p: Params, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """eval_value_and_deriv_parts' (yv, dv, off, cond) from the division-free monic recurrence, and where to redo them.
 
     The kernel's monic pair (p_k, p_{k-1}) under the offset ln P_0 - sum of
     ln a[m], m < k, gives P_k = p_k and P_{k-1} = a_k p_{k-1}, so (4.5.7)'s
     t2 is (2k + s + 1) a_k^2 p_{k-1}.  The values agree with the orthonormal
     kernel's to a few ulps of the pair's magnitude, and far less than that
-    relative to P_k only where P_k is much smaller than P_{k-1}: a point where
-    |P_k| <= guard * max(|P_k|, |P_{k-1}|) is evaluated again by
-    eval_value_and_deriv_parts and carries its bits, so y's sign there is the
-    orthonormal kernel's.  The other points carry the monic values.
+    relative to P_k only where P_k is much smaller than P_{k-1}.  The fifth
+    output indexes the points where |P_k| <= _PAIR_GUARD * max(|P_k|,
+    |P_{k-1}|), or the value is nan: there P_k's sign may differ from the
+    orthonormal kernel's, and eval_value_and_deriv_parts at those points
+    gives its bits.  Elsewhere the sign is the orthonormal kernel's.
     """
     xs = _interior_points(x)
     b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
     c = a * a
     yv, prev, off = _kernels.monic_recurrence(xs, b, c, ln_p0 - float(np.log(a[: p.k]).sum()), p.k)
-    # guard < 1, so |P_k| > guard * |P_k| wherever P_k != 0, and the test
-    # reduces to |P_k| against guard * |P_{k-1}|; nan is evaluated again too
-    near = np.flatnonzero(~(np.abs(yv) > (guard * a[p.k - 1]) * np.abs(prev)))
-    out = _value_and_deriv(p, xs, yv, prev, off, c[p.k - 1])
-    if near.size:
-        for part, ortho in zip(out, eval_value_and_deriv_parts(p, xs[near])):
-            part[near] = ortho
-    return out
+    # _PAIR_GUARD < 1, so |P_k| > _PAIR_GUARD * |P_k| wherever P_k != 0, and
+    # the test reduces to |P_k| against _PAIR_GUARD * |P_{k-1}|
+    near = np.flatnonzero(~(np.abs(yv) > (_PAIR_GUARD * a[p.k - 1]) * np.abs(prev)))
+    return (*_value_and_deriv(p, xs, yv, prev, off, c[p.k - 1]), near)
 
 
 def _interior_points(x) -> np.ndarray:

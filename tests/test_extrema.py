@@ -367,12 +367,14 @@ def test_unconverged_newton_bisects_y_bitwise(p, window, monkeypatch):
     assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
 
 
-@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 1, 4, 1)), (Params(300, 1e5, 1e5), (3, 1, 6, 2))])
+@pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 1, 4, 1)), (Params(300, 1e5, 1e5), (3, 1, 7, 2))])
 def test_scan_call_counts(p, counts, monkeypatch):
     # one full-window scan's _signs calls, monic and orthonormal kernel calls
-    # and bisection replays; the grids make the one monic call, a refine
-    # round evaluates its asked points and the roots in one _signs call, and
-    # a last round that asks nothing reads its roots from one more kernel call
+    # and bisection replays; the grids make the one monic call, and one
+    # orthonormal call where a guard hands nodes over (at (300, 1e5, 1e5),
+    # nodes whose q is guarded), a refine round evaluates its asked points
+    # and the roots in one _signs call, and a last round that asks nothing
+    # reads its roots from one more kernel call
     calls = {"_signs": 0, "monic_recurrence": 0, "recurrence": 0, "_replay": 0}
 
     def counted(mod, name):
@@ -460,26 +462,31 @@ _GRID_CASES = [
 def _guarded_nodes(monkeypatch):
     # the points the grid's monic pair hands to the orthonormal pair
     seen = []
-    pair = jacobi.eval_value_and_deriv_parts
+    pair = extrema.eval_value_and_deriv_parts
 
     def recording(p, x):
         seen.append(np.array(x))
         return pair(p, x)
 
-    monkeypatch.setattr(jacobi, "eval_value_and_deriv_parts", recording)
+    monkeypatch.setattr(extrema, "eval_value_and_deriv_parts", recording)
     return seen
 
 
 @pytest.mark.parametrize("p, window", _GRID_CASES)
 def test_grid_signs_match_shifted_family(p, window, monkeypatch):
-    # the grid takes y and y' from the monic recurrence's last pair; every y
-    # and q sign must still be the shifted-family route's, node for node
+    # both paths take y and y' from a recurrence's last pair, the orthonormal
+    # one by default and the monic one on the scan grids (grid=True); every
+    # y and q sign must still be the shifted-family route's, node for node
     w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
     xs = _scan_grid(p, w)
-    guarded = _guarded_nodes(monkeypatch)
-    sy, sq, (yv, yo, _, _) = _signs(p, w, xs, grid=True)
     ref_y, ref_q = _shifted_family_signs(p, w, xs)
     ref_v, ref_o = eval_orthonormal_parts(p, xs)
+    sy, sq, (yv, yo, _, _) = _signs(p, w, xs)
+    assert sy.tobytes() == ref_y.tobytes()
+    assert yv.tobytes() == ref_v.tobytes() and yo.tobytes() == ref_o.tobytes()
+    assert np.array_equal(sq, ref_q)
+    guarded = _guarded_nodes(monkeypatch)
+    sy, sq, (yv, yo, _, _) = _signs(p, w, xs, grid=True)
     assert sy.tobytes() == ref_y.tobytes()
     assert np.array_equal(sq, ref_q)
     # guarded nodes carry the orthonormal kernel's bits, the others its
@@ -487,6 +494,42 @@ def test_grid_signs_match_shifted_family(p, window, monkeypatch):
     g = np.isin(xs, np.concatenate([np.empty(0)] + guarded))
     assert yv[g].tobytes() == ref_v[g].tobytes() and yo[g].tobytes() == ref_o[g].tobytes()
     np.testing.assert_allclose(yv[~g] * np.exp(yo[~g] - ref_o[~g]), ref_v[~g], rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "p, window",
+    [
+        (Params(40, 3.0, 3.0), "full"), (Params(267, -0.897, 0.224), "full"), (Params(150, 0.7, 30.0), "full"),
+        (Params(300, 1e5, 1e5), "delta"), (Params(60, 2.0, 2.0), Window(-0.3, 0.9)),
+    ],
+)
+def test_grid_guard_gives_near_zeros_of_y_and_q_the_default_bits(p, window, monkeypatch):
+    # at the minima and maxima (zeros of y and q) and their neighbouring
+    # floats the monic pair's values are not the orthonormal pair's; at every
+    # such point where y is rounding-level or the default path guards q, the
+    # grid path evaluates again on the orthonormal pair and guards again, so
+    # every output there is the default path's bit for bit, node-exact roots
+    # included, and every sign is the default path's
+    w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
+    recs = scan_extrema(p, w)
+    near_y, near_q = (np.array([r.x for r in recs if r.kind == kind]) for kind in ("min", "max"))
+    around = [np.concatenate([np.nextafter(v, -2.0), v, np.nextafter(v, 2.0)]) for v in (near_y, near_q)]
+    xs = np.unique(np.concatenate(around))
+    yv, dv, _, cond = extrema.eval_value_and_deriv_parts(p, xs)
+    yg = yv * _dln_window_factor(p, xs, w)
+    guarded = np.isin(xs, around[0]) | extrema._q_unsure(dv + yg, dv, yg, cond)
+    got, ref = _signs(p, w, xs, grid=True), _signs(p, w, xs)
+    assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+    for g, r in zip(got[2], ref[2]):
+        assert g[guarded].tobytes() == r[guarded].tobytes(), p
+    # the monic pair's own values differ at zeros of y and at guarded q nodes
+    raw = extrema.eval_value_and_deriv_monic(p, xs)[0]
+    at_q = guarded & ~np.isin(xs, around[0])
+    assert np.any(raw[~at_q & guarded] != yv[~at_q & guarded]) and np.any(raw[at_q] != yv[at_q]), p
+    # without the y guard some zero of y takes other bits
+    monkeypatch.setattr(jacobi, "_PAIR_GUARD", 0.0)
+    bare = _signs(p, w, xs, grid=True)[2][0]
+    assert bare[~at_q & guarded].tobytes() != yv[~at_q & guarded].tobytes(), p
 
 
 @pytest.mark.parametrize(
@@ -535,7 +578,8 @@ def test_monic_grid_keeps_the_orthonormal_grid_answers(p, window, monkeypatch):
     # for bit, and minima, Newton roots from those seeds, move by ulps
     w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
     monic = _answers(p, w)
-    monkeypatch.setattr(extrema, "eval_value_and_deriv_monic", lambda p, x, guard: extrema.eval_value_and_deriv_parts(p, x))
+    ortho_pair = extrema.eval_value_and_deriv_parts
+    monkeypatch.setattr(extrema, "eval_value_and_deriv_monic", lambda p, x: (*ortho_pair(p, x), np.empty(0, np.intp)))
     ortho = _answers(p, w)
     if isinstance(ortho, str):
         assert monic == ortho
@@ -567,10 +611,16 @@ def test_grid_makes_one_kernel_call(monkeypatch):
         w = Window.full()
         xs = _scan_grid(p, w)
         calls.clear()
+        _signs(p, w, xs)
+        # one pair call for the whole grid, then at most one, for the guarded
+        # nodes' shifted family; no call is made for an empty point set
+        assert calls[:1] == [("recurrence", xs.size)] and len(calls) <= 2, (p, calls)
+        assert all(n for _, n in calls) and sum(n for _, n in calls[1:]) <= xs.size // 100, (p, calls)
+        calls.clear()
         _signs(p, w, xs, grid=True)
-        # one monic call for the whole grid, then at most one orthonormal
-        # call for the nodes the y guard hands over and one for the guarded
-        # q nodes' shifted family; no call is made for an empty point set
+        # on the monic path: one monic call for the whole grid, then at most
+        # one orthonormal pair call for the nodes the y and q guards hand
+        # over and one for the guarded q nodes' shifted family
         assert calls[:1] == [("monic_recurrence", xs.size)] and len(calls) <= 3, (p, calls)
         assert all(n for _, n in calls) and sum(n for _, n in calls[1:]) <= xs.size // 100, (p, calls)
 

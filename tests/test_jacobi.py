@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from jacobimax import _kernels
+from jacobimax import _kernels, jacobi
 from jacobimax.gammafn import log_gamma
 from jacobimax.jacobi import (
     ALPHA_FLOOR,
@@ -474,7 +474,14 @@ _MONIC_CASES = [
 def test_monic_kernel_matches_plain_monic_loop_bitwise():
     rng = np.random.default_rng(70)
     edge = np.array([-1.0, 0.0, -0.0, 1.0, 1e-17, -1e-17, 1e-200])
-    x = np.concatenate([edge, rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-16, 0.1, 12), np.geomspace(1e-16, 0.1, 12) - 1.0])
+    x = np.concatenate(
+        [
+            edge,
+            rng.uniform(-1.0, 1.0, 200),
+            1.0 - np.geomspace(1e-16, 0.1, 12),
+            np.geomspace(1e-16, 0.1, 12) - 1.0,
+        ]
+    )
     for k, alpha, beta in _MONIC_CASES:
         for xs in (x, edge[:1], edge[:0]):
             row = _monic_row(xs, k, alpha, beta)
@@ -491,7 +498,14 @@ def test_monic_kernel_agrees_with_orthonormal_kernel():
     # lose digits for exponents near -1 (a few 1e-9 against mpmath at
     # (300, -0.999, -0.999), x = 1 - 1e-16)
     rng = np.random.default_rng(71)
-    x = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-16, 0.1, 40), np.geomspace(1e-16, 0.1, 40) - 1.0])
+    x = np.concatenate(
+        [
+            [-1.0, 0.0, 1.0],
+            rng.uniform(-1.0, 1.0, 200),
+            1.0 - np.geomspace(1e-16, 0.1, 40),
+            np.geomspace(1e-16, 0.1, 40) - 1.0,
+        ]
+    )
     for k, alpha, beta in _MONIC_CASES:
         b, a, ln_p0 = _recurrence_coeffs(k, alpha, beta)
         val, prev, off = _kernels.recurrence(x, b, a, ln_p0, k)
@@ -532,27 +546,30 @@ def test_monic_row_leaving_the_range_on_the_first_step_the_bound_allows(monkeypa
     assert [g.tobytes() for g in got] == [r.tobytes() for r in _plain_monic(*row)]
 
 
-def test_monic_pair_guard_gives_zeros_of_p_k_the_orthonormal_bits():
+def test_monic_pair_flags_the_zeros_of_p_k(monkeypatch):
     # at the Gauss-Jacobi nodes and their neighbouring floats P_k is at
     # rounding level, where the two forms' values differ relatively by far
-    # more than elsewhere; every such point is evaluated again on the
-    # orthonormal kernel, and all four outputs carry its bits
+    # more than elsewhere; every such point is flagged for the orthonormal
+    # kernel, and the points away from the zeros are not
     for k, alpha, beta in [(40, 3.0, 3.0), (267, -0.897, 0.224), (200, 1e3, 1e3), (120, 3.0, 1e6), (1, 0.5, 2.0)]:
         p = Params(k, alpha, beta)
         with np.errstate(over="ignore"):
             nodes = scipy.special.roots_jacobi(k, alpha, beta)[0]
         zeros = np.concatenate([np.nextafter(nodes, -2.0), nodes, np.nextafter(nodes, 2.0)])
         x = np.concatenate([zeros, np.linspace(-0.95, 0.95, 9)])
-        got = eval_value_and_deriv_monic(p, x, 1e-6)
+        *got, near = eval_value_and_deriv_monic(p, x)
         ref = eval_value_and_deriv_parts(p, x)
-        for g, r in zip(got, ref):
-            assert g[: zeros.size].tobytes() == r[: zeros.size].tobytes(), p
-        # the points away from the zeros keep the monic values
+        assert near.tobytes() == np.arange(zeros.size).tobytes(), p
+        # the flag is needed: the monic values differ at some zero
+        assert got[0][: zeros.size].tobytes() != ref[0][: zeros.size].tobytes(), p
         assert not np.array_equal(got[0][zeros.size :], ref[0][zeros.size :]) or k == 1, p
-        np.testing.assert_allclose(got[0] * np.exp(got[2] - ref[2]), ref[0], rtol=1e-8, atol=0.0)
-        # without the guard some zero takes other bits
-        bare = eval_value_and_deriv_monic(p, zeros, 0.0)
-        assert bare[0].tobytes() != ref[0][: zeros.size].tobytes(), p
+        g, r = (np.array(v)[:, zeros.size :] for v in (got, ref))
+        np.testing.assert_allclose(g[0] * np.exp(g[2] - r[2]), r[0], rtol=1e-8, atol=0.0)
+        # without the guard no zero whose monic value is not 0 is flagged
+        with monkeypatch.context() as m:
+            m.setattr(jacobi, "_PAIR_GUARD", 0.0)
+            bare = eval_value_and_deriv_monic(p, zeros)[4]
+        assert bare.tobytes() == np.flatnonzero(got[0][: zeros.size] == 0.0).tobytes(), p
 
 
 def _batch_invariance_cases():
