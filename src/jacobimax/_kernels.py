@@ -1,30 +1,33 @@
-"""Renormalized three-term recurrence kernel, vectorized over evaluation points.
+"""Renormalized three-term recurrence kernels, vectorized over evaluation points.
 
-One numpy loop evaluates one row of points per call and returns the last pair
-of the recurrence, P_k and P_{k-1}, which share one log offset.  The running
-pair is rescaled by an exact power of two whenever its magnitude leaves
-[1e-150, 1e150], so the significand sequence is identical to what
-unbounded-range arithmetic would produce while the power of two accumulates
-in a separate log offset.
-
-The loop runs in one of two normalizations:
+Each kernel evaluates one row of points per call in one numpy loop and returns
+the last pair of the recurrence, P_k and P_{k-1}, which share one log offset.
+The running pair is renormalized by exact powers of two, which accumulate in
+the offset, so the significand sequence is identical to what unbounded-range
+arithmetic would produce.  There are two kernels, one loop each:
 
 - recurrence, the orthonormal one, P_{m+1} = ((x - b_m) P_m - a_{m-1}
   P_{m-1}) / a_m.  Every value that decides an answer's bits comes from it:
   single points, the derivative families, the scan's Newton steps and
-  refinement rounds, and every verify row.
+  refinement rounds, and every verify row.  Its pair is rescaled only when
+  its magnitude has left [1e-150, 1e150]: a range test, spaced by one growth
+  bound per call, finds those points, and only they are rescaled, so every
+  value and offset is the one a test after every step would give.
 - monic_recurrence, the division-free one (Gautschi, Orthogonal Polynomials:
   Computation and Approximation, 2004, 1.3), p_{m+1} = (x - b_m) p_m -
   c_{m-1} p_{m-1} with c = a^2, which the caller turns into P_k by a log
   offset.  It saves the step's divide, and the scan's sign grids, the
-  kernel's largest rows, use it (jacobi.eval_value_and_deriv_monic).
+  kernel's largest rows, use it (jacobi.eval_value_and_deriv_monic).  Only
+  it may renormalize early: its loop has no range test, and every point's
+  pair is renormalized before each step that a schedule, built from the
+  coefficients alone, says could take it out of [1e-150, 1e150].  So its
+  significands and signs are those of unbounded-range arithmetic too, but
+  its values' exponents and its offsets' rounding follow the schedule; the
+  scan reads their signs and ratios, and seeds its Hermite fits from them.
 
 A step is five numpy calls (four in the monic form) on preallocated 1-D
 buffers, each coefficient passed as a 0-d array view, built once per call; a
-centred family (every b[m] +0.0) skips the subtract, one call fewer.  One
-growth bound per call, built at most once and particular to the
-normalization, tells how many steps may pass before the next range test; a
-step that may leave the range examines only the points whose |P_m| left it.
+centred family (every b[m] +0.0) skips the subtract, one call fewer.
 """
 
 import math
@@ -38,7 +41,9 @@ _HI = 1e150
 _LO = 1e-150
 _min = np.minimum.reduce
 _max = np.maximum.reduce
-# per-step log slack in the growth bound, far above rounding in one step
+_LN_HI = math.log(_HI)
+_LN_LO = math.log(_LO)
+# per-step log slack in the growth bounds, far above rounding in one step
 _SLACK = 1e-3
 
 # there is no numba backend; the constant stays because benchmark results
@@ -60,19 +65,10 @@ def _log_growth(x, b, a, k):
     return math.log(xb + ak.max()) - math.log(ak.min()) + _SLACK
 
 
-def _log_growth_monic(x, b, c, k):
-    """Log of one factor bounding how far max(|pc|, |pm|) can grow or shrink in a monic step.
-
-    Step m maps (pm, pc) to (pc, (x - b[m]) pc - c[m-1] pm), so the larger
-    magnitude of the pair grows at most by max(1, |x - b[m]| + c[m-1]) and
-    shrinks at most by max(1, (|x - b[m]| + 1) / c[m-1]).  Over the call's
-    steps, X + B + max c and (X + B + 1) / min c bound both, X = max|x| and
-    B = max|b|; the log of the larger, which is positive (min c > X + B + 1
-    forces max c > 1), is padded for rounding.
-    """
-    ck = c[: k - 1]
-    xb = _max(np.abs(x), None) + _max(np.abs(b[1:k]), None)
-    return max(math.log(xb + ck.max()), math.log(xb + 1.0) - math.log(ck.min())) + _SLACK
+def _centred(b, k):
+    # x - (+0.0) is x bit for bit, -0.0 included; x - (-0.0) turns -0.0 into
+    # +0.0, so only an all-bits-zero diagonal skips the subtract
+    return not b[1:k].view(np.uint64).any()
 
 
 def recurrence(x, b, a, ln_start, k):
@@ -84,47 +80,24 @@ def recurrence(x, b, a, ln_start, k):
     off-diagonal recurrence coefficient arrays and ln_start is the log of the
     degree-0 polynomial.
     """
-    return _run(x, b, a, ln_start, k, True)
-
-
-def monic_recurrence(x, b, c, ln_start, k):
-    """Evaluate the monic polynomials p_k and p_{k-1} of the recurrence at every x, without a division.
-
-    Returns (val, prev, off) with p_k exp(ln_start) = val * exp(off) and
-    p_{k-1} exp(ln_start) = prev * exp(off); prev is 0 at k = 0.  c holds
-    the squares of the off-diagonal coefficients a, and p_k = P_k P_0^-1
-    a[0] ... a[k-1] for the orthonormal P_k.  So with ln_start = ln P_0 -
-    sum_{m<k} ln a[m], P_k = val * exp(off) and P_{k-1} = a[k-1] * prev *
-    exp(off).
-    """
-    return _run(x, b, c, ln_start, k, False)
-
-
-def _run(x, b, a, ln_start, k, orthonormal):
-    # the one loop of both normalizations: a holds the off-diagonals for the
-    # orthonormal form and their squares for the monic one, which never divides
     n = x.shape[0]
     off = np.full(n, float(ln_start))
     if k == 0:
         return np.ones(n), np.zeros(n), off
     if n == 0 or k == 1:
-        return ((x - b[0]) / a[0] if orthonormal else x - b[0]), np.ones(n), off
+        return (x - b[0]) / a[0], np.ones(n), off
     # each step's coefficients as 0-d arrays, the operands numpy applies fastest
     ac = [a[m, ...] for m in range(k)]
-    # x - (+0.0) is x bit for bit, -0.0 included; x - (-0.0) turns -0.0 into
-    # +0.0, so only an all-bits-zero diagonal skips the subtract
-    bc = [b[m, ...] for m in range(k)] if b[1:k].view(np.uint64).any() else None
+    bc = None if _centred(b, k) else [b[m, ...] for m in range(k)]
     pm = np.ones(n)
     pc = x - b[0]
-    if orthonormal:
-        pc /= ac[0]
+    pc /= ac[0]
     t = np.empty(n)
     growth = None
     check = 1
     for m in range(1, k):
-        # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place, without the divide
-        # in the monic form: the old pm is not needed afterwards and becomes
-        # the spare buffer
+        # ((x - b[m]) * pc - a[m-1] * pm) / a[m] in place: the old pm is not
+        # needed afterwards and becomes the spare buffer
         if bc is None:
             np.multiply(x, pc, t)
         else:
@@ -132,8 +105,7 @@ def _run(x, b, a, ln_start, k, orthonormal):
             t *= pc
         pm *= ac[m - 1]
         t -= pm
-        if orthonormal:
-            t /= ac[m]
+        t /= ac[m]
         pm, pc, t = pc, t, pm
         if m >= check:
             check = m + 1
@@ -149,7 +121,7 @@ def _run(x, b, a, ln_start, k, orthonormal):
                 # j * growth stays within the log distance to either end
                 if check < k:
                     if growth is None:
-                        growth = (_log_growth if orthonormal else _log_growth_monic)(x, b, a, k)
+                        growth = _log_growth(x, b, a, k)
                     check += int(min(math.log(_HI / top), math.log(low / _LO)) / growth)
             else:
                 # only a point with |pc| outside [_LO, _HI] can need it, and
@@ -167,4 +139,90 @@ def _run(x, b, a, ln_start, k, orthonormal):
                     pc[c] *= sc
                     pm[c] *= sc
                     off[c] += e * _LN2
+    return pc, pm, off
+
+
+def _renormalizations(b, c, k):
+    """The steps m of a monic row before which its pair is renormalized, from the coefficients alone.
+
+    Step m maps (pm, pc) to (pc, (x - b[m]) pc - c[m-1] pm).  For |x| <= 1
+    the larger magnitude of the pair grows at most by 1 + |b[m]| + c[m-1] and
+    shrinks at most by max(1, (2 + |b[m]|) / c[m-1]).  The pair starts at
+    (1, x - b[0]), magnitude in [1, 1 + |b[0]|], and a renormalization puts
+    it in [1/2, 1).  Summing the padded log factors from there, the pair is
+    renormalized before each step after which it could lie outside [_LO,
+    _HI]; a step whose own factor exceeds that band gets one renormalization
+    before it all the same.  The schedule never reads x, so a point's value
+    does not depend on the other points of its call.
+    """
+    bm = np.abs(b[1:k])
+    cm = c[: k - 1]
+    grow = (np.log(1.0 + bm + cm) + _SLACK).tolist()
+    shrink = (np.log(np.maximum((2.0 + bm) / cm, 1.0)) + _SLACK).tolist()
+    hi, lo = math.log1p(abs(float(b[0]))) + _SLACK, 0.0
+    steps = []
+    for m, (g, s) in enumerate(zip(grow, shrink), 1):
+        if hi + g > _LN_HI or lo - s < _LN_LO:
+            steps.append(m)
+            hi, lo = 0.0, -_LN2
+        hi += g
+        lo -= s
+    return steps
+
+
+def monic_recurrence(x, b, c, ln_start, k):
+    """Evaluate the monic polynomials p_k and p_{k-1} of the recurrence at every x in [-1, 1], without a division.
+
+    Returns (val, prev, off) with p_k exp(ln_start) = val * exp(off) and
+    p_{k-1} exp(ln_start) = prev * exp(off); prev is 0 at k = 0.  c holds
+    the squares of the off-diagonal coefficients a, and p_k = P_k P_0^-1
+    a[0] ... a[k-1] for the orthonormal P_k.  So with ln_start = ln P_0 -
+    sum_{m<k} ln a[m], P_k = val * exp(off) and P_{k-1} = a[k-1] * prev *
+    exp(off).
+
+    The pair is renormalized on a schedule (_renormalizations) that depends
+    on b, c and k only, never on x, each time by the power of two that puts
+    its larger magnitude in [1/2, 1).  The powers add up in an integer
+    exponent E per point, and off = ln_start + E ln 2 is formed once at the
+    end, so it carries one rounding however often the pair was renormalized.
+    """
+    n = x.shape[0]
+    if k == 0:
+        return np.ones(n), np.zeros(n), np.full(n, float(ln_start))
+    if n == 0 or k == 1:
+        return x - b[0], np.ones(n), np.full(n, float(ln_start))
+    cc = [c[m, ...] for m in range(k - 1)]
+    bc = None if _centred(b, k) else [b[m, ...] for m in range(k)]
+    pm = np.ones(n)
+    pc = x - b[0]
+    t = np.empty(n)
+    exp = None
+    start = 1
+    for stop in (*_renormalizations(b, c, k), k):
+        for m in range(start, stop):
+            # (x - b[m]) * pc - c[m-1] * pm in place: the old pm is not
+            # needed afterwards and becomes the spare buffer
+            if bc is None:
+                np.multiply(x, pc, t)
+            else:
+                np.subtract(x, bc[m], t)
+                t *= pc
+            pm *= cc[m - 1]
+            t -= pm
+            pm, pc, t = pc, t, pm
+        if stop < k:
+            # before step `stop`: divide the pair by 2^e, e the binary
+            # exponent of its larger magnitude (0 for a zero or nan pair)
+            np.abs(pc, t)
+            np.maximum(t, np.abs(pm), out=t)
+            e = np.frexp(t)[1]
+            if exp is None:
+                exp = e.astype(np.int64)
+            else:
+                exp += e
+            np.negative(e, e)
+            np.ldexp(pc, e, pc)
+            np.ldexp(pm, e, pm)
+        start = stop
+    off = np.full(n, float(ln_start)) if exp is None else float(ln_start) + exp * _LN2
     return pc, pm, off

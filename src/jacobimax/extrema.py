@@ -117,9 +117,11 @@ def _band_halfwidth(p: Params) -> float:
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """a sorted, with each value once: np.unique for finite a that never holds both zeros.
 
-    np.unique itself would load numpy.ma on first use.
+    np.unique itself would load numpy.ma on first use.  On such a, every sort
+    gives the same array; the stable one is the fastest on the scan grids,
+    whose nodes arrive as descending runs.
     """
-    a = np.sort(a)
+    a = np.sort(a, kind="stable")
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]

@@ -15,6 +15,7 @@ the object whose extrema the rest of the package studies.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +54,8 @@ _LN2 = math.log(2.0)
 # cancellation factor, where the two routes' y' differ by at most a few
 # 1e-12 per unit in the tests
 _PAIR_GUARD = 1e-6
+# (alpha + beta + 2)^2 in the recurrence's first coefficient overflows above this
+_COEFF_LIMIT = math.sqrt(sys.float_info.max)
 
 # smallest alpha for which the cube-root bounds below are claimed
 ALPHA_FLOOR = (1.0 + math.sqrt(2.0)) / 4.0
@@ -131,13 +134,24 @@ class WeightedValue(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _recurrence_coeffs(k: int, alpha: float, beta: float):
-    """Read-only recurrence arrays b, a (length max(k, 1)) and ln P_0 = -ln h_0 / 2 for plain (k, alpha, beta)."""
+    """Read-only recurrence arrays b, a (length max(k, 1)) and ln P_0 = -ln h_0 / 2 for plain (k, alpha, beta).
+
+    Raises OverflowError, naming the triple, where alpha + beta + 2 exceeds
+    about 1.34e154 and the first off-diagonal coefficient overflows.
+    """
     s = alpha + beta
     b = np.zeros(max(k, 1))
     a = np.empty(k) if k else np.ones(1)  # every a[m] is set below when k > 0
     if k > 0:
         b[0] = (beta - alpha) / (s + 2.0)
-        a[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((s + 2.0) ** 2 * (s + 3.0)))
+        try:
+            s2sq = (s + 2.0) ** 2
+        except OverflowError:
+            raise OverflowError(
+                f"recurrence coefficients overflow for k={k}, alpha={alpha!r}, beta={beta!r}:"
+                f" alpha + beta + 2 must stay below {_COEFF_LIMIT:.4g}"
+            ) from None
+        a[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / (s2sq * (s + 3.0)))
         if k > 1:
             n = np.arange(1.0, k)
             n1 = n + 1.0

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +346,32 @@ def test_extrema_on_an_overflowing_delta_window_is_one_error_line(capsys):
     assert main(["extrema", "--k", "3", "--alpha", "1e300", "--window", "delta"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+
+
+def test_extrema_beyond_the_coefficient_limit_is_one_error_line(capsys):
+    # alpha + beta + 2 above 1.341e154 overflows the recurrence coefficients
+    assert main(["extrema", "--k", "3", "--alpha", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: recurrence coefficients overflow") and err.count("\n") == 1
+    assert "alpha=1e+300" in err and "1.341e+154" in err
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # python -m jacobimax with the source tree on PYTHONPATH, run from
+    # elsewhere: the version line, and one extrema table with its exit code
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "jacobimax", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    done = run_module("--version")
+    assert done.returncode == 0 and done.stdout.startswith("jacobimax "), done.stderr
+    done = run_module("extrema", "--k", "3", "--alpha", "1.5", "--beta", "0.5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[-1] for line in lines[1:-1]] == ["max", "min"] * 3 + ["max"]
+    assert lines[-1].startswith("global max: M = ")

@@ -29,6 +29,7 @@ from jacobimax.jacobi import (
     weighted_ln_parts,
 )
 from jacobimax.scaled import ScaledReal
+from jacobimax.verify import NUMERIC_FAILURE, run_check
 
 
 def test_alpha_floor_closed_form():
@@ -228,6 +229,18 @@ def test_recurrence_coefficients_cached_and_write_protected():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_recurrence_coefficients_name_the_triple_where_they_overflow():
+    # (alpha + beta + 2)^2 overflows above sqrt(DBL_MAX) = 1.341e154: the
+    # error names the triple and the limit, a triple just below it still
+    # returns its arrays, and a verify row that reaches it is a numeric failure
+    with pytest.raises(OverflowError, match=r"k=3, alpha=1e\+300, beta=1\.0: alpha \+ beta \+ 2 must stay below 1\.341e\+154"):
+        _recurrence_coeffs(3, 1e300, 1.0)
+    with pytest.raises(OverflowError, match="beta=7e\\+153"):
+        _recurrence_coeffs(1, 7e153, 7e153)
+    assert _recurrence_coeffs(1, 6e153, 6e153)[0][0] == 0.0
+    assert run_check("pointwise", Params(3, 1e300, 1.0)).status == NUMERIC_FAILURE
 
 
 def _plain_recurrence(x, b, a, ln_start, k, rescaled=None):
@@ -435,9 +448,13 @@ def test_small_degree_grid_call_tests_the_range_once(monkeypatch):
     _assert_plain_bits([row])
 
 
-def _plain_monic(x, b, c, ln_start, k, rescaled=None):
-    # the per-step loop the kernel's division-free form must reproduce bit
-    # for bit, as _plain_recurrence is for the orthonormal form
+def _plain_monic(x, b, c, ln_start, k, rescaled=None, every_step=False):
+    # the division-free recurrence as a plain per-step loop with the
+    # orthonormal form's rescaling (_plain_recurrence): the pair is rescaled
+    # into [1, 2) after each step that leaves it outside [1e-150, 1e150], or,
+    # with every_step, after every step, which keeps the significands of
+    # unbounded-range arithmetic wherever neither member of the pair falls
+    # below about 1e-300 of the other
     off = np.full(x.shape[0], ln_start)
     if k == 0:
         return np.ones(x.shape[0]), np.zeros(x.shape[0]), off
@@ -446,7 +463,9 @@ def _plain_monic(x, b, c, ln_start, k, rescaled=None):
     for m in range(1, k):
         pm, pc = pc, (x - b[m]) * pc - c[m - 1] * pm
         mag = np.maximum(np.abs(pc), np.abs(pm))
-        bad = (mag > _kernels._HI) | ((mag > 0.0) & (mag < _kernels._LO))
+        bad = mag > 0.0
+        if not every_step:
+            bad &= (mag > _kernels._HI) | (mag < _kernels._LO)
         if bad.any():
             if rescaled is not None:
                 rescaled.append(m)
@@ -471,7 +490,39 @@ _MONIC_CASES = [
 ]
 
 
+def _binary_parts(val, off, ln_start):
+    # (significands, total binary exponents) of values val * exp(off) whose
+    # offsets are ln_start plus whole multiples of ln 2
+    e = np.rint((off - ln_start) / math.log(2.0)).astype(np.int64)
+    sig, ex = np.frexp(val)
+    return sig, np.where(sig == 0.0, 0, ex + e)
+
+
+def _assert_monic_bits(row, ref, at=slice(None)):
+    # the monic kernel against a plain loop's (val, prev, off) at the points
+    # `at`: the same significands and signs bit for bit, and the same total
+    # binary exponents; the kernel's offset is ln_start + E ln 2 for an
+    # integer E, formed once
+    got = _kernels.monic_recurrence(*row)
+    ln_start = row[3]
+    e = np.rint((got[2] - ln_start) / math.log(2.0)).astype(np.int64)
+    assert got[2].tobytes() == (ln_start + e * math.log(2.0)).tobytes(), row[4]
+    for g, r in zip(got[:2], ref[:2]):
+        gs, ge = _binary_parts(g, got[2], ln_start)
+        rs, re = _binary_parts(r, ref[2], ln_start)
+        assert gs[at].tobytes() == rs[at].tobytes(), row[4]
+        assert ge[at].tobytes() == re[at].tobytes(), row[4]
+    return got
+
+
 def test_monic_kernel_matches_plain_monic_loop_bitwise():
+    # the kernel renormalizes the pair on its own schedule, so its values
+    # differ from the plain loop's by powers of two, its offsets by their
+    # rounding, and nothing else: except at x = 1e-200 on a centred family,
+    # where p_{k-1} of odd degree is about 1e-200 times the pair; the plain
+    # loop lets the pair drift down to 1e-150 before it rescales, so that
+    # member becomes subnormal and loses bits, and there the kernel keeps the
+    # bits of the loop that rescales after every step
     rng = np.random.default_rng(70)
     edge = np.array([-1.0, 0.0, -0.0, 1.0, 1e-17, -1e-17, 1e-200])
     x = np.concatenate(
@@ -482,12 +533,19 @@ def test_monic_kernel_matches_plain_monic_loop_bitwise():
             np.geomspace(1e-16, 0.1, 12) - 1.0,
         ]
     )
+    lossy = []
     for k, alpha, beta in _MONIC_CASES:
         for xs in (x, edge[:1], edge[:0]):
             row = _monic_row(xs, k, alpha, beta)
-            got = _kernels.monic_recurrence(*row)
+            exact = _plain_monic(*row, every_step=True)
+            _assert_monic_bits(row, exact)
             ref = _plain_monic(*row)
-            assert [g.tobytes() for g in got] == [r.tobytes() for r in ref], (k, alpha, beta)
+            keeps = np.ones(xs.size, dtype=bool)
+            for r, e in zip(ref[:2], exact[:2]):
+                keeps &= _binary_parts(r, ref[2], row[3])[0] == _binary_parts(e, exact[2], row[3])[0]
+            _assert_monic_bits(row, ref, keeps)
+            lossy += [(k, alpha, float(v)) for v in xs[~keeps]]
+    assert lossy == [(k, a, 1e-200) for k, a in ((150, 3e4), (400, 0.0), (400, 1e5), (500, 1e7))]
 
 
 def test_monic_kernel_agrees_with_orthonormal_kernel():
@@ -524,26 +582,44 @@ def test_monic_kernel_agrees_with_orthonormal_kernel():
         assert err.max() <= 1e-7, (k, alpha, beta, err.max())
 
 
-def test_monic_row_leaving_the_range_on_the_first_step_the_bound_allows(monkeypatch):
-    # the monic bound's analogue of the orthonormal test above: after step 1
-    # the pair is (c, -c), and step 2 maps it to (-c, (x - b[2]) (-c) -
-    # c[1] c) = (-c, -8c), growth by exactly X + B + max c = 0 + 4 + 4, with
-    # c the float just above 1e150 / 8.  The shrink bound (X + B + 1) /
-    # min c = 5 is smaller.  Unpadded, the log bound computes that step 2
-    # stays in range; with the slack the kernel tests, and rescales, at step 2
-    c = float(np.nextafter(_kernels._HI / 8.0, np.inf))
-    row = (np.array([0.0]), np.array([-c, 1.0, -4.0]), np.array([1.0, 4.0, 1.0]), 0.0, 3)
-    steps = []
-    _plain_monic(*row, steps)
-    assert steps == [2]
-    unpadded = _kernels._log_growth_monic(*row[:3], 3) - _kernels._SLACK
-    assert math.log(_kernels._HI / c) / unpadded >= 1.0
-    calls = []
-    reduce_min = _kernels._min
-    monkeypatch.setattr(_kernels, "_min", lambda *args: calls.append(1) or reduce_min(*args))
-    got = _kernels.monic_recurrence(*row)
-    assert len(calls) == 2
-    assert [g.tobytes() for g in got] == [r.tobytes() for r in _plain_monic(*row)]
+def test_monic_row_leaving_the_range_on_the_first_step_the_bound_allows():
+    # at x = 1 the pair starts at (1, 1 - b[0]) = (1, top), with top the
+    # float just above 1e150 / 8, and step 1 maps it to (top, (1 - b[1]) top
+    # - c[0]) = (top, 8 top): growth by the bound 1 + |b[1]| + c[0] up to
+    # c[0] = 2^-80, out of range by one ulp.  Unpadded, the log bound
+    # computes that step 1 stays in range; with the slack the schedule
+    # renormalizes before it
+    top = float(np.nextafter(_kernels._HI / 8.0, np.inf))
+    b, c = np.array([-top, -7.0]), np.array([2.0**-80, 1.0])
+    assert (1.0 - b[0], (1.0 - b[1]) * (1.0 - b[0]) - c[0]) == (top, 8.0 * top) and 8.0 * top > _kernels._HI
+    assert math.log1p(top) + math.log(8.0 + c[0]) <= math.log(_kernels._HI)
+    assert _kernels._renormalizations(b, c, 2) == [1]
+    row = (np.array([1.0, 0.5, -1.0]), b, c, 0.0, 2)
+    _assert_monic_bits(row, _plain_monic(*row))
+    # the schedules of two scan-grid families: (14, 50, 50) is never
+    # renormalized, (400, 1e5, 1e5) nine times
+    for (k, alpha), steps in (((14, 50.0), 0), ((400, 1e5), 9)):
+        row = _monic_row(np.array([0.0]), k, alpha, alpha)
+        assert len(_kernels._renormalizations(*row[1:3], k)) == steps
+
+
+def test_monic_row_whose_steps_exceed_the_range_stays_finite():
+    # every c[m-1] = 1e200 lets step m grow the pair by 1e200, and every
+    # c[m-1] = 1e-200 lets it shrink by 2e200, each beyond the 1e300 band
+    # alone: the schedule renormalizes before every step, and the values,
+    # which unscaled overflow or underflow within two steps, stay finite
+    # with the plain loop's bits
+    x = np.array([0.0, 0.5, -0.25, 1.0, -1.0, 1e-17])
+    for c in (1e200, 1e-200):
+        row = (x, np.zeros(8), np.full(8, c), 0.0, 8)
+        assert _kernels._renormalizations(*row[1:3], 8) == list(range(1, 8))
+        got = _assert_monic_bits(row, _plain_monic(*row))
+        assert np.isfinite(got).all() and (got[0] != 0.0).any()
+        pm, pc = np.ones(x.size), x.copy()
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for _ in range(1, 8):
+                pm, pc = pc, x * pc - c * pm
+        assert not (np.isfinite(pc) & (np.abs(pc) > 1e-300)).all()
 
 
 def test_monic_pair_flags_the_zeros_of_p_k(monkeypatch):
@@ -595,6 +671,15 @@ def test_kernel_batch_invariance_bitwise():
                 v1, o1 = parts(p, x[i : i + 1])
                 assert v1.tobytes() == val[i : i + 1].tobytes(), (parts.__name__, p, xi)
                 assert o1.tobytes() == off[i : i + 1].tobytes(), (parts.__name__, p, xi)
+        # the monic pair's four value arrays and its flags, which the scan
+        # grids and the joint scans read, at the interior points
+        inner = x[np.abs(x) < 1.0]
+        *parts, near = eval_value_and_deriv_monic(p, inner)
+        for i, xi in enumerate(inner):
+            *one, one_near = eval_value_and_deriv_monic(p, inner[i : i + 1])
+            for j, (v1, v) in enumerate(zip(one, parts)):
+                assert v1.tobytes() == v[i : i + 1].tobytes(), (j, p, xi)
+            assert one_near.tolist() == ([0] if i in near else []), (p, xi)
 
 
 _PAIR_DEGREES = [1, 2, 50, 400]

@@ -1,6 +1,9 @@
 """The helper scripts under scripts/."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,19 @@ def test_extrema_diff_of_a_checkout_against_itself_reports_nothing(capsys):
     ]
     # an error on either side that the other does not share is a difference
     assert diff.compare("GridTooCoarseError: a", "GridTooCoarseError: b") == (["error"], 0.0)
+
+
+def test_kernel_bench_of_a_checkout_against_itself(tmp_path):
+    # a subprocess, since the script pins its process to one CPU
+    out = tmp_path / "BENCH_kernels.json"
+    argv = [sys.executable, str(SCRIPTS / "kernel_bench.py"), str(SCRIPTS.parent), "--limit", "3", "--repeats", "1"]
+    done = subprocess.run(argv + ["--out", str(out)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pinned to CPU ")
+    assert [line.split(":")[0] for line in lines[1:]] == ["monic_recurrence", "recurrence"]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["items"] == 3 and doc["repeats"] == 1
+    monic = doc["entries"]["monic_recurrence"]
+    assert monic["calls"] == 3 and monic["point_steps"] > 0 and min(monic["seconds"]) > 0.0
+    assert f"{monic['calls']} calls" in lines[1]
