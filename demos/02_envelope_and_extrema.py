@@ -1,8 +1,9 @@
 """Locate every local extremum of the weighted square and check the envelope.
 
 The scan brackets sign changes of the derivative on an oscillation-aware
-grid, bisects each bracket to full precision, and classifies the critical
-points.  Interior maxima must land exactly on the envelope function S.
+grid, locates each bracket's root to full precision by Newton steps (and,
+where alpha = beta on a symmetric window, by bisection), and classifies the
+critical points.  Interior maxima must land exactly on the envelope function S.
 """
 
 from jacobimax import Params, Window, global_max, scan_extrema, sonin_S

@@ -6,13 +6,17 @@ the window factor that jacobi owns, so that f' = u q with q = y' + y (ln u)'
 (jacobi._dln_window_factor).  The signs of y and of q are sampled on an
 angle-uniform grid, cross-checked at four times the density, and bracketed;
 both families' brackets then form one array.  Each bracket's root is located
-by a cubic Hermite fit to the grid values and Newton steps on fresh values.
-y's roots are these Newton roots, unless Newton did not converge.  q's roots,
-which decide which of two mirror-image maxima global_max reports, are those
-that bisecting q's computed sign function would give, to the last bit: each
-round replays the bisection's midpoint sequence against the located roots, and
-signs are evaluated, in one batch per round, only at the midpoints too close
-to a root to decide.  An unconverged y bracket is bisected the same way on y.
+by a cubic Hermite fit to the grid values and Newton steps on fresh values,
+and a converged Newton root is the root.  Two kinds of bracket are bisected
+instead, to the last bit that bisecting their computed sign function would
+give: one whose Newton root did not converge, and every bracket of q on a
+window where M has a mirror image, alpha = beta on a symmetric window.  There
+P_k(-x) = (-1)^k P_k(x), the maxima come in mirror pairs whose heights agree
+only up to rounding, and the bisection's bits, not the last ulps of a Newton
+root, decide which of the two global_max reports.  Each round replays the
+bisection's midpoint sequence against the located roots, and signs are
+evaluated, in one batch per round, only at the midpoints too close to a root
+to decide.
 
 One evaluator, _signs, computes every sign and value the scan uses: both
 grids, every Newton step and every refinement round.  It takes y and y' from
@@ -23,18 +27,20 @@ re-evaluated by that route.  The grids, the largest kernel rows, take the
 pair from the division-free monic recurrence; a node where y or q is too
 close to 0 for the two normalizations to be sure to agree is re-evaluated on
 the orthonormal one and carries the orthonormal pipeline's bits, so every grid
-sign, and with them the brackets, the count checks and every q root, is the
-orthonormal pipeline's, and so are the values at a node-exact root.
-Otherwise the grid's values only seed the Hermite fits, so a minimum, a Newton
-root of y, can move by ulps with them; Newton steps and refinement rounds use
-the orthonormal kernel, which fixes every maximum's bits.  P_k at a root is
-read where the scan already evaluates: the grid's pair values at a node-exact
-root, and the refine round's pair call, which takes the round's roots
-alongside its asked midpoints, at the others.  Kinds come from signs the scan
-already has: M = 0 at a root of y, a minimum, and at a root of q, where M' =
-2 u^2 y q, M has a maximum iff y there has q's sign just left of it.  An
-endpoint's record holds ln M's one-sided limit there (jacobi._endpoint_ln_M);
-global_max raises rather than report M = 0.
+sign, and with them the brackets, the count checks and every bisected root,
+is the orthonormal pipeline's, and so are the values at a node-exact root.
+Otherwise the grid's values only seed the Hermite fits, so a Newton root, a
+minimum or a maximum off mirror windows, can move by ulps with them; Newton
+steps and refinement rounds use the orthonormal kernel.  P_k at a root is read
+where the scan already evaluates: the grid's pair values at a node-exact root,
+and otherwise the pair call of the settle round that fixed the root (the
+first round, for a Newton root), which takes the round's roots alongside its
+asked midpoints, or one eval_orthonormal_parts call where the round asks
+nothing.  Kinds come from signs the scan already has: M = 0 at a root of y, a
+minimum, and at a root of q, where M' = 2 u^2 y q, M has a maximum iff y there
+has q's sign just left of it.  An endpoint's record holds ln M's one-sided
+limit there (jacobi._endpoint_ln_M); global_max raises rather than report
+M = 0.
 
 The memo is per (k, alpha, beta), with an entry per window, errors included.
 Windows asked for together are scanned in one pass (_scan): they share every
@@ -421,12 +427,14 @@ def _settle(p: Params, w, lo, hi, s_lo, root, eps, groups):
 
     groups lists the (bracket indices, family) pairs that bisect (_refine),
     one per window and family, since a replay's stopping test spans its
-    call; family 0 reads y's signs, 1 q's.  The other brackets keep their
-    model roots, and the first round reads P_k at them.  Each round replays
-    every live group and makes one _signs call for the points they ask, with
-    the round's roots appended for their pair values alone, so P_k at a final
-    root comes from the pair call of the round that fixed it; a round that
-    asks nothing reads its roots from one eval_orthonormal_parts call.
+    call; family 0 reads y's signs, 1 q's.  _scan lists the brackets whose
+    Newton root did not converge, and every q bracket of a window where M
+    has a mirror image.  The other brackets keep their model roots, and the
+    first round reads P_k at them.  Each round replays every live group and
+    makes one _signs call for the points they ask, with the round's roots
+    appended for their pair values alone, so P_k at a final root comes from
+    the pair call of the round that fixed it; a round that asks nothing reads
+    its roots from one eval_orthonormal_parts call.
     """
     x = root.copy()
     val, off = np.empty(x.size), np.empty(x.size)
@@ -554,12 +562,16 @@ def _scan(p: Params, windows: list[Window]) -> list:
         ends = np.concatenate([left, left + 1])
         with np.errstate(all="ignore"):
             found, eps = _locate(p, wb, xs[ends], tuple(a[ends] for a in parts), is_y, cuts)
-        # y's converged Newton roots are its roots; q's brackets, and y's that
-        # Newton left unconverged, bisect on their own sign function
+        # converged Newton roots are the roots; a bracket Newton left
+        # unconverged, and every q bracket of a window where M has a mirror
+        # image, bisects on its own sign function
         groups = []
-        for c in cuts:
+        for (i, *_), c in zip(kept, cuts):
             yc = is_y[c]
-            for fam, sel in ((0, yc & ~(eps[c] <= 2.0 * _TRUST_FLOOR)), (1, ~yc)):
+            bisect = ~(eps[c] <= 2.0 * _TRUST_FLOOR)
+            if p.is_ultraspherical and windows[i].is_symmetric:
+                bisect |= ~yc
+            for fam, sel in ((0, yc & bisect), (1, ~yc & bisect)):
                 if sel.any():
                     groups.append((np.flatnonzero(sel) + c.start, fam))
         found, val, off = _settle(p, wb, lo, hi, s_lo, found, eps, groups)
@@ -612,12 +624,16 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     weight pushes all activity toward the center), from the monic recurrence
     with the orthonormal kernel's signs (_signs), verifies the root counts
     against a 4x-density pass and, on the full window, that y has all k
-    zeros, and locates each 4x-grid bracket's root by
-    Newton steps (_locate).  A root of y is its Newton root; a root of q is
-    exactly the one that bisecting q's computed sign function from its 4x-grid
-    bracket to a width of 1e-13 gives (_refine), q's sign being the
-    shifted-family route's everywhere (_signs).  A root of y is a minimum; a
-    root of q is a maximum iff y has q's left sign there.
+    zeros, and locates each 4x-grid bracket's root by Newton steps
+    (_locate).  A root is its converged Newton root, within a few ulps of the
+    computed sign change.  Where alpha = beta on a symmetric window, a root of
+    q is instead exactly the one that bisecting q's computed sign function
+    from its 4x-grid bracket to a width of 1e-13 gives (_refine), q's sign
+    being the shifted-family route's everywhere (_signs): the maxima come in
+    mirror pairs there, and these bits pick global_max's one of a pair.  So is
+    a root whose Newton steps did not converge, on y's sign function for a
+    root of y.  A root of y is a minimum; a root of q is a maximum iff y has
+    q's left sign there.
     With k = 0 and alpha = beta = -1/2 on the full window M is the constant
     1/pi, and the list is empty.  A list with no maximum where M vanishes at
     both ends is returned; global_max raises on it.  Results, and the
@@ -644,8 +660,10 @@ def global_max(p: Params, w: Window) -> ExtremumRecord:
     An exact tie in ln M goes to the smaller |x|, then to the larger x.
     Computed ties are almost never exact: when alpha = beta on a symmetric
     window, the two mirror-image maxima agree only up to rounding, and the
-    rounding decides which of them is returned.  Endpoint candidates carry
-    index -1 and their one-sided limit value (0, finite, or inf per the
+    rounding decides which of them is returned.  Their x are the roots that
+    bisecting q's computed sign function gives (scan_extrema), so that choice
+    does not rest on the last ulps of a Newton root.  Endpoint candidates
+    carry index -1 and their one-sided limit value (0, finite, or inf per the
     weight exponents).  A best candidate with M = 0 raises
     GridTooCoarseError: the scan lost the interior maximum.
     """

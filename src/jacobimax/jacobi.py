@@ -54,8 +54,9 @@ _LN2 = math.log(2.0)
 # cancellation factor, where the two routes' y' differ by at most a few
 # 1e-12 per unit in the tests
 _PAIR_GUARD = 1e-6
-# (alpha + beta + 2)^2 in the recurrence's first coefficient overflows above this
-_COEFF_LIMIT = math.sqrt(sys.float_info.max)
+# (alpha + beta + 2)^2 (alpha + beta + 3) in the recurrence's first
+# coefficient overflows from about this alpha + beta on
+_COEFF_LIMIT = sys.float_info.max ** (1.0 / 3.0)
 
 # smallest alpha for which the cube-root bounds below are claimed
 ALPHA_FLOOR = (1.0 + math.sqrt(2.0)) / 4.0
@@ -136,8 +137,10 @@ class WeightedValue(NamedTuple):
 def _recurrence_coeffs(k: int, alpha: float, beta: float):
     """Read-only recurrence arrays b, a (length max(k, 1)) and ln P_0 = -ln h_0 / 2 for plain (k, alpha, beta).
 
-    Raises OverflowError, naming the triple, where alpha + beta + 2 exceeds
-    about 1.34e154 and the first off-diagonal coefficient overflows.
+    Raises OverflowError, naming the triple, where a coefficient would not be
+    finite or a[0] not positive: from alpha + beta of about 5.6e102 on,
+    where the product in a[0] overflows, and a little below that at larger
+    k, where a[1:] overflows.
     """
     s = alpha + beta
     b = np.zeros(max(k, 1))
@@ -147,11 +150,18 @@ def _recurrence_coeffs(k: int, alpha: float, beta: float):
         try:
             s2sq = (s + 2.0) ** 2
         except OverflowError:
+            s2sq = math.inf
+        a[0] = a0 = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / (s2sq * (s + 3.0)))
+        # plain floats overflow to inf without a warning.  a[1:]'s numerator
+        # n1 (n1 + alpha) (n1 + beta) (n1 + s) grows with m, so its last entry,
+        # formed here as below, overflows first; every other product below
+        # overflows only where a[0] does
+        kf = float(k)
+        if not (a0 > 0.0 and math.isfinite(kf * (kf + alpha) * (kf + beta) * (kf + s))):
             raise OverflowError(
                 f"recurrence coefficients overflow for k={k}, alpha={alpha!r}, beta={beta!r}:"
-                f" alpha + beta + 2 must stay below {_COEFF_LIMIT:.4g}"
-            ) from None
-        a[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / (s2sq * (s + 3.0)))
+                f" alpha + beta must stay below about {_COEFF_LIMIT:.2g}"
+            )
         if k > 1:
             n = np.arange(1.0, k)
             n1 = n + 1.0

@@ -349,11 +349,27 @@ def test_extrema_on_an_overflowing_delta_window_is_one_error_line(capsys):
 
 
 def test_extrema_beyond_the_coefficient_limit_is_one_error_line(capsys):
-    # alpha + beta + 2 above 1.341e154 overflows the recurrence coefficients
+    # alpha + beta above about 5.6e102 overflows the recurrence coefficients
     assert main(["extrema", "--k", "3", "--alpha", "1e300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: recurrence coefficients overflow") and err.count("\n") == 1
-    assert "alpha=1e+300" in err and "1.341e+154" in err
+    assert "alpha=1e+300" in err and "5.6e+102" in err
+
+
+@pytest.mark.parametrize("command", [["extrema"], ["eval", "--x", "0.001"]])
+def test_coefficients_that_overflow_to_inf_are_one_error_line(command):
+    # at alpha = beta = 1e103 the product in the first coefficient overflows
+    # to inf without raising; the command names the triple in one error line,
+    # and no numpy warning reaches stderr.  A subprocess, so that stderr holds
+    # every warning as a user would see it
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "jacobimax", command[0], "--k", "3", "--alpha", "1e103", *command[1:]]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: recurrence coefficients overflow for k=3, alpha=1e+103, beta=1e+103")
+    assert done.stderr.count("\n") == 1 and "RuntimeWarning" not in done.stderr
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

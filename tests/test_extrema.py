@@ -279,7 +279,14 @@ def _case_window(p, window):
         return Window(-0.3, 0.9)
     if window == "between-zeros":
         return Window(-0.44, -0.36)
+    if window == "mirror-between-zeros":
+        return Window(-0.04, 0.04)
     return Window.full()
+
+
+def _mirrored(p, w):
+    # M has a mirror image on the window: only there do q's brackets bisect
+    return p.is_ultraspherical and w.is_symmetric
 
 
 def _scan_fresh(p, w):
@@ -314,10 +321,13 @@ def _q_sign(p, w):
         (Params(30, 0.0, 0.0), "between-zeros"),
         # y's brackets only: M diverges at both ends, and k = 1 has no maximum
         (Params(1, -0.7, -0.6), "no-maximum"),
+        # q's brackets only, on a window about 0 where M has a mirror image
+        (Params(30, 0.0, 0.0), "mirror-between-zeros"),
     ],
 )
 def test_refined_roots_match_plain_bisection_bitwise(p, window, monkeypatch):
-    # maxima carry plain bisection's bits; minima are Newton roots of y, within
+    # where M has a mirror image, maxima carry plain bisection's bits; other
+    # maxima are Newton roots of q and minima Newton roots of y, each within
     # the bisection's width of its roots
     w = _case_window(p, window)
     replays = []
@@ -339,14 +349,20 @@ def test_refined_roots_match_plain_bisection_bitwise(p, window, monkeypatch):
     recs = _scan_fresh(p, w)
     maxima = np.array([r.x for r in recs if r.kind == "max"])
     minima = np.array([r.x for r in recs if r.kind == "min"])
-    assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
+    bisected = _bisected_roots(p, w, _q_sign(p, w))
+    if _mirrored(p, w):
+        assert maxima.tobytes() == bisected.tobytes()
+    else:
+        np.testing.assert_allclose(maxima, bisected, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(minima, _bisected_roots(p, w, _y_sign(p, w)), rtol=0.0, atol=1e-13)
     # what makes each added case: later replays that read evaluated signs,
     # or which family has brackets
     if window == "lookup":
         assert len(replays) >= 3 and replays[-1] > 0
-    elif window == "between-zeros":
-        assert replays and len(maxima) == 1 and not minima.size
+    elif window.endswith("between-zeros"):
+        zeros = scipy.special.roots_jacobi(p.k, p.alpha, p.beta)[0]
+        assert not ((zeros > w.d_m) & (zeros < w.d_M)).any()
+        assert bool(replays) == _mirrored(p, w) and len(maxima) == 1 and not minima.size
     elif window == "no-maximum":
         assert not replays and len(minima) == 1
 
@@ -365,6 +381,89 @@ def test_unconverged_newton_bisects_y_bitwise(p, window, monkeypatch):
     maxima = np.array([r.x for r in recs if r.kind == "max"])
     assert minima.size and minima.tobytes() == _bisected_roots(p, w, _y_sign(p, w)).tobytes()
     assert maxima.tobytes() == _bisected_roots(p, w, _q_sign(p, w)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, window, unconverged",
+    [
+        (Params(12, 0.8, 1.9), "full", False),
+        (Params(30, 0.0, 0.0), "custom", False),
+        (Params(40, 3.0, 3.0), "full", False),
+        (Params(40, 3.0, 3.0), "delta", False),
+        (Params(12, 0.8, 1.9), "full", True),
+        (Params(30, 0.0, 0.0), "custom", True),
+    ],
+)
+def test_q_brackets_bisect_only_where_M_has_a_mirror_image(p, window, unconverged, monkeypatch):
+    # a converged Newton root answers its bracket, except that every q
+    # bracket bisects where alpha = beta on a symmetric window: there only
+    # rounding picks which of two mirror maxima global_max reports.  A bracket
+    # whose Newton root did not converge bisects on any window
+    w = _case_window(p, window)
+    replays, groups = [], []
+    replay, settle, locate = extrema._replay, extrema._settle, extrema._locate
+
+    def recording_replay(*args):
+        replays.append(args)
+        return replay(*args)
+
+    def recording_settle(p, w, lo, hi, s_lo, root, eps, bisecting):
+        groups.append({fam: idx.size for idx, fam in bisecting})
+        return settle(p, w, lo, hi, s_lo, root, eps, bisecting)
+
+    def unconverged_locate(*args):
+        root, eps = locate(*args)
+        return root, np.full(eps.size, math.inf)
+
+    monkeypatch.setattr(extrema, "_replay", recording_replay)
+    monkeypatch.setattr(extrema, "_settle", recording_settle)
+    if unconverged:
+        monkeypatch.setattr(extrema, "_locate", unconverged_locate)
+    recs = _scan_fresh(p, w)
+    maxima = sum(r.kind == "max" for r in recs)
+    minima = len(recs) - maxima
+    # bisecting brackets per family (0 y, 1 q); every q root here is a maximum
+    [bisected] = groups
+    if unconverged:
+        assert not _mirrored(p, w) and bisected == {0: minima, 1: maxima} and replays
+    elif _mirrored(p, w):
+        assert bisected.get(1) == maxima and replays
+    else:
+        assert not bisected and not replays
+
+
+@pytest.mark.parametrize(
+    "p, w",
+    [
+        (Params(12, 0.8, 1.9), Window.full()),
+        (Params(9, 1.2, 0.4), Window.full()),
+        (Params(40, -0.3, 4.0), Window.full()),
+        (Params(30, 0.0, 0.0), Window(-0.3, 0.9)),
+        (Params(30, 0.0, 0.0), Window(-0.44, -0.36)),
+        (Params(25, 3.5, 0.2), Window(-0.8, 0.6)),
+        (Params(18, 1.5, 0.0), Window(-0.95, 0.4)),
+        (Params(7, 2.0, 2.0), Window(-0.5, 0.7)),
+    ],
+)
+def test_newton_maxima_are_roots_of_q_from_mpmath(p, w):
+    # off mirror windows a maximum is its converged Newton root of q: within
+    # 1e-13 of the root of q = y' + y (ln u)' that 50-digit mpmath finds from it
+    mpmath = pytest.importorskip("mpmath")
+    assert not _mirrored(p, w)
+    maxima = [r.x for r in scan_extrema(p, w) if r.kind == "max"]
+    assert maxima
+    with mpmath.workdps(50):
+        a, b, k = mpmath.mpf(p.alpha), mpmath.mpf(p.beta), p.k
+        d_m, d_M = mpmath.mpf(w.d_m), mpmath.mpf(w.d_M)
+
+        def q(x):
+            y = mpmath.jacobi(k, a, b, x)
+            dy = (k + a + b + 1) / 2 * mpmath.jacobi(k - 1, a + 1, b + 1, x)
+            dln_u = (1 / (x - d_m) - 1 / (d_M - x)) / 4 - a / (2 * (1 - x)) + b / (2 * (1 + x))
+            return dy + y * dln_u
+
+        shift = max(abs(mpmath.findroot(q, mpmath.mpf(x)) - x) for x in maxima)
+    assert shift <= 1e-13, (p, w, float(shift))
 
 
 @pytest.mark.parametrize("p, counts", [(Params(40, 3.0, 3.0), (3, 1, 4, 1)), (Params(300, 1e5, 1e5), (3, 1, 7, 2))])
@@ -573,9 +672,11 @@ def _answers(p, w):
     ],
 )
 def test_monic_grid_keeps_the_orthonormal_grid_answers(p, window, monkeypatch):
-    # the grid's monic values move only the Hermite seeds: every error,
-    # count, kind, maximum and global maximum is the orthonormal grid's bit
-    # for bit, and minima, Newton roots from those seeds, move by ulps
+    # the grid's monic values move only the Hermite seeds: every error, count
+    # and kind is the orthonormal grid's, and so is every maximum and the
+    # global maximum bit for bit where M has a mirror image and q's roots
+    # bisect; elsewhere maxima, Newton roots of q, move by ulps with the
+    # seeds, as minima, Newton roots of y, do
     w = Window.full() if window == "full" else delta_window(p) if window == "delta" else window
     monic = _answers(p, w)
     ortho_pair = extrema.eval_value_and_deriv_parts
@@ -586,9 +687,15 @@ def test_monic_grid_keeps_the_orthonormal_grid_answers(p, window, monkeypatch):
         return
     (recs, gm), (orecs, ogm) = monic, ortho
     assert [r.kind for r in recs] == [r.kind for r in orecs]
-    # repr shows each float's exact value
-    assert repr([r for r in recs if r.kind == "max"]) == repr([r for r in orecs if r.kind == "max"])
-    assert repr(gm) == repr(ogm)
+    maxima = [r for r in recs if r.kind == "max"] + [gm]
+    omaxima = [r for r in orecs if r.kind == "max"] + [ogm]
+    if _mirrored(p, w):
+        # repr shows each float's exact value
+        assert repr(maxima) == repr(omaxima)
+    else:
+        assert [r.index for r in maxima] == [r.index for r in omaxima]
+        np.testing.assert_allclose([r.x for r in maxima], [r.x for r in omaxima], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose([r.ln_M for r in maxima], [r.ln_M for r in omaxima], rtol=0.0, atol=1e-10)
     shift = [abs(a.x - b.x) for a, b in zip(recs, orecs) if a.kind == "min"]
     assert max(shift, default=0.0) <= 1e-15
 

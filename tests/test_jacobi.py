@@ -1,6 +1,7 @@
 """Orthonormal Jacobi evaluation against closed forms and external oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,15 +233,30 @@ def test_recurrence_coefficients_cached_and_write_protected():
 
 
 def test_recurrence_coefficients_name_the_triple_where_they_overflow():
-    # (alpha + beta + 2)^2 overflows above sqrt(DBL_MAX) = 1.341e154: the
-    # error names the triple and the limit, a triple just below it still
-    # returns its arrays, and a verify row that reaches it is a numeric failure
-    with pytest.raises(OverflowError, match=r"k=3, alpha=1e\+300, beta=1\.0: alpha \+ beta \+ 2 must stay below 1\.341e\+154"):
+    # (alpha + beta + 2)^2 (alpha + beta + 3) overflows above cbrt(DBL_MAX) =
+    # 5.6e102, and (alpha + beta + 2)^2 alone raises above 1.341e154: the
+    # error names the triple and the limit either way, a triple just below
+    # the limit still returns its arrays, and a verify row that reaches it is
+    # a numeric failure
+    with pytest.raises(OverflowError, match=r"k=3, alpha=1e\+300, beta=1\.0: alpha \+ beta must stay below about 5\.6e\+102"):
         _recurrence_coeffs(3, 1e300, 1.0)
     with pytest.raises(OverflowError, match="beta=7e\\+153"):
         _recurrence_coeffs(1, 7e153, 7e153)
-    assert _recurrence_coeffs(1, 6e153, 6e153)[0][0] == 0.0
+    b, a, _ = _recurrence_coeffs(1, 2.8e102, 2.8e102)
+    assert b[0] == 0.0 and a[0] > 0.0
     assert run_check("pointwise", Params(3, 1e300, 1.0)).status == NUMERIC_FAILURE
+
+
+@pytest.mark.parametrize("k, alpha", [(3, 3e102), (3, 1e120), (400, 2.8e102)])
+def test_recurrence_coefficients_that_would_overflow_silently_raise(k, alpha, recwarn):
+    # at (3, 3e102) the product in a[0] overflows to inf and a[0] would read
+    # 0; at (3, 1e120) a[1:] would read inf too, with numpy warnings; at
+    # (400, 2.8e102), below the first coefficient's limit, a[1:] overflows
+    # at larger m.  Each raises the triple's error, and warns of nothing
+    triple = re.escape(f"k={k}, alpha={alpha!r}, beta={alpha!r}: alpha + beta must stay below")
+    with pytest.raises(OverflowError, match=triple):
+        _recurrence_coeffs(k, alpha, alpha)
+    assert not recwarn.list
 
 
 def _plain_recurrence(x, b, a, ln_start, k, rescaled=None):

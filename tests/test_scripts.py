@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import jacobimax.cli  # extrema_diff parses cli windows through its package's cli
+
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
@@ -36,9 +38,30 @@ def test_extrema_diff_of_a_checkout_against_itself_reports_nothing(capsys):
     assert out.splitlines() == [
         "6 items: 0 error differ, 0 count or kind differ, 0 maximum differ, 0 global maximum differ",
         "largest minimum shift 0",
+        "largest maximum shift 0 in x, 0 in ln M",
+        "0 items differ, 0 of them on a mirror window; global maximum index differs on 0",
     ]
     # an error on either side that the other does not share is a difference
-    assert diff.compare("GridTooCoarseError: a", "GridTooCoarseError: b") == (["error"], 0.0)
+    assert diff.compare("GridTooCoarseError: a", "GridTooCoarseError: b") == (["error"], (0.0, 0.0, 0.0, False))
+
+
+def test_extrema_diff_sizes_a_moved_maximum():
+    # a maximum moved by 2^-50 in x and 1e-12 in ln M: a bit-level difference,
+    # sized; the global maximum moved to another record, and the minimum stayed
+    diff = _load("extrema_diff")
+    rec = jacobimax.ExtremumRecord
+    lo, top, edge = rec(0, -0.5, 0.1, -2.3, "min"), rec(1, 0.25, 0.5, -0.7, "max"), rec(-1, 1.0, 0.4, -0.9, "max")
+    moved = rec(1, 0.25 + 2.0**-50, 0.5, -0.7 + 1e-12, "max")
+    diffs, (min_shift, x_shift, ln_shift, index_moved) = diff.compare(([lo, top], top), ([lo, moved], edge))
+    assert diffs == ["maximum", "global maximum"] and min_shift == 0.0 and index_moved
+    # the global maximum's own record moved by 0.75 in x
+    assert x_shift == 0.75 and ln_shift == abs(-0.7 - -0.9)
+    diffs, (_, x_shift, ln_shift, index_moved) = diff.compare(([lo, top], top), ([lo, moved], moved))
+    assert diffs == ["maximum", "global maximum"] and not index_moved
+    assert x_shift == 2.0**-50 and ln_shift == abs(-0.7 - (-0.7 + 1e-12))
+    # M has a mirror image only where alpha = beta on a symmetric window
+    cases = [(1.0, 1.0, "delta"), (1.0, 1.0, (-0.5, 0.5)), (1.0, 2.0, "full"), (1.0, 1.0, (-0.5, 0.6))]
+    assert [diff.mirrored(jacobimax, ("x", 5, a, b, w)) for a, b, w in cases] == [True, True, False, False]
 
 
 def test_kernel_bench_of_a_checkout_against_itself(tmp_path):
