@@ -60,6 +60,21 @@ def load_package(src: Path, name: str):
     return pkg
 
 
+def checkout_src(path: Path) -> Path:
+    """The src/ directory of the checkout at path: path itself or path/src; exit 2 with one line if neither is."""
+    for src in (path.resolve(), path.resolve() / "src"):
+        if (src / "jacobimax" / "__init__.py").is_file():
+            return src
+    print(f"error: neither {path} nor {path / 'src'} holds jacobimax/__init__.py", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def pool(name: str, limit=None):
+    """The first `limit` items of perfbench's named pool (all of them by default), in pool order."""
+    doc = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
+    return [item for stratum in doc["pool"] for item in stratum][:limit]
+
+
 def package_caches(name: str):
     """Every functools cache in the package imported as `name`."""
     seen = {}
@@ -131,11 +146,13 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3, help="runs per item and side; the best counts")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json", help="JSON results file")
     args = ap.parse_args(argv)
-    other = args.other_src.resolve()
+    pools = args.pools.split(",")
+    unknown = [name for name in pools if name not in wl.WORKLOADS]
+    if unknown:
+        ap.error(f"unknown pool {', '.join(unknown)}; the pools are {', '.join(wl.WORKLOADS)}")
+    other = checkout_src(args.other_src)
     cpu, cpu_probe_ms = pin_to_fastest_cpu()
     print(f"pinned to CPU {cpu} (probe ms per CPU: {cpu_probe_ms})", flush=True)
-    if not (other / "jacobimax").is_dir():
-        other = other / "src"
     with tempfile.TemporaryDirectory(prefix="ab_pools-") as tmp:
         sides = []
         for src, name in ((ROOT / "src", "jacobimax_this"), (other, "jacobimax_other")):
@@ -151,7 +168,7 @@ def main(argv=None) -> int:
             "pools": {},
         }
         tol = json.loads((PERFBENCH / "tolerances.json").read_text(encoding="utf-8"))
-        for name in args.pools.split(","):
+        for name in pools:
             best, differ, gate = ab_pool(wl.WORKLOADS[name], sides, args.repeats, tol)
             sums = best.sum(axis=0)
             p50 = np.percentile(best, 50, axis=0)

@@ -34,7 +34,7 @@ sys.path.insert(0, str(SCRIPTS))
 
 import numpy as np  # noqa: E402
 
-from ab_pools import PERFBENCH, load_package, package_caches, pin_to_fastest_cpu, wl  # noqa: E402
+from ab_pools import checkout_src, load_package, package_caches, pin_to_fastest_cpu, pool, wl  # noqa: E402
 
 ENTRIES = ("monic_recurrence", "recurrence")
 
@@ -96,24 +96,21 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=3, help="runs per call and side; the best counts")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json", help="JSON results file")
     args = ap.parse_args(argv)
-    other = args.other_src.resolve()
-    if not (other / "jacobimax").is_dir():
-        other = other / "src"
+    other = checkout_src(args.other_src)
     cpu, cpu_probe_ms = pin_to_fastest_cpu()
     print(f"pinned to CPU {cpu} (probe ms per CPU: {cpu_probe_ms})", flush=True)
-    doc = json.loads((PERFBENCH / "reference" / "extrema-cli.json").read_text(encoding="utf-8"))
-    pool = [item for stratum in doc["pool"] for item in stratum][: args.limit]
+    items = pool("extrema-cli", args.limit)
     this = load_package(ROOT / "src", "jacobimax_this")
     that = load_package(other, "jacobimax_other")
     with tempfile.TemporaryDirectory(prefix="kernel_bench-") as tmp:
-        calls = record_calls(this, package_caches("jacobimax_this"), pool, Path(tmp))
+        calls = record_calls(this, package_caches("jacobimax_this"), items, Path(tmp))
     entries = replay(calls, [this._kernels, that._kernels], args.repeats)
     results = {
         "this": str(ROOT / "src"),
         "other": str(other),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "items": len(pool),
+        "items": len(items),
         "repeats": args.repeats,
         "cpu": cpu,
         "cpu_probe_ms": cpu_probe_ms,

@@ -154,6 +154,17 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """--jobs: a whole number of worker threads, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, not {text!r}")
+    return jobs
+
+
 def _add_param_flags(sub, with_x: bool) -> None:
     sub.add_argument("--k", type=int, required=True, help="polynomial degree")
     sub.add_argument("--alpha", type=float, required=True, help="first weight exponent")
@@ -189,14 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None, help="JSON sweep config supplying the grid")
     s.add_argument("--out", default=None, help="write the full report to this path")
     s.add_argument("--format", choices=["csv", "json"], default="csv", help="report format")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads (at most one per CPU)")
+    s.add_argument("--jobs", type=_jobs, default=1, help="worker threads (at most one per CPU)")
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("sweep", help="run a configured grid sweep and write the report")
     s.add_argument("--config", required=True, help="JSON sweep config")
     s.add_argument("--out", default=None, help="report path (overrides config output.path)")
     s.add_argument("--format", choices=["csv", "json"], default=None, help="report format")
-    s.add_argument("--jobs", type=int, default=1, help="worker threads (at most one per CPU)")
+    s.add_argument("--jobs", type=_jobs, default=1, help="worker threads (at most one per CPU)")
     s.set_defaults(func=_cmd_sweep)
 
     s = subs.add_parser("fit", help="fit a growth exponent to report rows")

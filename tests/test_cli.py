@@ -133,6 +133,18 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_usage_error(capsys, tmp_path, jobs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": ["gamma_ratio"], "k_spec": {"min": 2, "max": 2}, "alpha_spec": [1.0]}))
+    commands = (["verify", "--check", "all"], ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")])
+    for command in commands:
+        code, out, err = run(capsys, command + ["--jobs", jobs])
+        assert code == 2 and not out, command
+        assert f"argument --jobs: must be a whole number of at least 1, not '{jobs}'" in err, command
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_verify_with_config_file(capsys, tmp_path):
     cfg = {
         "checks": ["gamma_ratio", "thm1_ratio"],
