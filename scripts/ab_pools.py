@@ -69,6 +69,17 @@ def checkout_src(path: Path) -> Path:
     raise SystemExit(2)
 
 
+def whole(text: str) -> int:
+    """An argparse type: a whole number of at least 1, or a usage error."""
+    try:
+        number = int(text)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, not {text!r}")
+    return number
+
+
 def pool(name: str, limit=None):
     """The first `limit` items of perfbench's named pool (all of them by default), in pool order."""
     doc = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text(encoding="utf-8"))
@@ -143,7 +154,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other_src", type=Path, help="the other checkout's src/ directory, or the checkout")
     ap.add_argument("--pools", default="verify-sweep,extrema-cli,scalar-checks", help="comma-separated workloads")
-    ap.add_argument("--repeats", type=int, default=3, help="runs per item and side; the best counts")
+    ap.add_argument("--repeats", type=whole, default=3, help="runs per item and side; the best counts")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json", help="JSON results file")
     args = ap.parse_args(argv)
     pools = args.pools.split(",")

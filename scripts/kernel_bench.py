@@ -34,7 +34,7 @@ sys.path.insert(0, str(SCRIPTS))
 
 import numpy as np  # noqa: E402
 
-from ab_pools import checkout_src, load_package, package_caches, pin_to_fastest_cpu, pool, wl  # noqa: E402
+from ab_pools import checkout_src, load_package, package_caches, pin_to_fastest_cpu, pool, whole, wl  # noqa: E402
 
 ENTRIES = ("monic_recurrence", "recurrence")
 
@@ -92,8 +92,8 @@ def replay(calls, kernel_modules, repeats: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other_src", type=Path, help="the other checkout's src/ directory, or the checkout")
-    ap.add_argument("--limit", type=int, help="only the first N items of the extrema-cli pool")
-    ap.add_argument("--repeats", type=int, default=3, help="runs per call and side; the best counts")
+    ap.add_argument("--limit", type=whole, help="only the first N items of the extrema-cli pool")
+    ap.add_argument("--repeats", type=whole, default=3, help="runs per call and side; the best counts")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json", help="JSON results file")
     args = ap.parse_args(argv)
     other = checkout_src(args.other_src)

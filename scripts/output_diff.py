@@ -46,7 +46,7 @@ sys.path.insert(0, str(SCRIPTS))
 
 import numpy as np  # noqa: E402
 
-from ab_pools import checkout_src, load_package, package_caches, pool  # noqa: E402
+from ab_pools import checkout_src, load_package, package_caches, pool, whole  # noqa: E402
 
 K_SPEC = {"min": 0, "max": 13}
 # the beta_mode of each named sweep
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other_src", type=Path, help="the other checkout's src/ directory, or the checkout")
     ap.add_argument("--only", metavar="F[,F...]", help="run only the named families")
-    ap.add_argument("--limit", type=int, help="only the first N items of each pool and of the random draw")
+    ap.add_argument("--limit", type=whole, help="only the first N items of each pool and of the random draw")
     args = ap.parse_args(argv)
     wanted = FAMILIES if args.only is None else args.only.split(",")
     unknown = [name for name in wanted if name not in FAMILIES]

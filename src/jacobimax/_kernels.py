@@ -10,9 +10,10 @@ arithmetic would produce.  There are two kernels, one loop each:
   P_{m-1}) / a_m.  Every value that decides an answer's bits comes from it:
   single points, the derivative families, the scan's Newton steps and
   refinement rounds, and every verify row.  Its pair is rescaled only when
-  its magnitude has left [1e-150, 1e150]: a range test, spaced by one growth
-  bound per call, finds those points, and only they are rescaled, so every
-  value and offset is the one a test after every step would give.
+  its larger magnitude, max(|P_m|, |P_{m-1}|), has left [1e-150, 1e150]: a
+  range test of that magnitude, spaced by one growth bound of it per call,
+  finds those points, and only they are rescaled, so every value and offset
+  is the one a test after every step would give.
 - monic_recurrence, the division-free one (Gautschi, Orthogonal Polynomials:
   Computation and Approximation, 2004, 1.3), p_{m+1} = (x - b_m) p_m -
   c_{m-1} p_{m-1} with c = a^2, which the caller turns into P_k by a log
@@ -82,10 +83,8 @@ def recurrence(x, b, a, ln_start, k):
     """
     n = x.shape[0]
     off = np.full(n, float(ln_start))
-    if k == 0:
+    if k == 0 or n == 0:
         return np.ones(n), np.zeros(n), off
-    if n == 0 or k == 1:
-        return (x - b[0]) / a[0], np.ones(n), off
     # each step's coefficients as 0-d arrays, the operands numpy applies fastest
     ac = [a[m, ...] for m in range(k)]
     bc = None if _centred(b, k) else [b[m, ...] for m in range(k)]
@@ -109,32 +108,24 @@ def recurrence(x, b, a, ln_start, k):
         pm, pc, t = pc, t, pm
         if m >= check:
             check = m + 1
+            # the pair's larger magnitude, the one number each decision reads
             np.abs(pc, t)
+            np.maximum(t, np.abs(pm), out=t)
             low, top = _min(t, None), _max(t, None)
             if low >= _LO and top <= _HI:
-                # |pm| <= _HI holds from the previous step, except for step
-                # 1's pm, the untested (x - b[0]) / a[0]
-                top = max(top, _max(np.abs(pm), None))
-            if low >= _LO and top <= _HI:
-                # no element needs rescaling, and every pair magnitude lies
-                # in [low, top]: j more steps keep it in range while
-                # j * growth stays within the log distance to either end
+                # no point needs rescaling, and every pair magnitude lies in
+                # [low, top]: j more steps keep it in range while j * growth
+                # stays within the log distance to either end
                 if check < k:
                     if growth is None:
                         growth = _log_growth(x, b, a, k)
                     check += int(min(math.log(_HI / top), math.log(low / _LO)) / growth)
             else:
-                # only a point with |pc| outside [_LO, _HI] can need it, and
-                # at step 1 a point whose pm is above _HI
-                cand = (t < _LO) | (t > _HI)
-                if m == 1:
-                    cand |= np.abs(pm) > _HI
-                c = np.flatnonzero(cand)
-                mag = np.maximum(t[c], np.abs(pm[c]))
-                bad = (mag > _HI) | ((mag > 0.0) & (mag < _LO))
-                c, mag = c[bad], mag[bad]
+                # rescale the points whose pair left the range; a zero or
+                # nan pair is left as it is
+                c = np.flatnonzero((t > _HI) | ((t > 0.0) & (t < _LO)))
                 if c.size:
-                    e = np.floor(np.log2(mag)).astype(np.int64)
+                    e = np.floor(np.log2(t[c])).astype(np.int64)
                     sc = np.ldexp(1.0, -e)
                     pc[c] *= sc
                     pm[c] *= sc
@@ -187,10 +178,8 @@ def monic_recurrence(x, b, c, ln_start, k):
     end, so it carries one rounding however often the pair was renormalized.
     """
     n = x.shape[0]
-    if k == 0:
+    if k == 0 or n == 0:
         return np.ones(n), np.zeros(n), np.full(n, float(ln_start))
-    if n == 0 or k == 1:
-        return x - b[0], np.ones(n), np.full(n, float(ln_start))
     cc = [c[m, ...] for m in range(k - 1)]
     bc = None if _centred(b, k) else [b[m, ...] for m in range(k)]
     pm = np.ones(n)

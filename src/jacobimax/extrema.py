@@ -219,8 +219,6 @@ def _root_structure(s: np.ndarray):
     """Indices of the node-exact roots, and of the left node of each bracket of opposite signs."""
     exact = np.flatnonzero(s == 0.0)
     nz = np.flatnonzero(s != 0.0)
-    if nz.size < 2:
-        return exact, np.empty(0, dtype=np.intp)
     left = nz[:-1]
     right = nz[1:]
     flip = (right == left + 1) & (s[left] * s[right] < 0.0)

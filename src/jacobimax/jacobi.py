@@ -208,15 +208,12 @@ def _points(x) -> np.ndarray:
 
 
 def eval_orthonormal_parts(p: Params, x) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evaluation as (significand, ln offset) arrays.
+    """P_k as (significand, ln offset) arrays: order 0 of eval_derivatives_parts.
 
     P_k(x[i]) = val[i] * exp(off[i]); significands never overflow because the
     recurrence renormalizes by exact powers of two.
     """
-    xs = _points(x)
-    b, a, ln_p0 = _recurrence_coeffs(p.k, p.alpha, p.beta)
-    val, _, off = _kernels.recurrence(xs, b, a, ln_p0, p.k)
-    return val, off
+    return eval_derivatives_parts(p, [x])[0]
 
 
 def eval_orthonormal(p: Params, x: float) -> ScaledReal:
@@ -245,8 +242,7 @@ def eval_derivatives_parts(p: Params, points) -> list[tuple[np.ndarray, np.ndarr
     beta + j) and ln c_j the sum of _deriv_ln_prefactor down the chain p,
     (k-1, alpha+1, beta+1), ...  Returns one (significand, ln offset) pair
     per order; orders above k are (0, 0), and an order without points makes
-    no kernel call.  Order 0 has the bits of eval_orthonormal_parts at every
-    point.
+    no kernel call.
     """
     pts = [_points(x) for x in points]
     fams = [(p.k, p.alpha, p.beta)] + [(p.k - j, p.alpha + j, p.beta + j) for j in range(1, min(len(pts), p.k + 1))]

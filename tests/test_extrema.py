@@ -265,6 +265,19 @@ def _bisect_reference(signfn, lo, hi, s_lo, tol):
     return 0.5 * (lo + hi)
 
 
+@pytest.mark.parametrize(
+    "signs, exact",
+    [([], []), ([0.0, 0.0, 0.0], [0, 1, 2]), ([0.0, -1.0, 0.0], [0, 2]), ([1.0, 0.0, -1.0, 0.0], [1, 3])],
+    ids=["empty", "all-zero", "one-nonzero", "two-nonzero-apart"],
+)
+def test_root_structure_of_sparse_sign_arrays(signs, exact):
+    # fewer than two nonzero signs, or two with a zero between them, bracket
+    # nothing: every root is node-exact
+    got_exact, left = _root_structure(np.array(signs))
+    assert got_exact.tolist() == exact
+    assert left.size == 0 and left.dtype == np.intp
+
+
 def _bisected_roots(p, w, signfn, tol=1e-13):
     xs4 = _scan_points(p, w, 4 * max(64, 12 * (p.k + 2)))
     exact, left = _root_structure(signfn(xs4))

@@ -411,6 +411,21 @@ def test_row_leaving_the_range_on_the_first_step_the_bound_allows(monkeypatch):
     _assert_plain_bits([row])
 
 
+def test_range_test_reads_the_pair_not_its_last_member(monkeypatch):
+    # step 1 makes P_2(0.5) exactly 0 while P_1(0.5) = 1: the pair's
+    # magnitude, 1, is in range, so the growth bound spaces the next test
+    # past the row's end and the kernel tests once
+    k = 10
+    row = (np.array([0.5]), np.zeros(k), np.concatenate([[0.5], np.ones(k - 1)]), 0.0, k)
+    steps = []
+    _plain_recurrence(*row, steps)
+    assert steps == []
+    val, prev, _ = _plain_recurrence(*row[:4], 2)
+    assert val[0] == 0.0 and prev[0] == 1.0
+    assert _range_tests(monkeypatch, row) == 1
+    _assert_plain_bits([row])
+
+
 def test_untested_first_pair_above_the_range_is_rescaled_on_step_one():
     # step 1's pm, (x - b[0]) / a[0] = 5e159, is above 1e150 while every
     # |pc| lies inside the range: the pair is rescaled on step 1, and step 2

@@ -56,8 +56,17 @@ POOLS = "extrema-cli, verify-sweep, scalar-checks"
         ("ab_pools", ["--pools", "extrema-cli,nope"], f"unknown pool nope; the pools are {POOLS}"),
     ]
     + [(script, None, f"error: neither {NOWHERE} nor {NOWHERE / 'src'} holds jacobimax/__init__.py")
-       for script in ("ab_pools", "kernel_bench", "output_diff")],
-    ids=["unknown-family", "unknown-pool", "ab_pools-no-package", "kernel_bench-no-package", "output_diff-no-package"],
+       for script in ("ab_pools", "kernel_bench", "output_diff")]
+    # a count below 1 is refused, not read as a slice end or an empty best-of
+    + [(script, [flag, text], f"argument {flag}: must be a whole number of at least 1, not {text!r}")
+       for script, flag, text in (
+           ("output_diff", "--limit", "-399"), ("kernel_bench", "--limit", "0"), ("kernel_bench", "--repeats", "0"),
+           ("ab_pools", "--repeats", "-2"), ("ab_pools", "--repeats", "two"),
+       )],
+    ids=[
+        "unknown-family", "unknown-pool", "ab_pools-no-package", "kernel_bench-no-package", "output_diff-no-package",
+        "output_diff-limit", "kernel_bench-limit", "kernel_bench-repeats", "ab_pools-repeats", "ab_pools-repeats-text",
+    ],
 )
 def test_scripts_refuse_bad_arguments_before_any_work(script, argv, message, capsys, monkeypatch):
     mod = _load(script)
