@@ -1,19 +1,20 @@
 """In-process A/B timing of this checkout's jacobimax against another checkout's.
 
-    python3 scripts/ab_pools.py OTHER_SRC [--pools P[,P...]] [--repeats 3] [--out BENCH_ab.json]
+    python3 scripts/ab_pools.py OTHER_SRC [--pools P[,P...]] [--repeats 3] [--limit N] [--out BENCH_ab.json]
 
 OTHER_SRC is the other checkout's src/ directory (or the checkout itself).
 Both packages are imported into one process under two module names, which
 works because the package uses only relative imports.  Every item of each
-perfbench pool (perfbench/reference/<pool>.json, read only for its inputs) is
-run through perfbench's own workload runners on both packages, with every
-cache of the package cleared first and the order of the two alternating from
-one repeat and one item to the next; each side's time for an item is the best
-of --repeats.  Timing both in one process, item by item, keeps a drift in CPU
-speed on a shared host out of the ratios.  The process pins itself to its
-fastest CPU first, as perfbench does, so the scheduler cannot move it between
-CPUs of different speed from one item's run on one side to its run on the
-other; the CPU goes to the JSON file as "cpu".
+perfbench pool (perfbench/reference/<pool>.json, read only for its inputs),
+or each of its first N items with --limit N, is run through perfbench's own
+workload runners on both packages, with every cache of the package cleared
+first and the order of the two alternating from one repeat and one item to
+the next; each side's time for an item is the best of --repeats.  Timing
+both in one process, item by item, keeps a drift in CPU speed on a shared
+host out of the ratios.  The process pins itself to its fastest CPU first, as
+perfbench does, so the scheduler cannot move it between CPUs of different
+speed from one item's run on one side to its run on the other; the CPU goes
+to the JSON file as "cpu".
 
 Per pool it prints the ratios this / other of the summed item times, of the
 item-time medians and of the 90th percentiles, and the number of items whose
@@ -113,16 +114,17 @@ def run_once(w, side, item):
     return dt, w.summarize(raw)
 
 
-def ab_pool(w, sides, repeats: int, tol: dict):
+def ab_pool(w, sides, repeats: int, tol: dict, limit=None):
     """Best-of-repeats times of every pool item on both sides, the items whose summaries differ, and this side's gate.
 
     The gate is perfbench's check of this side's summaries against the
     recorded references: operations, failed operations, the failures the
-    reference shares, and every mismatch.
+    reference shares, and every mismatch.  limit takes the first items of
+    the pool, each with its reference.
     """
     doc = json.loads((PERFBENCH / "reference" / f"{w.name}.json").read_text())
-    pool = [item for stratum in doc["pool"] for item in stratum]
-    refs = [ref for stratum in doc["reference"] for ref in stratum]
+    pool = [item for stratum in doc["pool"] for item in stratum][:limit]
+    refs = [ref for stratum in doc["reference"] for ref in stratum][:limit]
     if w.name == "verify-sweep":
         # both sides share one work directory
         for item in [w.warmup] + pool:
@@ -155,6 +157,7 @@ def main(argv=None) -> int:
     ap.add_argument("other_src", type=Path, help="the other checkout's src/ directory, or the checkout")
     ap.add_argument("--pools", default="verify-sweep,extrema-cli,scalar-checks", help="comma-separated workloads")
     ap.add_argument("--repeats", type=whole, default=3, help="runs per item and side; the best counts")
+    ap.add_argument("--limit", type=whole, help="run only the first N items of each pool")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_ab.json", help="JSON results file")
     args = ap.parse_args(argv)
     pools = args.pools.split(",")
@@ -174,13 +177,14 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "repeats": args.repeats,
+            "limit": args.limit,
             "cpu": cpu,
             "cpu_probe_ms": cpu_probe_ms,
             "pools": {},
         }
         tol = json.loads((PERFBENCH / "tolerances.json").read_text(encoding="utf-8"))
         for name in pools:
-            best, differ, gate = ab_pool(wl.WORKLOADS[name], sides, args.repeats, tol)
+            best, differ, gate = ab_pool(wl.WORKLOADS[name], sides, args.repeats, tol, args.limit)
             sums = best.sum(axis=0)
             p50 = np.percentile(best, 50, axis=0)
             p90 = np.percentile(best, 90, axis=0)

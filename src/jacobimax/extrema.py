@@ -9,14 +9,17 @@ both families' brackets then form one array.  Each bracket's root is located
 by a cubic Hermite fit to the grid values and Newton steps on fresh values,
 and a converged Newton root is the root.  Two kinds of bracket are bisected
 instead, to the last bit that bisecting their computed sign function would
-give: one whose Newton root did not converge, and every bracket of q on a
-window where M has a mirror image, alpha = beta on a symmetric window.  There
-P_k(-x) = (-1)^k P_k(x), the maxima come in mirror pairs whose heights agree
-only up to rounding, and the bisection's bits, not the last ulps of a Newton
-root, decide which of the two global_max reports.  Each round replays the
-bisection's midpoint sequence against the located roots, and signs are
-evaluated, in one batch per round, only at the midpoints too close to a root
-to decide.
+give: one whose Newton root did not converge, and, in a scan that keeps
+mirror-tie bits, every bracket of q on a window where M has a mirror image,
+alpha = beta on a symmetric window.  There P_k(-x) = (-1)^k P_k(x), the
+maxima come in mirror pairs whose heights agree only up to rounding, and the
+bisection's bits, not the last ulps of a Newton root, decide which of the two
+global_max reports.  scan_extrema and global_max, and so the CLI, keep these
+bits; verify's rows read M, |x| or the records, never which of a mirror pair
+is reported, so its scans keep none and bisect no q bracket.  Each round
+replays the bisection's midpoint sequence against the located roots, and
+signs are evaluated, in one batch per round, only at the midpoints too close
+to a root to decide.
 
 One evaluator, _signs, computes every sign and value the scan uses: both
 grids, every Newton step and every refinement round.  It takes y and y' from
@@ -42,7 +45,10 @@ has q's sign just left of it.  An endpoint's record holds ln M's one-sided
 limit there (jacobi._endpoint_ln_M); global_max raises rather than report
 M = 0.
 
-The memo is per (k, alpha, beta), with an entry per window, errors included.
+The memo is per (k, alpha, beta), with an entry per window, errors included;
+a mirror window has one entry with tie bits and one without, so each caller
+reads the bits it would get from a fresh memo, while any other window's scan
+is the same for both and has one entry.
 Windows asked for together are scanned in one pass (_scan): they share every
 kernel call and every numpy pass, and the stages whose tests span a call run
 per window, so each window keeps the bits of a scan of it alone.
@@ -426,13 +432,14 @@ def _settle(p: Params, w, lo, hi, s_lo, root, eps, groups):
     groups lists the (bracket indices, family) pairs that bisect (_refine),
     one per window and family, since a replay's stopping test spans its
     call; family 0 reads y's signs, 1 q's.  _scan lists the brackets whose
-    Newton root did not converge, and every q bracket of a window where M
-    has a mirror image.  The other brackets keep their model roots, and the
-    first round reads P_k at them.  Each round replays every live group and
-    makes one _signs call for the points they ask, with the round's roots
-    appended for their pair values alone, so P_k at a final root comes from
-    the pair call of the round that fixed it; a round that asks nothing reads
-    its roots from one eval_orthonormal_parts call.
+    Newton root did not converge, and, when it keeps tie bits, every q
+    bracket of a window where M has a mirror image.  The other brackets keep
+    their model roots, and the first round reads P_k at them.  Each round
+    replays every live group and makes one _signs call for the points they
+    ask, with the round's roots appended for their pair values alone, so P_k
+    at a final root comes from the pair call of the round that fixed it; a
+    round that asks nothing reads its roots from one eval_orthonormal_parts
+    call.
     """
     x = root.copy()
     val, off = np.empty(x.size), np.empty(x.size)
@@ -499,7 +506,12 @@ def _records(p: Params, w: Window, roots, of_y, q_left, val, off) -> tuple[Extre
     return tuple(records)
 
 
-def _scan(p: Params, windows: list[Window]) -> list:
+def _mirror(p: Params, w: Window) -> bool:
+    """Whether M has a mirror image on w: alpha = beta on a symmetric window."""
+    return p.is_ultraspherical and w.is_symmetric
+
+
+def _scan(p: Params, windows: list[Window], ties: bool) -> list:
     """Each window's records, or the GridTooCoarseError it raised, from one pass over all of them.
 
     The windows' points share every _signs call, and so every kernel call,
@@ -508,7 +520,9 @@ def _scan(p: Params, windows: list[Window]) -> list:
     whose tests span their call run per window: the count checks, the Hermite
     fits and the replays.  Kernel outputs at a point do not depend on the
     points that share its call, so each window's records have the bits of a
-    scan of it alone.
+    scan of it alone.  With ties, every q bracket of a mirror window bisects
+    (_settle), so that the mirror maxima carry the bits global_max's choice
+    between them rests on; without, they are Newton roots as elsewhere.
     """
     out = [()] * len(windows)
     # M = P_0^2 = 1/pi is constant at k = 0 with alpha = beta = -1/2 on the
@@ -561,13 +575,13 @@ def _scan(p: Params, windows: list[Window]) -> list:
         with np.errstate(all="ignore"):
             found, eps = _locate(p, wb, xs[ends], tuple(a[ends] for a in parts), is_y, cuts)
         # converged Newton roots are the roots; a bracket Newton left
-        # unconverged, and every q bracket of a window where M has a mirror
-        # image, bisects on its own sign function
+        # unconverged, and with ties every q bracket of a window where M has
+        # a mirror image, bisects on its own sign function
         groups = []
         for (i, *_), c in zip(kept, cuts):
             yc = is_y[c]
             bisect = ~(eps[c] <= 2.0 * _TRUST_FLOOR)
-            if p.is_ultraspherical and windows[i].is_symmetric:
+            if ties and _mirror(p, windows[i]):
                 bisect |= ~yc
             for fam, sel in ((0, yc & bisect), (1, ~yc & bisect)):
                 if sel.any():
@@ -596,22 +610,38 @@ def _scan(p: Params, windows: list[Window]) -> list:
 
 @lru_cache(maxsize=1024)
 def _cached_scan(k: int, alpha: float, beta: float) -> dict:
-    """The scan memo of one triple: (d_m, d_M) to the window's records, or the GridTooCoarseError it raised."""
+    """The scan memo of one triple: a window's key (_memo_key) to its records, or the GridTooCoarseError it raised."""
     return {}
 
 
-def _scan_windows(p: Params, windows) -> dict:
-    """The triple's scan memo, after one joint scan (_scan) of every window of `windows` not in it yet.
+def _memo_key(p: Params, w: Window, ties: bool) -> tuple:
+    # only a mirror window's scan depends on ties; any other window has one
+    # entry, whoever asks
+    return (w.d_m, w.d_M, ties and _mirror(p, w))
 
+
+def _scan_windows(p: Params, windows, ties: bool) -> list:
+    """Each window's entry in the triple's scan memo, after one joint scan (_scan) of those not in it yet.
+
+    ties says whether mirror windows keep the bits of their tie (_scan).
     Two threads that scan one window at once both scan it and store the same
     records: a scan's result depends on its inputs alone.
     """
     memo = _cached_scan(p.k, p.alpha, p.beta)
+    keys = [_memo_key(p, w, ties) for w in windows]
     # each window once: at alpha = beta = 1/2 the delta window is the full one
-    todo = {(w.d_m, w.d_M): w for w in windows if (w.d_m, w.d_M) not in memo}
+    todo = {key: w for key, w in zip(keys, windows) if key not in memo}
     if todo:
-        memo.update(zip(todo, _scan(p, list(todo.values()))))
-    return memo
+        memo.update(zip(todo, _scan(p, list(todo.values()), ties)))
+    return [memo[key] for key in keys]
+
+
+def _window_records(p: Params, w: Window, ties: bool) -> list[ExtremumRecord]:
+    """A fresh list of the window's records from the scan memo; raises the GridTooCoarseError its scan raised."""
+    found = _scan_windows(p, (w,), ties)[0]
+    if isinstance(found, GridTooCoarseError):
+        raise GridTooCoarseError(*found.args)
+    return list(found)
 
 
 def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
@@ -628,7 +658,8 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     q is instead exactly the one that bisecting q's computed sign function
     from its 4x-grid bracket to a width of 1e-13 gives (_refine), q's sign
     being the shifted-family route's everywhere (_signs): the maxima come in
-    mirror pairs there, and these bits pick global_max's one of a pair.  So is
+    mirror pairs there, and these bits pick global_max's one of a pair.
+    (verify's rows, which do not read that choice, scan without them.)  So is
     a root whose Newton steps did not converge, on y's sign function for a
     root of y.  A root of y is a minimum; a root of q is a maximum iff y has
     q's left sign there.
@@ -640,10 +671,7 @@ def scan_extrema(p: Params, w: Window) -> list[ExtremumRecord]:
     asks for every window its checks read) are scanned in one pass.  Each
     call returns a fresh list.
     """
-    found = _scan_windows(p, (w,))[(w.d_m, w.d_M)]
-    if isinstance(found, GridTooCoarseError):
-        raise GridTooCoarseError(*found.args)
-    return list(found)
+    return _window_records(p, w, True)
 
 
 def _endpoint_record(p: Params, w: Window, side: str) -> ExtremumRecord:
@@ -660,20 +688,29 @@ def global_max(p: Params, w: Window) -> ExtremumRecord:
     window, the two mirror-image maxima agree only up to rounding, and the
     rounding decides which of them is returned.  Their x are the roots that
     bisecting q's computed sign function gives (scan_extrema), so that choice
-    does not rest on the last ulps of a Newton root.  Endpoint candidates
+    does not rest on the last ulps of a Newton root; this is what the tie
+    bits are kept for, here and in the CLI.  Endpoint candidates
     carry index -1 and their one-sided limit value (0, finite, or inf per the
     weight exponents).  A best candidate with M = 0 raises
     GridTooCoarseError: the scan lost the interior maximum.
     """
-    records = scan_extrema(p, w)
-    cands = [r for r in records if r.kind == "max"]
+    return _global_max(p, w, True)
+
+
+def _global_max(p: Params, w: Window, ties: bool, tol: float = 0.0) -> ExtremumRecord:
+    """global_max on the window's scan with or without tie bits (_scan).
+
+    The candidates whose ln M is within tol of the largest tie with it, and
+    the tie rule picks among them; tol = 0 is global_max's exact tie.
+    """
+    cands = [r for r in _window_records(p, w, ties) if r.kind == "max"]
     cands.append(_endpoint_record(p, w, "left"))
     cands.append(_endpoint_record(p, w, "right"))
-    best = max(cands, key=lambda r: (r.ln_M, -abs(r.x), r.x))
-    if best.ln_M == -math.inf:
+    top = max(r.ln_M for r in cands)
+    if top == -math.inf:
         where = f"[{w.d_m}, {w.d_M}], where M vanishes at both ends, for k={p.k}, alpha={p.alpha}, beta={p.beta}"
         raise GridTooCoarseError(f"found no maximum of M inside {where}")
-    return best
+    return max((r for r in cands if r.ln_M >= top - tol), key=lambda r: (-abs(r.x), r.x))
 
 
 class Comparison(NamedTuple):

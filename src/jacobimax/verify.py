@@ -5,9 +5,11 @@ status); rows outside a check's hypotheses are recorded as skipped rather
 than evaluated, and the library's numeric errors surface as numeric_failure
 rows instead of exceptions; any other exception propagates.  A sweep runs
 triple by triple: it scans, in one joint pass, every window the triple's
-scanning rows read, then runs the rows, which read the scan memo.  Reports
-sort by (check_id, k, alpha, beta) so concurrent and serial sweeps emit
-identical bytes.
+scanning rows read, then runs the rows, which read the scan memo.  No row
+reads which of two mirror-image maxima is the global one, so the rows read
+scans without mirror-tie bits (extrema._scan), which bisect no q bracket.
+Reports sort by (check_id, k, alpha, beta) so concurrent and serial sweeps
+emit identical bytes.
 """
 
 import copy
@@ -29,7 +31,7 @@ import numpy as np
 from . import bounds as _bounds
 from ._version import __version__
 from .envelope import IDENTITY_REL, OutsideOscillationRegionError, delta_window, geometry, identity_checks, turning_point
-from .extrema import GridTooCoarseError, _scan_windows, global_max, scan_extrema, structure_checks
+from .extrema import GridTooCoarseError, _global_max, _scan_windows, _window_records, structure_checks
 from .jacobi import ALPHA_FLOOR, Params, Window, eval_derivatives_parts, value_at_zero_even
 from .jacobi import _exp_saturating, _ode_residuals, _weighted_ln
 
@@ -115,14 +117,23 @@ def _run_thm4_even_value(p: Params) -> tuple[float, float]:
     return lhs, _bounds.rhs_bound(_bounds.BoundId.THM4, p)
 
 
+# ln M's rounding at a maximum, per unit of k + alpha + 1 (the recurrence's
+# steps and the weight's terms): a maximum this close to the top ties with it;
+# at alpha = 1/2, k <= 60 the maxima spread by under 4 eps k, and at alpha =
+# 0.51 the origin leads the next maximum by over 200 eps k
+_PEAK_TIE = 32.0 * sys.float_info.epsilon
+
+
 def _run_thm4_peak(p: Params, w: Window) -> tuple[float, float]:
-    return abs(global_max(p, w).x), 1e-9
+    # at alpha = 1/2, M = (2/pi) sin^2((k+1) theta): every maximum ties the
+    # origin's, and global_max's tie rule, smaller |x| first, picks the origin
+    return abs(_global_max(p, w, False, _PEAK_TIE * (p.k + p.alpha + 1.0)).x), 1e-9
 
 
 def _structure_runner(claim: str):
     # the (lhs, rhs) pair structure_checks computes for the claim on the window's scan
     def compare(p: Params, w: Window) -> tuple[float, float]:
-        comparison = getattr(structure_checks(scan_extrema(p, w), geometry(p)), claim)
+        comparison = getattr(structure_checks(_window_records(p, w, False), geometry(p)), claim)
         if comparison is None:
             raise UndefinedRowError(f"{claim} undefined: its landmark or its records are absent")
         return comparison
@@ -326,7 +337,7 @@ def _scan_check(hypothesis, window: str, compare, description: str) -> _CheckDef
 def _bound_check(bid: _bounds.BoundId, window: str, description: str) -> _CheckDef:
     """The row comparing the window's global max of M with bound bid, on bid's hypotheses."""
     return _scan_check(
-        _hyp_bound(bid), window, lambda p, w: (global_max(p, w).M, _bounds.rhs_bound(bid, p)), description
+        _hyp_bound(bid), window, lambda p, w: (_global_max(p, w, False).M, _bounds.rhs_bound(bid, p)), description
     )
 
 
@@ -654,7 +665,7 @@ def _triple_rows(checks: tuple[str, ...], p: Params) -> list[VerificationResult]
             pass
     if windows:
         try:
-            _scan_windows(p, windows)
+            _scan_windows(p, windows, False)
         except ArithmeticError:
             # each row scans its window again, alone, and fails as it would
             pass

@@ -928,31 +928,36 @@ def _outcome(fn, p, w):
 
 def test_joint_scans_equal_single_window_scans(monkeypatch):
     # the full and delta windows scanned together give each window the bits,
-    # and the errors, of a fresh scan of it alone
+    # and the errors, of a fresh scan of it alone, with tie bits and without
     triples = _diagonal_pool_triples()
     assert len(triples) > 100
     calls = []
     scan = extrema._scan
 
-    def counting(p, windows):
+    def counting(p, windows, ties):
         calls.append(len(windows))
-        return scan(p, windows)
+        return scan(p, windows, ties)
+
+    def answers(p, w, ties):
+        records = _outcome(lambda p, w: extrema._window_records(p, w, ties), p, w)
+        return records, _outcome(lambda p, w: extrema._global_max(p, w, ties), p, w)
 
     monkeypatch.setattr(extrema, "_scan", counting)
     try:
         for k, a, b in triples + [(6, 1e5, 1e5)]:
             p = Params(k, a, b)
             windows = [Window.full(), delta_window(p)]
-            extrema._cached_scan.cache_clear()
-            calls.clear()
-            extrema._scan_windows(p, windows)
-            joint = [(_outcome(scan_extrema, p, w), _outcome(global_max, p, w)) for w in windows]
-            assert calls == [2], (p, calls)
-            single = []
-            for w in windows:
+            for ties in (True, False):
                 extrema._cached_scan.cache_clear()
-                single.append((_outcome(scan_extrema, p, w), _outcome(global_max, p, w)))
-            assert joint == single, p
+                calls.clear()
+                extrema._scan_windows(p, windows, ties)
+                joint = [answers(p, w, ties) for w in windows]
+                assert calls == [2], (p, ties, calls)
+                single = []
+                for w in windows:
+                    extrema._cached_scan.cache_clear()
+                    single.append(answers(p, w, ties))
+                assert joint == single, (p, ties)
     finally:
         extrema._cached_scan.cache_clear()
     # the last triple: the full window raises, the delta window answers

@@ -61,11 +61,12 @@ POOLS = "extrema-cli, verify-sweep, scalar-checks"
     + [(script, [flag, text], f"argument {flag}: must be a whole number of at least 1, not {text!r}")
        for script, flag, text in (
            ("output_diff", "--limit", "-399"), ("kernel_bench", "--limit", "0"), ("kernel_bench", "--repeats", "0"),
-           ("ab_pools", "--repeats", "-2"), ("ab_pools", "--repeats", "two"),
+           ("ab_pools", "--repeats", "-2"), ("ab_pools", "--repeats", "two"), ("ab_pools", "--limit", "0"),
        )],
     ids=[
         "unknown-family", "unknown-pool", "ab_pools-no-package", "kernel_bench-no-package", "output_diff-no-package",
         "output_diff-limit", "kernel_bench-limit", "kernel_bench-repeats", "ab_pools-repeats", "ab_pools-repeats-text",
+        "ab_pools-limit",
     ],
 )
 def test_scripts_refuse_bad_arguments_before_any_work(script, argv, message, capsys, monkeypatch):
@@ -119,6 +120,23 @@ def test_output_diff_sizes_a_moved_row_and_lists_a_status_change(capsys, monkeyp
         "scalar-rows: 2 of 2 rows differ, 1 in status, pass or presence;"
         " largest relative move 0.25 in lhs (thm1 (6, 1, 1)), 0 in rhs",
     ]
+
+
+def test_ab_pools_of_a_checkout_against_itself(tmp_path):
+    # a subprocess, since the script pins its process to one CPU
+    out = tmp_path / "BENCH_ab.json"
+    argv = [sys.executable, str(SCRIPTS / "ab_pools.py"), str(REPO), "--limit", "2", "--repeats", "1"]
+    done = subprocess.run(argv + ["--out", str(out)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("pinned to CPU ")
+    assert [line.split(":")[0] for line in lines[1:]] == ["verify-sweep", "extrema-cli", "scalar-checks"]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["limit"] == 2 and doc["repeats"] == 1
+    for name, res in doc["pools"].items():
+        assert res["items"] == 2 and res["summaries_differ"] == 0, name
+        assert res["gate"]["ops"] > 0 and res["gate"]["mismatches"] == [], name
+        assert "summaries differ on 0;" in lines[1 + list(doc["pools"]).index(name)]
 
 
 def test_kernel_bench_of_a_checkout_against_itself(tmp_path):

@@ -21,7 +21,7 @@ import jacobimax.extrema as extrema
 import jacobimax.verify as verify
 from jacobimax.bounds import BoundId, HypothesisError, _hypothesis_failure, gamma_ratio_log_gap, pointwise_bound
 from jacobimax.envelope import IDENTITY_REL, delta_window, geometry, turning_point
-from jacobimax.extrema import GridTooCoarseError, scan_extrema, structure_checks
+from jacobimax.extrema import GridTooCoarseError, global_max, scan_extrema, structure_checks
 from jacobimax.jacobi import ALPHA_FLOOR, Params, Window, ode_residuals, weighted_M
 from jacobimax.scaled import ScaledReal
 from jacobimax.verify import (
@@ -263,8 +263,11 @@ def test_structural_rows_report_structure_checks_bitwise():
                     seen[cid, row.status] += 1
                     if row.status == SKIPPED:
                         continue
+                    window, claim = _STRUCTURAL_ROWS[cid]
+                    w = Window.full() if window == "full" else delta_window(p)
                     try:
-                        c = _structure_comparison(cid, p)
+                        # the records the row reads: its window's scan without tie bits
+                        c = getattr(structure_checks(extrema._window_records(p, w, False), geometry(p)), claim)
                     except GridTooCoarseError:
                         assert row.status == NUMERIC_FAILURE, (cid, p)
                         continue
@@ -741,9 +744,9 @@ def _scanned_windows(monkeypatch):
     scanned = []
     scan = extrema._scan
 
-    def counting(p, windows):
+    def counting(p, windows, ties):
         scanned.extend((p.k, p.alpha, p.beta, w.d_m, w.d_M) for w in windows)
-        return scan(p, windows)
+        return scan(p, windows, ties)
 
     monkeypatch.setattr(extrema, "_scan", counting)
     extrema._cached_scan.cache_clear()
@@ -795,6 +798,99 @@ def test_sweep_scans_a_raising_window_once(monkeypatch):
     # a row alone scans its window as the sweep did, and fails as it did
     for cid in full_rows:
         assert run_check(cid, p).status == NUMERIC_FAILURE
+
+
+def test_sweep_scans_leave_the_tie_bits_to_their_callers(monkeypatch):
+    # on a mirror triple the sweep scans the full and delta windows without
+    # bisecting a bracket; scan_extrema and global_max, asked later in the
+    # same process, still give the bits of a fresh memo, and the sweep's rows
+    # do not depend on what was asked before it
+    p = Params(40, 3.0, 3.0)
+    windows = [Window.full(), delta_window(p)]
+    cfg = _config(["all"], {"min": 40, "max": 40}, [3.0])
+    fresh = []
+    for w in windows:
+        extrema._cached_scan.cache_clear()
+        fresh.append((repr(scan_extrema(p, w)), repr(global_max(p, w))))
+    refined = []
+    refine = extrema._refine
+
+    def counting(*args):
+        refined.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(extrema, "_refine", counting)
+    extrema._cached_scan.cache_clear()
+    try:
+        rows = sweep(cfg).rows
+        assert refined == []
+        assert [(repr(scan_extrema(p, w)), repr(global_max(p, w))) for w in windows] == fresh
+        # both windows' q brackets bisect for the callers that keep tie bits
+        assert len(refined) == 2
+        assert sweep(cfg).rows == rows and len(refined) == 2
+        extrema._cached_scan.cache_clear()
+        global_max(p, windows[1])
+        assert sweep(cfg).rows == rows
+    finally:
+        extrema._cached_scan.cache_clear()
+    # rows that read either window's scan are checked
+    assert {r.check_id for r in rows if r.status == CHECKED} >= {"thm1", "thm4_containment", "thm4_delta_peak_at_zero"}
+
+
+def _close(a, b, rel, abs_):
+    # perfbench's row comparison: equal, both nan, or within rel and abs_
+    return a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= rel * max(abs(a), abs(b)) + abs_
+
+
+def test_rows_from_tie_free_scans_agree_with_rows_from_tie_exact_scans(monkeypatch):
+    # the sweep's rows read scans without mirror-tie bits; read from scans
+    # with them, every row keeps its status and pass, and lhs and rhs move
+    # within the benchmark's row tolerances
+    tol = json.loads((Path(__file__).parents[1] / "perfbench" / "tolerances.json").read_text())
+    rel, abs_ = tol["value_rel"], tol["value_abs"]
+    moved = checked = 0
+    for k_spec, alphas in (({"min": 0, "max": 30}, [0.6, 2.5, 40.0, 700.0]), ({"min": 300, "max": 300}, [1e5])):
+        cfg = _config(["all"], k_spec, alphas)
+        extrema._cached_scan.cache_clear()
+        free = sweep(cfg).rows
+        with monkeypatch.context() as m:
+            for name in ("_scan_windows", "_window_records", "_global_max"):
+                tie_free = getattr(verify, name)
+                m.setattr(verify, name, lambda p, w, ties, *rest, fn=tie_free: fn(p, w, True, *rest))
+            extrema._cached_scan.cache_clear()
+            exact = sweep(cfg).rows
+        extrema._cached_scan.cache_clear()
+        assert len(free) == len(exact)
+        for a, b in zip(free, exact):
+            key = (a.check_id, a.k, a.alpha, a.beta)
+            assert key == (b.check_id, b.k, b.alpha, b.beta)
+            assert (a.status, a.passed) == (b.status, b.passed), key
+            assert _close(a.lhs, b.lhs, rel, abs_) and _close(a.rhs, b.rhs, rel, abs_), (key, a, b)
+            moved += a.lhs != b.lhs
+            checked += a.status == CHECKED and verify._REGISTRY[a.check_id].window is not None
+    # the two scans differ on mirror windows, and most scanning rows are checked
+    assert moved > 1000 and checked > 900, (moved, checked)
+
+
+def test_delta_peak_row_takes_the_origin_among_tied_maxima():
+    # at alpha = beta = 1/2 the delta window is the full one, and M = (2/pi)
+    # sin^2((k+1) theta): every interior maximum ties the origin's up to
+    # rounding, and global_max's tie rule, smaller |x| first, takes the origin
+    top_elsewhere = 0
+    for k in range(2, 61, 2):
+        p = Params(k, 0.5, 0.5)
+        row = run_check("thm4_delta_peak_at_zero", p)
+        assert row.status == CHECKED and row.passed and row.lhs < 1e-15, (k, row)
+        # ranked by the rounded ln M alone, another maximum comes first
+        top_elsewhere += abs(extrema._global_max(p, delta_window(p), False).x) > 0.1
+    assert top_elsewhere >= 20
+    # away from 1/2 no two maxima tie and the row keeps the exact rule's bits
+    for alpha in (0.51, 0.6, 2.5, 1e3):
+        for k in range(2, 61, 2):
+            p = Params(k, alpha, alpha)
+            row = run_check("thm4_delta_peak_at_zero", p)
+            assert row.status == CHECKED and row.passed, (p, row)
+            assert row.lhs == abs(extrema._global_max(p, delta_window(p), False).x), p
 
 
 def _package_caches():
